@@ -8,7 +8,6 @@ the package version and a config hash in their header.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -22,12 +21,8 @@ from .errors import ConfigError, GflError, PreconditionError
 from .lil import LilEnvelope, verify_paths
 from .losses import NoiseModel, make_loss
 from .signal import PiecewiseConstantSignal
-from .simulate import ExperimentSpec, run_experiment
+from .simulate import ExperimentSpec, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
-
-
-def _hash_obj(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -75,7 +70,7 @@ def _fmt(x) -> str:
 def _cmd_solve(args) -> int:
     y = _read_values(args.input)
     loss = make_loss(args.loss, args.tau)
-    cfg_hash = _hash_obj(
+    cfg_hash = hash_config(
         {"cmd": "solve", "lambda": args.lam, "loss": args.loss, "tau": args.tau, "n": int(y.size)}
     )
     sol = solve(FusedLassoProblem(y=y, lam=args.lam, loss=loss))
@@ -123,7 +118,7 @@ def _cmd_bounds(args) -> int:
         "lambda": args.lam,
         "growth_L": args.growth_L,
     }
-    cfg_hash = _hash_obj(cfg)
+    cfg_hash = hash_config(cfg)
     report = bnd.bound_report(geom, params)
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
@@ -165,7 +160,7 @@ def _cmd_lil(args) -> int:
         "paths": args.paths,
         "seed": args.seed,
     }
-    cfg_hash = _hash_obj(cfg)
+    cfg_hash = hash_config(cfg)
     t_grid = sorted(set(min(args.horizon, 2**e) for e in range(0, 64) if 2**e <= args.horizon))
     res = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed, t_grid=t_grid)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -141,10 +141,6 @@ class NoiseModel:
     def cdf(self, x):
         return self._base_cdf(np.asarray(x, dtype=float) + self.shift)
 
-    def cdf_left(self, x):
-        # All supported distributions are continuous, so F^- == F.
-        return self.cdf(x)
-
     def pdf(self, x):
         return self._base_pdf(np.asarray(x, dtype=float) + self.shift)
 
@@ -233,11 +229,12 @@ def L_plus(loss, noise: NoiseModel, t: float) -> float:
 
 
 def L_minus(loss, noise: NoiseModel, t: float) -> float:
-    """E rho'_-(eps - t); coincides with L_plus for continuous noise."""
+    """E rho'_-(eps - t); coincides with L_plus because every supported noise
+    distribution is continuous, so F(t-) == F(t)."""
     _check_pairing(loss, noise)
     if loss.kind == "square":
         return -float(t)
-    return loss.tau - float(noise.cdf_left(t))
+    return loss.tau - float(noise.cdf(t))
 
 
 def _invert(fn, v: float, tol: float = 1e-10) -> float:

@@ -104,17 +104,23 @@ class ExperimentSpec:
         for key in ("experiment", "signal", "noise", "loss", "delta", "seed"):
             if key not in cfg:
                 raise ConfigError(f"config missing required key {key!r}")
-        loss_cfg = dict(cfg["loss"])
+        loss_cfg = dict(_object(cfg["loss"], "loss"))
         kind = loss_cfg.pop("kind", None)
         tau = loss_cfg.pop("tau", None)
         if loss_cfg:
             raise ConfigError(f"unknown loss keys: {sorted(loss_cfg)}")
-        lam_cfg = dict(cfg.get("lambda", {"rule": "sqrt_n_over_k"}))
+        lam_cfg = dict(_object(cfg.get("lambda", {"rule": "sqrt_n_over_k"}), "lambda"))
         rule = lam_cfg.pop("rule", "fixed")
         value = lam_cfg.pop("value", None)
         if lam_cfg:
             raise ConfigError(f"unknown lambda keys: {sorted(lam_cfg)}")
         growth_L = cfg.get("growth_L")
+        d_grid = tuple(_integer(x, "d_grid entry") for x in cfg.get("d_grid", ()))
+        if d_grid and len(set(d_grid)) < 2:
+            raise ConfigError("d_grid needs at least two distinct distances to fit a slope")
+        improved = cfg.get("improved", False)
+        if not isinstance(improved, bool):
+            raise ConfigError(f"improved must be true or false, got {improved!r}")
         noise = NoiseModel.from_record(cfg["noise"])
         if growth_L == "auto":
             growth_L = noise.growth_constant()
@@ -126,14 +132,14 @@ class ExperimentSpec:
             lambda_rule=rule,
             lambda_value=value,
             delta=float(cfg["delta"]),
-            replications=int(cfg.get("replications", 100)),
-            seed=int(cfg["seed"]),
+            replications=_integer(cfg.get("replications", 100), "replications"),
+            seed=_integer(cfg["seed"], "seed"),
             monitor=cfg.get("monitor", "interior"),
             growth_L=None if growth_L is None else float(growth_L),
             n_sweep=tuple(int(x) for x in cfg.get("n_sweep", ())),
-            d_grid=tuple(int(x) for x in cfg.get("d_grid", ())),
+            d_grid=d_grid,
             lambda_grid=tuple(float(x) for x in cfg.get("lambda_grid", ())),
-            improved=bool(cfg.get("improved", False)),
+            improved=improved,
         )
 
     def to_config(self) -> dict:
@@ -160,8 +166,26 @@ class ExperimentSpec:
         return cfg
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_config(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hash_config(self.to_config())
+
+
+def hash_config(cfg) -> str:
+    """SHA-256 of the sorted-key JSON form of ``cfg``: the config hash that
+    every output file carries."""
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, and int(1.5) would silently truncate
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def resolve_lambda(rule: str, value: float | None, n: int, K: int) -> float:
@@ -215,8 +239,7 @@ def _pop_loss_values(spec: ExperimentSpec, err: np.ndarray):
     if spec.loss.kind == "square":
         return -err, -err
     lp = spec.loss.tau - spec.noise.cdf(err)
-    lm = spec.loss.tau - spec.noise.cdf_left(err)
-    return lp, lm
+    return lp, lp
 
 
 def run_pointwise(spec: ExperimentSpec) -> dict:

@@ -10,7 +10,10 @@ The algorithm is forward-backward message passing on the chain: the running
 message is a convex function of theta_i whose derivative is maintained
 explicitly (piecewise linear for the square loss, a step function for the
 quantile loss).  Each step adds the data term and then "clips" the derivative
-to [-lam, +lam], which is exactly the infimal convolution with lam*|.|.  The
+to [-lam, +lam], which is exactly the infimal convolution with lam*|.|.  Both
+message types keep only their live knots or breakpoints in sorted lists:
+clipping deletes what it passes from the two ends, so one DP loop serves
+either loss and nothing depends on how many entries were ever deleted.  The
 backward pass clamps each theta_i to the clip window recorded at its step,
 picking the smallest optimal value wherever the optimum is a face.
 """
@@ -18,13 +21,12 @@ picking the smallest optimal value wherever the optimum is a face.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, GflError
-from .losses import QuantileLoss, SquareLoss
 
 _INF = math.inf
 
@@ -102,12 +104,9 @@ class _QuadMessage:
             a, b = cf[j]
             cf[j] = (a, b + weight)
 
-    def crossing_left(self, target: float, mutate: bool = True) -> float:
-        """Smallest x with derivative(x+) >= target; pops intervals below it.
-
-        When ``mutate`` is set the left tail is replaced by constant slope
-        ``target`` starting at the returned position.
-        """
+    def crossing_left(self, target: float) -> float:
+        """Smallest x with derivative(x+) >= target; pops intervals below it
+        and replaces the left tail by constant slope ``target`` from there."""
         xs, cf, A, B = self.xs, self.cf, self.A, self.B
         floor_x = -_INF
         while True:
@@ -128,7 +127,7 @@ class _QuadMessage:
                 raise GflError("derivative stays below target; objective not coercive")
             floor_x = xs.pop(0)
             cf.pop(0)
-        if u == -_INF or not mutate:
+        if u == -_INF:
             return u
         # left tail becomes exactly `target`
         if xs and xs[0] == u:
@@ -178,35 +177,35 @@ class _QuadMessage:
 class _StepMessage:
     """Derivative of the running message for the quantile loss.
 
-    Breakpoint positions ``bp`` with positive jumps ``jm`` inside the window
-    [h, t); ``c0`` is the derivative left of everything, ``clast`` right of
-    everything.  Data breakpoints are inserted in sorted order; clipping pops
-    from the ends, so the active window stays small.
+    Sorted breakpoint positions ``bp`` with positive jumps ``jm``; ``c0`` is
+    the derivative left of every breakpoint and ``clast`` right of every one.
+    Only live breakpoints are kept: data breakpoints are inserted in sorted
+    order, and clipping deletes the ones it passes from the ends, as
+    ``_QuadMessage`` does with its knots.
     """
 
-    __slots__ = ("bp", "jm", "h", "t", "c0", "clast")
+    __slots__ = ("tau", "bp", "jm", "c0", "clast")
 
-    def __init__(self):
+    def __init__(self, tau: float):
+        self.tau = tau
         self.bp: list[float] = []
         self.jm: list[float] = []
-        self.h = 0
-        self.t = 0
         self.c0 = 0.0
         self.clast = 0.0
 
     def _insert(self, x: float, jump: float) -> None:
-        pos = bisect_left(self.bp, x, self.h, self.t)
-        if pos < self.t and self.bp[pos] == x:
+        bp = self.bp
+        pos = bisect_left(bp, x)
+        if pos < len(bp) and bp[pos] == x:
             self.jm[pos] += jump
         else:
-            self.bp.insert(pos, x)
+            bp.insert(pos, x)
             self.jm.insert(pos, jump)
-            self.t += 1
         self.clast += jump
 
-    def add_data(self, y: float, tau: float) -> None:
-        self.c0 -= tau
-        self.clast -= tau
+    def add_data(self, y: float) -> None:
+        self.c0 -= self.tau
+        self.clast -= self.tau
         self._insert(y, 1.0)
 
     def add_abs(self, center: float, weight: float) -> None:
@@ -214,34 +213,24 @@ class _StepMessage:
         self.clast -= weight
         self._insert(center, 2.0 * weight)
 
-    def _compact(self) -> None:
-        if self.h > 65536:
-            del self.bp[: self.h]
-            del self.jm[: self.h]
-            self.t -= self.h
-            self.h = 0
-        if len(self.bp) - self.t > 65536:
-            del self.bp[self.t :]
-            del self.jm[self.t :]
-
     def crossing_left(self, target: float) -> float:
         """Smallest x with derivative(x+) >= target; left tail set to target."""
         if self.c0 >= target:
             return -_INF
         bp, jm = self.bp, self.jm
         c = self.c0
-        h, t = self.h, self.t
-        while h < t and c < target:
+        h = 0
+        while h < len(bp) and c < target:
             c += jm[h]
             h += 1
         if c < target:
             raise GflError("derivative stays below target; objective not coercive")
-        h -= 1  # re-expose the crossing breakpoint with an adjusted jump
+        h -= 1  # keep the crossing breakpoint with an adjusted jump
         jm[h] = c - target
-        self.h = h
+        del bp[:h]
+        del jm[:h]
         self.c0 = target
-        self._compact()
-        return bp[h]
+        return bp[0]
 
     def crossing_right(self, target: float) -> float:
         """Smallest x with derivative >= target on [x, inf); right tail set to target."""
@@ -249,17 +238,17 @@ class _StepMessage:
             return _INF
         bp, jm = self.bp, self.jm
         c = self.clast
-        h, t = self.h, self.t
-        while t - 1 > h and c - jm[t - 1] >= target:
+        t = len(bp)
+        while t > 1 and c - jm[t - 1] >= target:
             t -= 1
             c -= jm[t]
-        # piece left of bp[t-1] is below target (or t-1 == h); crossing at bp[t-1]
+        # piece left of bp[t-1] is below target (or t == 1); crossing at bp[t-1]
         jm[t - 1] = target - (c - jm[t - 1])
         if jm[t - 1] < 0.0:
             raise GflError("inconsistent step message")
-        self.t = t
+        del bp[t:]
+        del jm[t:]
         self.clast = target
-        self._compact()
         return bp[t - 1]
 
 
@@ -270,35 +259,19 @@ def _solve_path(y, lam, loss, a=None, b=None):
     if lam == 0.0:
         return y.copy()
 
-    square = isinstance(loss, SquareLoss) or getattr(loss, "kind", None) == "square"
     lo = np.empty(n)
     hi = np.empty(n)
-
-    if square:
-        msg = _QuadMessage()
-        if a is not None:
-            msg.add_abs(a, lam)
-        for i in range(n):
-            msg.add_data(y[i])
-            if i < n - 1:
-                lo[i] = msg.crossing_left(-lam)
-                hi[i] = msg.crossing_right(lam)
-        if b is not None:
-            msg.add_abs(b, lam)
-        theta_last = msg.crossing_left(0.0, mutate=False)
-    else:
-        tau = loss.tau
-        msg = _StepMessage()
-        if a is not None:
-            msg.add_abs(a, lam)
-        for i in range(n):
-            msg.add_data(y[i], tau)
-            if i < n - 1:
-                lo[i] = msg.crossing_left(-lam)
-                hi[i] = msg.crossing_right(lam)
-        if b is not None:
-            msg.add_abs(b, lam)
-        theta_last = msg.crossing_left(0.0)
+    msg = _QuadMessage() if loss.kind == "square" else _StepMessage(loss.tau)
+    if a is not None:
+        msg.add_abs(a, lam)
+    for i in range(n):
+        msg.add_data(y[i])
+        if i < n - 1:
+            lo[i] = msg.crossing_left(-lam)
+            hi[i] = msg.crossing_right(lam)
+    if b is not None:
+        msg.add_abs(b, lam)
+    theta_last = msg.crossing_left(0.0)
 
     if not math.isfinite(theta_last):
         raise GflError("unbounded objective")

@@ -55,6 +55,22 @@ class TestSolveCommand:
         assert meta["kkt_residual"] <= 1e-9
         assert meta["version"] and meta["config_hash"]
 
+    def test_quantile_large_n(self, tmp_path):
+        rng = np.random.default_rng(0)
+        y = np.linspace(0, 100, 140000) + 0.01 * rng.standard_normal(140000)
+        inp = tmp_path / "ramp.csv"
+        inp.write_text("\n".join(repr(float(v)) for v in y) + "\n")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "solve", "--input", str(inp), "--lambda", "1.0",
+                "--loss", "quantile", "--tau", "0.5", "--out-dir", str(out),
+            ]
+        )
+        assert rc == 0
+        meta = json.loads((out / "solution.json").read_text())
+        assert meta["kkt_residual"] <= 1e-12
+
     def test_bad_input_exit_2(self, tmp_path):
         inp = tmp_path / "y.csv"
         inp.write_text("1.0\nnot-a-number\n")
@@ -151,6 +167,24 @@ class TestSimulateCommand:
 
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, small_config(extra_knob=1))
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"experiment": "rate_sweep", "d_grid": [4]},
+            {"experiment": "rate_sweep", "d_grid": [4, 4]},
+            {"experiment": "rate_sweep", "d_grid": [4, 8.5]},
+            {"improved": "no"},
+            {"seed": 1.5},
+            {"replications": 1.5},
+            {"replications": True},
+            {"loss": "square"},
+            {"lambda": "sqrt_n_over_k"},
+        ],
+    )
+    def test_malformed_config_exit_2(self, tmp_path, over):
+        cfg = write_config(tmp_path, small_config(**over))
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
 
     def test_bad_json_exit_2(self, tmp_path):

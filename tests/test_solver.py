@@ -49,6 +49,17 @@ class TestKnownSolutions:
             assert np.allclose(sol.theta_hat, 2.5, atol=1e-12)
 
 
+class TestLargeN:
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_quantile_ramp_beyond_65536(self, lam):
+        # A near-monotone input makes clipping delete almost every
+        # breakpoint, so far more than 65,536 entries are deleted in one fit.
+        rng = np.random.default_rng(0)
+        y = np.linspace(0, 100, 140000) + 0.01 * rng.standard_normal(140000)
+        sol = solve(prob(y, lam, MED))
+        assert sol.kkt_residual <= 1e-12
+
+
 class TestAugmented:
     def test_huge_lambda_pins_boundaries(self):
         th = solve_augmented(np.array([5.0]), 1e6, 0.0, 0.0, MED)
