@@ -75,10 +75,13 @@ def _cmd_solve(args) -> int:
     )
     sol = solve(FusedLassoProblem(y=y, lam=args.lam, loss=loss))
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = []
-    for i in range(y.size):
-        z = _fmt(sol.dual_z[i]) if i < y.size - 1 else ""
-        rows.append(f"{i + 1},{_fmt(y[i])},{_fmt(sol.theta_hat[i])},{z}")
+    # memoryviews hand out Python floats: no numpy scalar per CSV cell
+    cols = map(memoryview, (y, sol.theta_hat, sol.dual_z))
+    rows = [
+        f"{i},{_fmt(yi)},{_fmt(ti)},{_fmt(zi)}"
+        for i, (yi, ti, zi) in enumerate(zip(*cols), start=1)
+    ]
+    rows.append(f"{y.size},{_fmt(y[-1])},{_fmt(sol.theta_hat[-1])},")  # no edge after it
     _write_csv(os.path.join(args.out_dir, "solution.csv"), "i,y,theta_hat,z", rows, cfg_hash)
     _write_json(
         os.path.join(args.out_dir, "solution.json"),
@@ -121,14 +124,11 @@ def _cmd_bounds(args) -> int:
     cfg_hash = hash_config(cfg)
     report = bnd.bound_report(geom, params)
     os.makedirs(args.out_dir, exist_ok=True)
-    rows = []
-    for i in range(1, geom.n + 1):
-        j = i - 1
-        rows.append(
-            f"{i},{geom.k_of[j]},{geom.d[j]},{_fmt(report.B[j])},"
-            f"{_fmt(report.B_improved[j])},{_fmt(report.B_quantile[j])},"
-            f"{int(report.applicable[j])}"
-        )
+    cols = (geom.k_of, geom.d, report.B, report.B_improved, report.B_quantile, report.applicable)
+    rows = [
+        f"{i},{k},{d},{_fmt(b)},{_fmt(b_imp)},{_fmt(b_q)},{int(ok)}"
+        for i, (k, d, b, b_imp, b_q, ok) in enumerate(zip(*map(memoryview, cols)), start=1)
+    ]
     _write_csv(
         os.path.join(args.out_dir, "bounds.csv"),
         "i,k,d,B,B_improved,B_quantile,applicable",

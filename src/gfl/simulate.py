@@ -107,38 +107,59 @@ class ExperimentSpec:
         loss_cfg = dict(_object(cfg["loss"], "loss"))
         kind = loss_cfg.pop("kind", None)
         tau = loss_cfg.pop("tau", None)
+        if tau is not None:
+            _number(tau, "loss tau")
         if loss_cfg:
             raise ConfigError(f"unknown loss keys: {sorted(loss_cfg)}")
         lam_cfg = dict(_object(cfg.get("lambda", {"rule": "sqrt_n_over_k"}), "lambda"))
         rule = lam_cfg.pop("rule", "fixed")
         value = lam_cfg.pop("value", None)
+        if value is not None:
+            _number(value, "lambda value")  # kept as given: the config hash covers it
         if lam_cfg:
             raise ConfigError(f"unknown lambda keys: {sorted(lam_cfg)}")
         growth_L = cfg.get("growth_L")
-        d_grid = tuple(_integer(x, "d_grid entry") for x in cfg.get("d_grid", ()))
+        d_grid = tuple(_integer(x, "d_grid entry") for x in _list(cfg.get("d_grid", []), "d_grid"))
         if d_grid and len(set(d_grid)) < 2:
             raise ConfigError("d_grid needs at least two distinct distances to fit a slope")
         improved = cfg.get("improved", False)
         if not isinstance(improved, bool):
             raise ConfigError(f"improved must be true or false, got {improved!r}")
-        noise = NoiseModel.from_record(cfg["noise"])
+        monitor = cfg.get("monitor", "interior")
+        if not isinstance(monitor, str):
+            monitor = [_integer(i, "monitor index") for i in _list(monitor, "monitor")]
+        signal_cfg = _object(cfg["signal"], "signal")
+        for v in _list(signal_cfg.get("values", []), "signal values"):
+            _number(v, "signal value")
+        for m in _list(signal_cfg.get("lengths", []), "signal lengths"):
+            _integer(m, "signal length")
+        noise_cfg = _object(cfg["noise"], "noise")
+        for key in ("scale", "center_tau"):
+            if noise_cfg.get(key) is not None:
+                _number(noise_cfg[key], f"noise {key}")
+        noise = NoiseModel.from_record(noise_cfg)
         if growth_L == "auto":
             growth_L = noise.growth_constant()
         return cls(
             experiment=cfg["experiment"],
-            signal=PiecewiseConstantSignal.from_record(cfg["signal"]),
+            signal=PiecewiseConstantSignal.from_record(signal_cfg),
             noise=noise,
             loss=make_loss(kind, tau),
             lambda_rule=rule,
             lambda_value=value,
-            delta=float(cfg["delta"]),
+            delta=_number(cfg["delta"], "delta"),
             replications=_integer(cfg.get("replications", 100), "replications"),
             seed=_integer(cfg["seed"], "seed"),
-            monitor=cfg.get("monitor", "interior"),
-            growth_L=None if growth_L is None else float(growth_L),
-            n_sweep=tuple(int(x) for x in cfg.get("n_sweep", ())),
+            monitor=monitor,
+            growth_L=None if growth_L is None else _number(growth_L, "growth_L"),
+            n_sweep=tuple(
+                _integer(x, "n_sweep entry") for x in _list(cfg.get("n_sweep", []), "n_sweep")
+            ),
             d_grid=d_grid,
-            lambda_grid=tuple(float(x) for x in cfg.get("lambda_grid", ())),
+            lambda_grid=tuple(
+                _number(x, "lambda_grid entry")
+                for x in _list(cfg.get("lambda_grid", []), "lambda_grid")
+            ),
             improved=improved,
         )
 
@@ -179,6 +200,19 @@ def _integer(value, what: str) -> int:
     # bool is an int subclass, and int(1.5) would silently truncate
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    # float("0.05") would silently accept a string, float(True) a boolean
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {value!r}")
     return value
 
 

@@ -16,11 +16,27 @@ clipping deletes what it passes from the two ends, so one DP loop serves
 either loss and nothing depends on how many entries were ever deleted.  The
 backward pass clamps each theta_i to the clip window recorded at its step,
 picking the smallest optimal value wherever the optimum is a face.
+
+Hot loops run on Python floats.  Every per-element loop (the DP, its backward
+clamp, and both passes of ``check_kkt``) iterates over a ``memoryview`` of
+each input array, built once at the boundary (per-edge constants are
+precomputed with ``np.where``), collects its per-step outputs in
+``array("d")``, and converts them back to an ndarray once.  A memoryview hands
+out Python floats without the 32 bytes per element a ``tolist()`` copy would
+hold.  Indexing an ndarray inside the loop would hand out ``np.float64``
+scalars instead, and every ``+``, comparison and ``max`` on those costs
+several times the float one; the arithmetic is the same either way, so the
+results are bit-identical.  For the
+same reason a two-way ``max(a, b)`` is written as the comparison
+``b if b > a else a`` (and ``min(a, b)`` as ``b if b < a else a``), or as
+``if b > a: a = b`` in a clamp: that is exactly what the builtin returns, ties
+and signed zeros included, without the cost of a builtin call.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -121,7 +137,8 @@ class _QuadMessage:
             else:
                 u = _INF
             if u <= right_end:
-                u = max(u, floor_x)
+                if floor_x > u:
+                    u = floor_x
                 break
             if not xs:
                 raise GflError("derivative stays below target; objective not coercive")
@@ -153,7 +170,8 @@ class _QuadMessage:
             else:
                 u = _INF
             if u >= left_end:
-                u = min(u, ceil_x)
+                if ceil_x < u:
+                    u = ceil_x
                 break
             if not xs:
                 raise GflError("derivative stays above target; objective not coercive")
@@ -255,31 +273,37 @@ class _StepMessage:
 def _solve_path(y, lam, loss, a=None, b=None):
     """Run the DP; returns theta (smallest-optimal tie-breaking)."""
     y = np.asarray(y, dtype=float)
-    n = y.size
     if lam == 0.0:
         return y.copy()
 
-    lo = np.empty(n)
-    hi = np.empty(n)
+    ys = memoryview(y)
+    lo = array("d")
+    hi = array("d")
     msg = _QuadMessage() if loss.kind == "square" else _StepMessage(loss.tau)
+    add_data, left, right = msg.add_data, msg.crossing_left, msg.crossing_right
+    neg_lam = -lam
     if a is not None:
         msg.add_abs(a, lam)
-    for i in range(n):
-        msg.add_data(y[i])
-        if i < n - 1:
-            lo[i] = msg.crossing_left(-lam)
-            hi[i] = msg.crossing_right(lam)
+    for yi in ys[:-1]:
+        add_data(yi)
+        lo.append(left(neg_lam))
+        hi.append(right(lam))
+    add_data(ys[-1])
     if b is not None:
         msg.add_abs(b, lam)
-    theta_last = msg.crossing_left(0.0)
+    t = left(0.0)
 
-    if not math.isfinite(theta_last):
+    if not math.isfinite(t):
         raise GflError("unbounded objective")
-    theta = np.empty(n)
-    theta[n - 1] = theta_last
-    for i in range(n - 2, -1, -1):
-        theta[i] = min(max(theta[i + 1], lo[i]), hi[i])
-    return theta
+    # backward clamp, written from theta_n down to theta_1
+    theta = array("d", (t,))
+    for l, h in zip(reversed(lo), reversed(hi)):
+        if l > t:
+            t = l
+        if h < t:
+            t = h
+        theta.append(t)
+    return np.frombuffer(theta)[::-1].copy()
 
 
 def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
@@ -294,50 +318,55 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != y.shape or not np.all(np.isfinite(theta)):
         raise ConfigError("theta must be a finite vector matching y")
-    n = y.size
     r = y - theta
-    g_lo = -np.atleast_1d(loss.rho_plus(r))
-    g_hi = -np.atleast_1d(loss.rho_minus(r))
+    g_lo = memoryview(-np.atleast_1d(loss.rho_plus(r)))
+    g_hi = memoryview(-np.atleast_1d(loss.rho_minus(r)))
+    # z_i = lam on an upward jump, -lam on a downward one, free in [-lam, lam]
+    # on a flat edge; z_n = 0 closes the chain.
+    a_lo = memoryview(np.append(np.where(theta[1:] > theta[:-1], lam, -lam), 0.0))
+    a_hi = memoryview(np.append(np.where(theta[1:] < theta[:-1], -lam, lam), 0.0))
 
     resid = 0.0
     zlo, zhi = 0.0, 0.0
-    bands = []
-    for i in range(n):
-        clo = zlo + g_lo[i]
-        chi = zhi + g_hi[i]
-        if i < n - 1:
-            if theta[i + 1] > theta[i]:
-                alo = ahi = lam
-            elif theta[i + 1] < theta[i]:
-                alo = ahi = -lam
-            else:
-                alo, ahi = -lam, lam
-        else:
-            alo = ahi = 0.0
-        nlo = max(clo, alo)
-        nhi = min(chi, ahi)
-        if nlo > nhi:
-            resid = max(resid, nlo - nhi)
-            mid = 0.5 * (nlo + nhi)
-            nlo = nhi = mid
-        zlo, zhi = nlo, nhi
-        bands.append((zlo, zhi))
+    band_lo = array("d")
+    band_hi = array("d")
+    for gl, gh, alo, ahi in zip(g_lo, g_hi, a_lo, a_hi):
+        zlo += gl
+        if alo > zlo:
+            zlo = alo
+        zhi += gh
+        if ahi < zhi:
+            zhi = ahi
+        if zlo > zhi:
+            gap = zlo - zhi
+            if gap > resid:
+                resid = gap
+            zlo = zhi = 0.5 * (zlo + zhi)
+        band_lo.append(zlo)
+        band_hi.append(zhi)
 
-    z = np.empty(max(n - 1, 0))
-    cur = 0.0  # z_n
-    for i in range(n - 1, 0, -1):
-        blo, bhi = bands[i - 1]
-        wlo = cur - g_hi[i]
-        whi = cur - g_lo[i]
-        slo = max(blo, wlo)
-        shi = min(bhi, whi)
+    # backward pass from z_n = 0, pairing element i's bounds with band i - 1
+    # (the last band only closed the chain); z is written from z_{n-1} down
+    # to z_1
+    z = array("d")
+    cur = 0.0
+    del band_lo[-1], band_hi[-1]
+    for gl, gh, blo, bhi in zip(
+        reversed(g_lo), reversed(g_hi), reversed(band_lo), reversed(band_hi)
+    ):
+        wlo = cur - gh
+        whi = cur - gl
+        slo = wlo if wlo > blo else blo
+        shi = whi if whi < bhi else bhi
         if slo > shi:
-            cur = 0.5 * (max(blo, wlo) + min(bhi, whi))
-            cur = min(max(cur, blo), bhi)
-        else:
-            cur = min(max(cur, slo), shi)
-        z[i - 1] = cur
-    return resid, z
+            cur = 0.5 * (slo + shi)
+            slo, shi = blo, bhi
+        if slo > cur:
+            cur = slo
+        if shi < cur:
+            cur = shi
+        z.append(cur)
+    return resid, np.frombuffer(z)[::-1].copy()
 
 
 def solve(problem: FusedLassoProblem) -> FusedLassoSolution:

@@ -181,6 +181,19 @@ class TestSimulateCommand:
             {"replications": True},
             {"loss": "square"},
             {"lambda": "sqrt_n_over_k"},
+            {"delta": "abc"},
+            {"growth_L": "x"},
+            {"experiment": "lambda_sweep", "lambda_grid": [1.0, "a"]},
+            {"experiment": "rate_sweep", "d_grid": [2, 4], "n_sweep": [1024, "b"]},
+            {"experiment": "rate_sweep", "d_grid": 5},
+            {"experiment": "rate_sweep", "d_grid": [2, 4], "n_sweep": [1024.7, 2048]},
+            {"monitor": [1.5, 20]},
+            {"signal": {"values": [0.0, 2.0], "lengths": [16.7, 16]}},
+            {"lambda": {"rule": "fixed", "value": "x"}},
+            {"loss": {"kind": "quantile", "tau": "0.5"}},
+            {"noise": {"kind": "gaussian", "scale": "1.0"}},
+            {"noise": {"kind": "gaussian", "scale": True}},
+            {"signal": {"values": ["0", 2.0], "lengths": [16, 16]}},
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):

@@ -1,0 +1,149 @@
+"""The solver's Python-float loops return the same bits as the numpy-scalar
+reference in ``solver_reference.py`` (signed zeros included)."""
+
+import math
+
+import numpy as np
+import pytest
+
+import solver_reference as ref
+from gfl.losses import QuantileLoss, SquareLoss
+from gfl.solver import FusedLassoProblem, check_kkt, solve, solve_augmented
+
+SHAPES = ("gaussian", "tied", "cauchy", "ramp", "step", "walk")
+TAUS = (0.1, 0.25, 0.5, 0.9, None)  # None: drawn uniformly from (0.05, 0.95)
+
+
+def bits(x) -> np.ndarray:
+    """Bit patterns of a float vector or scalar, so -0.0 != 0.0."""
+    return np.array(x, dtype=float, ndmin=1).view(np.int64)
+
+
+def assert_same_bits(got, want):
+    assert bits(got).shape == bits(want).shape
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def draw_y(rng, shape: str, n: int) -> np.ndarray:
+    if shape == "gaussian":
+        return rng.normal(0.0, 2.0, n)
+    if shape == "tied":
+        return rng.integers(-3, 4, n).astype(float)
+    if shape == "cauchy":
+        return rng.standard_cauchy(n)
+    if shape == "ramp":
+        return np.linspace(0.0, 10.0, n) + rng.normal(0.0, 0.1, n)
+    if shape == "step":
+        return np.where(np.arange(n) < n // 2, 0.0, 3.0) + rng.normal(0.0, 1.0, n)
+    return np.cumsum(rng.normal(0.0, 1.0, n))
+
+
+def draw_lam(rng, n: int):
+    """0, a Python int, 0.01, sqrt(n) as float and np.float64, 1e3, or log-uniform."""
+    choices = (
+        0.0,
+        int(rng.integers(1, 6)),
+        0.01,
+        math.sqrt(n),
+        np.sqrt(n),
+        1e3,
+        float(np.exp(rng.uniform(-3.0, 3.0))),
+    )
+    return choices[rng.integers(len(choices))]
+
+
+def draw_loss(rng, k: int):
+    if k % 3 == 0:
+        return SquareLoss()
+    tau = TAUS[(k // 3) % len(TAUS)]
+    return QuantileLoss(float(rng.uniform(0.05, 0.95)) if tau is None else tau)
+
+
+def draw_problem(rng, k: int):
+    shape = SHAPES[k % len(SHAPES)]
+    n = (1, 2)[k % 2] if k % 10 == 0 else int(rng.integers(3, 160))
+    return draw_y(rng, shape, n), draw_lam(rng, n), draw_loss(rng, k)
+
+
+def test_solve_matches_reference_bitwise():
+    rng = np.random.default_rng(20260118)
+    for k in range(2000):
+        y, lam, loss = draw_problem(rng, k)
+        problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
+        sol = solve(problem)
+        theta = ref.solve_path(y, lam, loss)
+        resid, z = ref.check_kkt(problem, theta)
+        assert_same_bits(sol.theta_hat, theta)
+        assert_same_bits(sol.dual_z, z)
+        assert_same_bits(sol.kkt_residual, resid)
+
+
+def test_augmented_matches_reference_bitwise():
+    rng = np.random.default_rng(20260119)
+    for k in range(600):
+        y, lam, loss = draw_problem(rng, k)
+        a, b = (float(v) for v in rng.normal(0.0, 3.0, 2))
+        if k % 5 == 0:
+            a, b = float(y[0]), float(y[-1])
+        got = solve_augmented(y, lam, a, b, loss)
+        assert_same_bits(got, ref.solve_path(y, lam, loss, a=a, b=b))
+
+
+def test_check_kkt_matches_reference_off_optimum():
+    """Non-optimal and rounded theta: positive residuals, and z passing
+    through 0.0 and -0.0."""
+    rng = np.random.default_rng(20260120)
+    positive = zero_z = negative_zero_z = 0
+    for k in range(1400):
+        y, lam, loss = draw_problem(rng, k)
+        problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
+        theta_hat = ref.solve_path(y, lam, loss)
+        candidates = (
+            np.round(theta_hat, 1),
+            np.round(theta_hat),
+            theta_hat + rng.normal(0.0, 0.05, y.size),
+            y,
+            np.full(y.size, float(np.median(y))),
+            np.zeros(y.size),
+            rng.integers(-3, 4, y.size).astype(float),
+        )
+        theta = candidates[k % len(candidates)]
+        resid, z = check_kkt(problem, theta)
+        want_resid, want_z = ref.check_kkt(problem, theta)
+        assert_same_bits(z, want_z)
+        assert_same_bits(resid, want_resid)
+        positive += want_resid > 0.0
+        zero_z += bool(np.any(want_z == 0.0))
+        negative_zero_z += bool(np.any((want_z == 0.0) & np.signbit(want_z)))
+    assert positive > 1000 and zero_z > 100 and negative_zero_z > 5
+
+
+def test_check_kkt_matches_reference_on_integer_ties():
+    """Small integer y and theta with lam in {0, 0.5, 1}: the band bounds tie
+    with the edge bounds (0.0 against -0.0, int against float) all the time,
+    so a max/min that breaks ties the other way changes the bits."""
+    rng = np.random.default_rng(20260121)
+    losses = (SquareLoss(), QuantileLoss(0.5), QuantileLoss(0.25))
+    lams = (0.0, 0, 0.5, 1.0, 1)
+    for k in range(4000):
+        n = int(rng.integers(1, 10))
+        y = rng.integers(-2, 3, n).astype(float)
+        theta = rng.integers(-2, 3, n).astype(float)
+        problem = FusedLassoProblem(y=y, lam=lams[k % 5], loss=losses[k % 3])
+        resid, z = check_kkt(problem, theta)
+        want_resid, want_z = ref.check_kkt(problem, theta)
+        assert_same_bits(z, want_z)
+        assert_same_bits(resid, want_resid)
+
+
+@pytest.mark.parametrize("loss", [SquareLoss(), QuantileLoss(0.3)], ids=["square", "quantile"])
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_solution_arrays_are_writable_float64(loss, n, lam):
+    y = np.arange(n, dtype=float) ** 2
+    sol = solve(FusedLassoProblem(y=y, lam=lam, loss=loss))
+    for arr, size in ((sol.theta_hat, n), (sol.dual_z, n - 1)):
+        assert isinstance(arr, np.ndarray)
+        assert arr.dtype == np.float64 and arr.shape == (size,)
+        assert arr.flags.writeable and arr.flags.c_contiguous
+    assert isinstance(sol.kkt_residual, float)
