@@ -33,6 +33,11 @@ def _check_delta(delta: float, upper: float = DELTA_MAX) -> None:
         )
 
 
+def _check_lambda(lam: float) -> None:
+    if not (np.isfinite(lam) and lam > 0):
+        raise ConfigError("lambda must be positive")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     sigma: float
@@ -43,8 +48,7 @@ class BoundParams:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError("sigma must be positive")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError("lambda must be positive")
+        _check_lambda(self.lam)
         _check_delta(self.delta)
         if self.growth_L is not None and not self.growth_L > 0:
             raise ConfigError("growth_L must be positive")
@@ -157,6 +161,7 @@ def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> Pointw
     B_uniform/L of the truth's range, at level 1 - 2 * prob_const() * delta^2."""
     if not L > 0:
         raise ConfigError("growth constant L must be positive")
+    _check_lambda(lam)
     _check_delta(delta)
     l1d = math.log(1.0 / delta)
     B = (math.log(math.log(2.0 * n)) + l1d) / lam + math.sqrt(l1d / n)
@@ -187,9 +192,6 @@ class SseBound:
     def __post_init__(self):
         object.__setattr__(self, "probability", min(max(self.probability_raw, 0.0), 1.0))
 
-    def __iter__(self):
-        return iter((self.bound, self.probability))
-
 
 def _improved_lambda_sum(geometry: SignalGeometry) -> float:
     # sum over segments whose two neighboring jumps disagree in direction
@@ -218,6 +220,7 @@ def sse_bound_quantile(
     attached to the result (the probability guarantee then does not apply)."""
     if not L > 0:
         raise ConfigError("growth constant L must be positive")
+    _check_lambda(lam)
     _check_delta(delta, upper=DELTA_MAX * DELTA_MAX)
     n, K = geometry.n, geometry.K
     m = geometry.segment_lengths
@@ -276,6 +279,7 @@ def sse_bound_mean(
     noise with parameter sigma, at level 1 - 4 * prob_const() * delta."""
     if not sigma > 0:
         raise ConfigError("sigma must be positive")
+    _check_lambda(lam)
     n, K = geometry.n, geometry.K
     _check_delta(delta, upper=n * DELTA_MAX * DELTA_MAX)
     m = geometry.segment_lengths

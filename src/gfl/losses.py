@@ -144,13 +144,6 @@ class NoiseModel:
     def pdf(self, x):
         return self._base_pdf(np.asarray(x, dtype=float) + self.shift)
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """n i.i.d. draws, deterministic given the seed."""
-        if n < 1:
-            raise ConfigError("sample size must be >= 1")
-        rng = np.random.default_rng(seed)
-        return self.sample_rng(n, rng)
-
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         s = self.scale
         if self.kind == "gaussian":
@@ -220,21 +213,19 @@ def _check_pairing(loss, noise: NoiseModel) -> None:
         raise UnsupportedModelError("noise centering tau must match the loss tau")
 
 
-def L_plus(loss, noise: NoiseModel, t: float) -> float:
-    """E rho'_+(eps - t).  Closed form: -t (square) or tau - F(t) (quantile)."""
+def L_plus(loss, noise: NoiseModel, t):
+    """E rho'_+(eps - t), elementwise on arrays.  Closed form: -t (square) or
+    tau - F(t) (quantile)."""
     _check_pairing(loss, noise)
     if loss.kind == "square":
-        return -float(t)
-    return loss.tau - float(noise.cdf(t))
+        return -np.asarray(t, dtype=float)
+    return loss.tau - noise.cdf(t)
 
 
-def L_minus(loss, noise: NoiseModel, t: float) -> float:
+def L_minus(loss, noise: NoiseModel, t):
     """E rho'_-(eps - t); coincides with L_plus because every supported noise
     distribution is continuous, so F(t-) == F(t)."""
-    _check_pairing(loss, noise)
-    if loss.kind == "square":
-        return -float(t)
-    return loss.tau - float(noise.cdf(t))
+    return L_plus(loss, noise, t)
 
 
 def _invert(fn, v: float, tol: float = 1e-10) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, PreconditionError
-from .losses import NoiseModel, make_loss
+from .losses import L_minus, L_plus, NoiseModel, _check_pairing, make_loss
 from .signal import PiecewiseConstantSignal
 from .solver import FusedLassoProblem, solve
 
@@ -40,6 +40,8 @@ def derived_seed(base_seed: int, index: int) -> int:
 _LAMBDA_RULES = ("fixed", "sqrt_n_over_k", "log_sqrt_n_over_k")
 _MONITOR_NAMES = ("all", "interior", "change_points")
 _EXPERIMENTS = ("pointwise", "elementwise_quantile", "sse", "rate_sweep", "lambda_sweep")
+# experiments whose quantile-loss bounds are scaled by the growth constant L
+_NEEDS_GROWTH_L = ("elementwise_quantile", "sse", "lambda_sweep")
 
 _ALLOWED_KEYS = {
     "experiment",
@@ -93,6 +95,15 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown monitor set {self.monitor!r}")
         else:
             object.__setattr__(self, "monitor", tuple(int(i) for i in self.monitor))
+        if any(n < 4 for n in self.n_sweep):
+            # the n-sweep's interior index is n // 4
+            raise ConfigError("n_sweep entries must be >= 4")
+        _check_pairing(self.loss, self.noise)
+        quantile = self.loss.kind == "quantile"
+        if self.experiment == "elementwise_quantile" and not quantile:
+            raise ConfigError("elementwise_quantile requires the quantile loss")
+        if quantile and self.growth_L is None and self.experiment in _NEEDS_GROWTH_L:
+            raise ConfigError(f"{self.experiment} with the quantile loss requires growth_L")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ExperimentSpec":
@@ -249,10 +260,6 @@ def monitored_indices(geometry, monitor) -> np.ndarray:
     return idx
 
 
-def _binomial_slack(freq: float, r: int) -> float:
-    return 3.0 * math.sqrt(freq * (1.0 - freq) / r)
-
-
 def _provenance(spec: ExperimentSpec) -> dict:
     from . import __version__
 
@@ -263,17 +270,41 @@ def _provenance(spec: ExperimentSpec) -> dict:
     }
 
 
-def _sample_y(spec: ExperimentSpec, theta_star, r: int) -> np.ndarray:
-    rng = np.random.default_rng(derived_seed(spec.seed, r))
-    return theta_star + spec.noise.sample_rng(theta_star.size, rng)
+def _setup(spec: ExperimentSpec, signal: PiecewiseConstantSignal | None = None):
+    """Geometry, truth theta* and the resolved lambda of ``signal`` (default:
+    the spec's signal)."""
+    signal = signal or spec.signal
+    geom = signal.geometry()
+    lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, geom.n, geom.K)
+    return geom, signal.expand(), lam
 
 
-def _pop_loss_values(spec: ExperimentSpec, err: np.ndarray):
-    """L+(err) and L-(err) elementwise; identical for continuous noise."""
-    if spec.loss.kind == "square":
-        return -err, -err
-    lp = spec.loss.tau - spec.noise.cdf(err)
-    return lp, lp
+def _fits(spec: ExperimentSpec, theta_star: np.ndarray, lams, offset: int = 0):
+    """The replication engine: for each replication r, draw y = theta* + eps
+    from the generator seeded with derived_seed(seed, offset + r) and yield
+    the list of fits theta_hat, one per lambda in ``lams``.
+
+    Every lambda sees the same draw, so a grid of lambdas is a paired
+    comparison.  Sub-experiments that need their own streams pass disjoint
+    offsets.
+    """
+    for r in range(spec.replications):
+        rng = np.random.default_rng(derived_seed(spec.seed, offset + r))
+        y = theta_star + spec.noise.sample_rng(theta_star.size, rng)
+        yield [solve(FusedLassoProblem(y=y, lam=lam, loss=spec.loss)).theta_hat for lam in lams]
+
+
+def _verdict(p_bound: float, worst: float, R: int) -> dict:
+    """Compare the largest observed frequency with the bound's probability,
+    allowing three binomial standard errors of slack."""
+    p = min(p_bound, 1.0)
+    slack = 3.0 * math.sqrt(worst * (1.0 - worst) / R)
+    return {
+        "probability_bound": p,
+        "probability_bound_raw": p_bound,
+        "binomial_slack": slack,
+        "passed": worst <= p + slack,
+    }
 
 
 def run_pointwise(spec: ExperimentSpec) -> dict:
@@ -282,9 +313,7 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
     Events: {L+(err_i) <= -B_i} and {L-(err_i) >= B_i}, each guaranteed to
     have probability at most prob_const() * delta^2.
     """
-    geom = spec.signal.geometry()
-    theta_star = spec.signal.expand()
-    lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, geom.n, geom.K)
+    geom, theta_star, lam = _setup(spec)
     sigma = spec.noise.sigma_for(spec.loss)
     params = bnd.BoundParams(sigma=sigma, delta=spec.delta, lam=lam)
     idx = monitored_indices(geom, spec.monitor)
@@ -295,13 +324,10 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
     upper_hits = np.zeros(idx.size, dtype=np.int64)
     abs_err_sum = np.zeros(idx.size)
     cross_check_ok = True
-    for r in range(R):
-        y = _sample_y(spec, theta_star, r)
-        theta = solve(FusedLassoProblem(y=y, lam=lam, loss=spec.loss)).theta_hat
+    for (theta,) in _fits(spec, theta_star, [lam]):
         err = theta[idx - 1] - theta_star[idx - 1]
-        lp, lm = _pop_loss_values(spec, err)
-        ev_lo = lp <= -B
-        ev_hi = lm >= B
+        ev_lo = L_plus(spec.loss, spec.noise, err) <= -B
+        ev_hi = L_minus(spec.loss, spec.noise, err) >= B
         lower_hits += ev_lo
         upper_hits += ev_hi
         abs_err_sum += np.abs(err)
@@ -328,34 +354,23 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
                 "mean_abs_err": abs_err_sum[j] / R,
             }
         )
-    slack = _binomial_slack(worst, R)
     return {
         "experiment": "pointwise",
         "lambda": lam,
         "sigma": sigma,
         "delta": spec.delta,
         "replications": R,
-        "probability_bound": min(p_bound, 1.0),
-        "probability_bound_raw": p_bound,
         "vacuous": p_bound >= 1.0,
-        "binomial_slack": slack,
         "max_frequency": worst,
-        "passed": worst <= min(p_bound, 1.0) + slack,
         "event_form_cross_check": cross_check_ok,
         "per_index": rows,
         "provenance": _provenance(spec),
-    }
+    } | _verdict(p_bound, worst, R)
 
 
 def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
     """Frequency of {|err_i| > B_quantile/L} at admissible monitored indices."""
-    if spec.growth_L is None:
-        raise ConfigError("elementwise_quantile requires growth_L")
-    if spec.loss.kind != "quantile":
-        raise ConfigError("elementwise_quantile requires the quantile loss")
-    geom = spec.signal.geometry()
-    theta_star = spec.signal.expand()
-    lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, geom.n, geom.K)
+    geom, theta_star, lam = _setup(spec)
     L = spec.growth_L
     idx_all = monitored_indices(geom, spec.monitor)
     kept, excluded, ratio = [], [], []
@@ -371,14 +386,10 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
 
     R = spec.replications
     hits = np.zeros(idx.size, dtype=np.int64)
-    for r in range(R):
-        y = _sample_y(spec, theta_star, r)
-        theta = solve(FusedLassoProblem(y=y, lam=lam, loss=spec.loss)).theta_hat
+    for (theta,) in _fits(spec, theta_star, [lam]):
         if idx.size:
             hits += np.abs(theta[idx - 1] - theta_star[idx - 1]) > bound_vals
-    p_bound = 2.0 * bnd.prob_const() * spec.delta**2
     worst = float(hits.max() / R) if idx.size else 0.0
-    slack = _binomial_slack(worst, R)
     return {
         "experiment": "elementwise_quantile",
         "lambda": lam,
@@ -387,17 +398,13 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
         "replications": R,
         "monitored": idx.tolist(),
         "excluded_not_admissible": excluded,
-        "probability_bound": min(p_bound, 1.0),
-        "probability_bound_raw": p_bound,
-        "binomial_slack": slack,
         "max_frequency": worst,
-        "passed": worst <= min(p_bound, 1.0) + slack,
         "per_index": [
             {"i": int(i), "bound": float(b), "freq": int(h) / R}
             for i, b, h in zip(idx, bound_vals, hits)
         ],
         "provenance": _provenance(spec),
-    }
+    } | _verdict(2.0 * bnd.prob_const() * spec.delta**2, worst, R)
 
 
 def run_sse(spec: ExperimentSpec) -> dict:
@@ -406,13 +413,8 @@ def run_sse(spec: ExperimentSpec) -> dict:
     Also checks the crude uniform range-containment event (quantile only):
     every fitted value within B_uniform/L of the truth's range.
     """
-    geom = spec.signal.geometry()
-    theta_star = spec.signal.expand()
-    lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, geom.n, geom.K)
-    quantile = spec.loss.kind == "quantile"
-    if quantile:
-        if spec.growth_L is None:
-            raise ConfigError("quantile sse experiment requires growth_L")
+    geom, theta_star, lam = _setup(spec)
+    if spec.loss.kind == "quantile":
         # strict=False: evaluate the formula even when the lambda window
         # fails, and surface the failures in the result instead of refusing
         sse_orig = bnd.sse_bound_quantile(
@@ -433,19 +435,14 @@ def run_sse(spec: ExperimentSpec) -> dict:
     range_violations = 0
     lo_star = theta_star.min()
     hi_star = theta_star.max()
-    for r in range(R):
-        y = _sample_y(spec, theta_star, r)
-        theta = solve(FusedLassoProblem(y=y, lam=lam, loss=spec.loss)).theta_hat
+    for r, (theta,) in enumerate(_fits(spec, theta_star, [lam])):
         sse_samples[r] = float(np.sum((theta - theta_star) ** 2))
         if uni is not None and uni.applicable:
             if theta.min() < lo_star - uni.value or theta.max() > hi_star + uni.value:
                 range_violations += 1
 
-    p_bound = 4.0 * bnd.prob_const() * spec.delta
     f_orig = float(np.mean(sse_samples > sse_orig.bound))
     f_impr = float(np.mean(sse_samples > sse_impr.bound))
-    worst = max(f_orig, f_impr)
-    slack = _binomial_slack(worst, R)
     out = {
         "experiment": "sse",
         "lambda": lam,
@@ -457,18 +454,14 @@ def run_sse(spec: ExperimentSpec) -> dict:
         "precondition_failures": list(sse_orig.precondition_failures),
         "terms_original": sse_orig.terms,
         "terms_improved": sse_impr.terms,
-        "probability_bound": min(p_bound, 1.0),
-        "probability_bound_raw": p_bound,
         "freq_exceed_original": f_orig,
         "freq_exceed_improved": f_impr,
-        "binomial_slack": slack,
-        "passed": worst <= min(p_bound, 1.0) + slack,
         "sse_median": float(np.median(sse_samples)),
         "sse_max": float(np.max(sse_samples)),
         "ratio_median_original": float(np.median(sse_samples) / sse_orig.bound),
         "sse_samples": sse_samples.tolist(),
         "provenance": _provenance(spec),
-    }
+    } | _verdict(4.0 * bnd.prob_const() * spec.delta, max(f_orig, f_impr), R)
     if uni is not None:
         uni_p = 2.0 * bnd.prob_const() * spec.delta  # delta here is sqrt(config delta)^2
         out["uniform_range"] = {
@@ -480,15 +473,12 @@ def run_sse(spec: ExperimentSpec) -> dict:
     return out
 
 
-def _median_abs_err_at(spec, signal, lam, indices, R, seed_offset=0) -> np.ndarray:
-    theta_star = signal.expand()
+def _median_abs_err_at(spec, theta_star, lam, indices, offset=0) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
-    errs = np.empty((R, idx.size))
-    for r in range(R):
-        rng = np.random.default_rng(derived_seed(spec.seed, seed_offset + r))
-        y = theta_star + spec.noise.sample_rng(theta_star.size, rng)
-        theta = solve(FusedLassoProblem(y=y, lam=lam, loss=spec.loss)).theta_hat
-        errs[r] = np.abs(theta[idx - 1] - theta_star[idx - 1])
+    errs = [
+        np.abs(theta[idx - 1] - theta_star[idx - 1])
+        for (theta,) in _fits(spec, theta_star, [lam], offset)
+    ]
     return np.median(errs, axis=0)
 
 
@@ -502,11 +492,9 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
         shrinks.
     """
     out = {"experiment": "rate_sweep", "provenance": _provenance(spec)}
-    R = spec.replications
 
     if spec.d_grid:
-        geom = spec.signal.geometry()
-        lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, geom.n, geom.K)
+        geom, theta_star, lam = _setup(spec)
         cp = geom.change_points[1]  # first change point (start of segment 2)
         indices = []
         for dd in spec.d_grid:
@@ -514,7 +502,7 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
             if not (1 <= i <= geom.n and geom.d[i - 1] == dd):
                 raise ConfigError(f"d={dd} not realizable on this signal")
             indices.append(i)
-        med = _median_abs_err_at(spec, spec.signal, lam, indices, R)
+        med = _median_abs_err_at(spec, theta_star, lam, indices)
         x = np.log(np.asarray(spec.d_grid, dtype=float))
         yv = np.log(med)
         slope = float(np.polyfit(x, yv, 1)[0])
@@ -531,12 +519,10 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
         for j, n in enumerate(spec.n_sweep):
             half = n // 2
             sig = PiecewiseConstantSignal([0.0, jump], [half, n - half])
-            lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, n, 2)
+            _, theta_star, lam = _setup(spec, sig)
             cp_i = half  # last index of segment 1: d = 1
             int_i = half // 2  # deep interior: d = about n/4
-            med = _median_abs_err_at(
-                spec, sig, lam, [cp_i, int_i], R, seed_offset=1000 * (j + 1)
-            )
+            med = _median_abs_err_at(spec, theta_star, lam, [cp_i, int_i], offset=1000 * (j + 1))
             rows.append(
                 {
                     "n": int(n),
@@ -563,26 +549,17 @@ def run_lambda_sweep(spec: ExperimentSpec) -> dict:
     bound-argmin lambda (where the bound's preconditions hold), and whether
     both fall in a x8 window of sqrt(n/K).
     """
-    geom = spec.signal.geometry()
-    theta_star = spec.signal.expand()
+    geom, theta_star, _ = _setup(spec)
     ref = math.sqrt(geom.n / geom.K)
     grid = list(spec.lambda_grid) or [ref * 2.0**e for e in range(-4, 5)]
-    quantile = spec.loss.kind == "quantile"
-    R = spec.replications
-
-    sse = np.zeros((R, len(grid)))
-    for r in range(R):
-        y = _sample_y(spec, theta_star, r)
-        for j, lam in enumerate(grid):
-            theta = solve(FusedLassoProblem(y=y, lam=lam, loss=spec.loss)).theta_hat
-            sse[r, j] = float(np.sum((theta - theta_star) ** 2))
-    mean_sse = sse.mean(axis=0)
 
     bound_vals = []
     for lam in grid:
         try:
-            if quantile:
-                b = bnd.sse_bound_quantile(geom, spec.delta, lam, spec.growth_L, improved=spec.improved)
+            if spec.loss.kind == "quantile":
+                b = bnd.sse_bound_quantile(
+                    geom, spec.delta, lam, spec.growth_L, improved=spec.improved
+                )
             else:
                 b = bnd.sse_bound_mean(
                     geom, spec.delta, lam, spec.noise.sigma_for(spec.loss), improved=spec.improved
@@ -590,6 +567,12 @@ def run_lambda_sweep(spec: ExperimentSpec) -> dict:
             bound_vals.append(b.bound)
         except PreconditionError:
             bound_vals.append(None)
+
+    sse = [
+        [float(np.sum((theta - theta_star) ** 2)) for theta in thetas]
+        for thetas in _fits(spec, theta_star, grid)
+    ]
+    mean_sse = np.mean(sse, axis=0)
 
     emp_arg = grid[int(np.argmin(mean_sse))]
     valid = [(v, lam) for v, lam in zip(bound_vals, grid) if v is not None]
@@ -600,7 +583,7 @@ def run_lambda_sweep(spec: ExperimentSpec) -> dict:
         "lambda_grid": grid,
         "mean_sse": mean_sse.tolist(),
         "bound": bound_vals,
-        "replications": R,
+        "replications": spec.replications,
         "reference_lambda": ref,
         "empirical_argmin": emp_arg,
         "bound_argmin": bound_arg,

@@ -21,7 +21,7 @@ from gfl.bounds import (
     uniform_bound_sufficient,
     uniform_quantile_bound,
 )
-from gfl.errors import PreconditionError
+from gfl.errors import ConfigError, PreconditionError
 from gfl.signal import PiecewiseConstantSignal
 
 
@@ -275,9 +275,19 @@ class TestSse:
         ratios = [b / a for a, b in zip(vals, vals[1:])]
         assert all(r < 2.0 for r in ratios)  # doubling n less than doubles the bound
 
-    def test_tuple_unpacking(self):
-        bound, probability = sse_bound_mean(self.g, 1e-3, 300.0, 1.0)
-        assert bound > 0 and 0.0 <= probability <= 1.0
+    def test_bound_and_probability_fields(self):
+        b = sse_bound_mean(self.g, 1e-3, 300.0, 1.0)
+        assert b.bound > 0 and 0.0 <= b.probability <= 1.0
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_lambda_must_be_positive(self, lam):
+        # 1/lambda^2 terms: lambda = 0 used to end in ZeroDivisionError
+        with pytest.raises(ConfigError, match="lambda must be positive"):
+            sse_bound_mean(self.g, 1e-3, lam, 1.0)
+        with pytest.raises(ConfigError, match="lambda must be positive"):
+            sse_bound_quantile(self.g, 1e-3, lam, 4.0, strict=False)
+        with pytest.raises(ConfigError, match="lambda must be positive"):
+            uniform_quantile_bound(self.g.n, 0.05, lam, 4.0)
 
 
 class TestIterativeSum:

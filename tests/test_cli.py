@@ -15,6 +15,10 @@ def write_config(tmp_path, cfg):
     return str(path)
 
 
+_MEDIAN = {"kind": "quantile", "tau": 0.5}
+_UNIFORM_MEDIAN = {"kind": "uniform", "scale": 1.0, "center_tau": 0.5}
+
+
 def small_config(**over):
     cfg = {
         "experiment": "pointwise",
@@ -194,6 +198,20 @@ class TestSimulateCommand:
             {"noise": {"kind": "gaussian", "scale": "1.0"}},
             {"noise": {"kind": "gaussian", "scale": True}},
             {"signal": {"values": ["0", 2.0], "lengths": [16, 16]}},
+            {"experiment": "lambda_sweep", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN},
+            {"experiment": "sse", "lambda": {"rule": "fixed", "value": 0}},
+            {"experiment": "lambda_sweep", "lambda_grid": [0, 1, 4]},
+            {"experiment": "rate_sweep", "n_sweep": [3, 64]},
+            {
+                "noise": {"kind": "gaussian", "scale": 1.0, "center_tau": 0.5},
+                "loss": {"kind": "quantile", "tau": 0.3},
+            },
+            {
+                "experiment": "rate_sweep",
+                "noise": {"kind": "gaussian", "scale": 1.0, "center_tau": 0.2},
+                "d_grid": [2, 4],
+            },
+            {"noise": {"kind": "gaussian", "scale": 1.0}, "loss": _MEDIAN},
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):

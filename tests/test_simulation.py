@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfl.bounds import prob_const
-from gfl.errors import ConfigError
+from gfl.errors import ConfigError, UnsupportedModelError
 from gfl.signal import PiecewiseConstantSignal
 from gfl.simulate import (
     ExperimentSpec,
@@ -82,6 +82,19 @@ class TestConfig:
         )
         spec = ExperimentSpec.from_config(cfg)
         assert spec.growth_L == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+
+    def test_preconditions_checked_when_built(self):
+        with pytest.raises(UnsupportedModelError, match="tau"):
+            ExperimentSpec.from_config(
+                base_config(
+                    noise={"kind": "gaussian", "scale": 1.0, "center_tau": 0.5},
+                    loss={"kind": "quantile", "tau": 0.3},
+                )
+            )
+        with pytest.raises(ConfigError, match="requires the quantile loss"):
+            ExperimentSpec.from_config(base_config(experiment="elementwise_quantile"))
+        with pytest.raises(ConfigError, match=">= 4"):
+            ExperimentSpec.from_config(base_config(experiment="rate_sweep", n_sweep=[2, 64]))
 
     def test_explicit_monitor_list(self):
         spec = ExperimentSpec.from_config(base_config(monitor=[3, 1, 17]))
