@@ -38,6 +38,11 @@ def _check_lambda(lam: float) -> None:
         raise ConfigError("lambda must be positive")
 
 
+def _check_growth_L(L: float) -> None:
+    if not (np.isfinite(L) and L > 0):
+        raise ConfigError("growth constant L must be positive and finite")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     sigma: float
@@ -50,55 +55,67 @@ class BoundParams:
             raise ConfigError("sigma must be positive")
         _check_lambda(self.lam)
         _check_delta(self.delta)
-        if self.growth_L is not None and not self.growth_L > 0:
-            raise ConfigError("growth_L must be positive")
+        if self.growth_L is not None:
+            _check_growth_L(self.growth_L)
 
 
-def compute_B(i: int, geometry: SignalGeometry, params: BoundParams) -> float:
-    """Three-term elementwise bound at 1-based index i.
+def compute_B(i, geometry: SignalGeometry, params: BoundParams):
+    """Three-term elementwise bound at the 1-based index i (or index array).
 
     term 1: local iterated-logarithm scale 4*sigma*(sqrt(lnln(2 max(3,d))/max(3,d))
             + sqrt(ln(1/delta)/d))
     term 2: 4*sigma^2*(lnln(2m) + ln(1/delta)) / lambda
     term 3: (2*sqrt(m*sigma^2*ln(1/delta)) + 2*lambda) / m
     """
-    return _B_terms(i, geometry, params, improved=False).sum()
+    return _B(i, geometry, params.sigma, params.delta, params.lam, improved=False)
 
 
-def compute_B_improved(i: int, geometry: SignalGeometry, params: BoundParams) -> float:
+def compute_B_improved(i, geometry: SignalGeometry, params: BoundParams):
     """compute_B with the 2*lambda/m part of term 3 replaced by
     2*(lambda/m_left + lambda/m_right); the sqrt part keeps m."""
-    return _B_terms(i, geometry, params, improved=True).sum()
+    return _B(i, geometry, params.sigma, params.delta, params.lam, improved=True)
 
 
-def _B_terms(i, geometry, params, improved: bool) -> np.ndarray:
-    sigma, delta, lam = params.sigma, params.delta, params.lam
-    j = i - 1
-    d = float(geometry.d[j])
-    m = float(geometry.seg_length(i))
+def _B(i, geometry: SignalGeometry, sigma, delta, lam, improved: bool):
+    """The bound at the 1-based indices i, a float for an int i.  The terms
+    are those of compute_B, summed as (t1 + t2) + t3, the order np.sum takes
+    over three terms."""
+    idx = np.asarray(i)
+    if idx.dtype.kind not in "iu" or (idx.size and (idx.min() < 1 or idx.max() > geometry.n)):
+        raise ConfigError(f"indices must be integers in [1, {geometry.n}]")
+    j = idx.reshape(-1) - 1
+    d = geometry.d[j].astype(float)
+    m = np.asarray(geometry.segment_lengths, dtype=float)[geometry.k_of[j] - 1]
     l1d = math.log(1.0 / delta)
-    d3 = max(3.0, d)
-    t1 = 4.0 * sigma * (math.sqrt(math.log(math.log(2.0 * d3)) / d3) + math.sqrt(l1d / d))
-    t2 = 4.0 * sigma * sigma * (math.log(math.log(2.0 * m)) + l1d) / lam
+    d3 = np.maximum(3.0, d)
+    t1 = 4.0 * sigma * (np.sqrt(_lnln(2.0 * d3) / d3) + np.sqrt(l1d / d))
+    t2 = 4.0 * sigma * sigma * (_lnln(2.0 * m) + l1d) / lam
     if improved:
-        ml = float(geometry.m_left[j])
-        mr = float(geometry.m_right[j])
-        lam_part = 2.0 * (lam / ml + lam / mr)
+        lam_part = 2.0 * (lam / geometry.m_left[j] + lam / geometry.m_right[j])
     else:
         lam_part = 2.0 * lam / m
-    t3 = 2.0 * math.sqrt(m * sigma * sigma * l1d) / m + lam_part
-    return np.array([t1, t2, t3])
+    t3 = 2.0 * np.sqrt(m * sigma * sigma * l1d) / m + lam_part
+    B = (t1 + t2) + t3
+    return B[0] if idx.ndim == 0 else B.reshape(idx.shape)
 
 
-def compute_B_quantile(i: int, geometry: SignalGeometry, delta: float, lam: float) -> float:
+def _lnln(x: np.ndarray) -> np.ndarray:
+    """ln(ln(x)) elementwise, with libm's log once per distinct x: np.log
+    differs from libm in the last bit on some inputs, and sqrt and the
+    arithmetic are correctly rounded either way."""
+    u, at = np.unique(x, return_inverse=True)
+    return np.array([math.log(math.log(v)) for v in u.tolist()])[at]
+
+
+def compute_B_quantile(i, geometry: SignalGeometry, delta: float, lam: float):
     """The assumptionless quantile bound: compute_B with sigma = 1/2."""
     return compute_B(i, geometry, BoundParams(sigma=0.5, delta=delta, lam=lam))
 
 
 @dataclass(frozen=True)
 class PointwiseBound:
-    value: float
-    applicable: bool
+    value: float | np.ndarray
+    applicable: bool | np.ndarray
     probability_raw: float
     probability: float = field(init=False)
 
@@ -107,14 +124,14 @@ class PointwiseBound:
 
 
 def elementwise_quantile_bound(
-    i: int, geometry: SignalGeometry, delta: float, lam: float, L: float
+    i, geometry: SignalGeometry, delta: float, lam: float, L: float
 ) -> PointwiseBound:
     """B_quantile / L when B_quantile <= L; otherwise flagged not applicable.
+    For an index array, ``value`` and ``applicable`` are arrays.
 
     The guarantee level is 1 - 2 * prob_const() * delta^2.
     """
-    if not L > 0:
-        raise ConfigError("growth constant L must be positive")
+    _check_growth_L(L)
     B = compute_B_quantile(i, geometry, delta, lam)
     return PointwiseBound(
         value=B / L,
@@ -131,8 +148,7 @@ def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
     Per index: d_i >= max(3, 12^4/L^4, (12^2/L^2) ln(1/delta)).
     Returns (signal_level_ok, per_index_ok, details).
     """
-    if not L > 0:
-        raise ConfigError("growth constant L must be positive")
+    _check_growth_L(L)
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
     l1d = math.log(1.0 / delta)
@@ -159,8 +175,7 @@ def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> Pointw
     """Crude uniform bound B_uniform = (lnln(2n) + ln(1/delta))/lambda
     + sqrt(ln(1/delta)/n); when B_uniform <= L every fitted value lies within
     B_uniform/L of the truth's range, at level 1 - 2 * prob_const() * delta^2."""
-    if not L > 0:
-        raise ConfigError("growth constant L must be positive")
+    _check_growth_L(L)
     _check_lambda(lam)
     _check_delta(delta)
     l1d = math.log(1.0 / delta)
@@ -169,15 +184,6 @@ def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> Pointw
         value=B / L,
         applicable=B <= L,
         probability_raw=1.0 - 2.0 * prob_const() * delta * delta,
-    )
-
-
-def uniform_bound_sufficient(n: int, delta: float, lam: float, L: float) -> bool:
-    """Sufficient condition for uniform_quantile_bound applicability:
-    n >= (4/L^2) ln(1/delta) and lambda >= (2/L)(lnln(2n) + ln(1/delta))."""
-    l1d = math.log(1.0 / delta)
-    return n >= 4.0 / (L * L) * l1d and lam >= 2.0 / L * (
-        math.log(math.log(2.0 * n)) + l1d
     )
 
 
@@ -218,8 +224,7 @@ def sse_bound_quantile(
     diagnosis when the m_min / lambda window does not hold; with
     ``strict=False`` the formula is still evaluated and the failures are
     attached to the result (the probability guarantee then does not apply)."""
-    if not L > 0:
-        raise ConfigError("growth constant L must be positive")
+    _check_growth_L(L)
     _check_lambda(lam)
     _check_delta(delta, upper=DELTA_MAX * DELTA_MAX)
     n, K = geometry.n, geometry.K
@@ -336,13 +341,10 @@ class BoundReport:
 
 def bound_report(geometry: SignalGeometry, params: BoundParams) -> BoundReport:
     n = geometry.n
-    B = np.empty(n)
-    Bi = np.empty(n)
-    Bq = np.empty(n)
-    for i in range(1, n + 1):
-        B[i - 1] = compute_B(i, geometry, params)
-        Bi[i - 1] = compute_B_improved(i, geometry, params)
-        Bq[i - 1] = compute_B_quantile(i, geometry, params.delta, params.lam)
+    idx = np.arange(1, n + 1)
+    B = compute_B(idx, geometry, params)
+    Bi = compute_B_improved(idx, geometry, params)
+    Bq = compute_B_quantile(idx, geometry, params.delta, params.lam)
     if params.growth_L is not None:
         signal_ok, per_index, _ = admissibility(
             geometry, params.delta, params.lam, params.growth_L
@@ -377,7 +379,6 @@ __all__ = [
     "elementwise_quantile_bound",
     "admissibility",
     "uniform_quantile_bound",
-    "uniform_bound_sufficient",
     "sse_bound_quantile",
     "sse_bound_mean",
     "iterative_sum_check",

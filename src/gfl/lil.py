@@ -60,6 +60,8 @@ def verify_paths(
     """
     if horizon < 1 or paths < 1:
         raise ConfigError("horizon and paths must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     t = np.arange(1, horizon + 1)
     envlp = envelope(t, env)
     rng = np.random.default_rng(seed)

@@ -104,6 +104,8 @@ class ExperimentSpec:
             raise ConfigError("elementwise_quantile requires the quantile loss")
         if quantile and self.growth_L is None and self.experiment in _NEEDS_GROWTH_L:
             raise ConfigError(f"{self.experiment} with the quantile loss requires growth_L")
+        if self.growth_L is not None:
+            bnd._check_growth_L(self.growth_L)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ExperimentSpec":
@@ -317,7 +319,7 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
     sigma = spec.noise.sigma_for(spec.loss)
     params = bnd.BoundParams(sigma=sigma, delta=spec.delta, lam=lam)
     idx = monitored_indices(geom, spec.monitor)
-    B = np.array([bnd.compute_B(int(i), geom, params) for i in idx])
+    B = bnd.compute_B(idx, geom, params)
 
     R = spec.replications
     lower_hits = np.zeros(idx.size, dtype=np.int64)
@@ -373,16 +375,10 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
     geom, theta_star, lam = _setup(spec)
     L = spec.growth_L
     idx_all = monitored_indices(geom, spec.monitor)
-    kept, excluded, ratio = [], [], []
-    for i in idx_all:
-        pb = bnd.elementwise_quantile_bound(int(i), geom, spec.delta, lam, L)
-        if pb.applicable:
-            kept.append(int(i))
-            ratio.append(pb.value)
-        else:
-            excluded.append(int(i))
-    idx = np.asarray(kept, dtype=np.int64)
-    bound_vals = np.asarray(ratio)
+    pb = bnd.elementwise_quantile_bound(idx_all, geom, spec.delta, lam, L)
+    idx = idx_all[pb.applicable]
+    excluded = idx_all[~pb.applicable].tolist()
+    bound_vals = pb.value[pb.applicable]
 
     R = spec.replications
     hits = np.zeros(idx.size, dtype=np.int64)

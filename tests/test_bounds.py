@@ -18,7 +18,6 @@ from gfl.bounds import (
     prob_const,
     sse_bound_mean,
     sse_bound_quantile,
-    uniform_bound_sufficient,
     uniform_quantile_bound,
 )
 from gfl.errors import ConfigError, PreconditionError
@@ -31,6 +30,15 @@ def geom(values, lengths):
 
 def params(sigma=1.0, delta=0.1, lam=10.0):
     return BoundParams(sigma=sigma, delta=delta, lam=lam)
+
+
+def uniform_bound_sufficient(n: int, delta: float, lam: float, L: float) -> bool:
+    """Sufficient condition for uniform_quantile_bound applicability:
+    n >= (4/L^2) ln(1/delta) and lambda >= (2/L)(lnln(2n) + ln(1/delta))."""
+    l1d = math.log(1.0 / delta)
+    return n >= 4.0 / (L * L) * l1d and lam >= 2.0 / L * (
+        math.log(math.log(2.0 * n)) + l1d
+    )
 
 
 class TestConstants:
@@ -114,6 +122,23 @@ class TestElementwise:
             oracle.oracle_B_improved(10, 50, 50, 50, p.sigma, p.delta, p.lam), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "i",
+        [0, 21, -1, np.array([1, 5, 21]), np.array([0, 3]), 2.0, np.array([1.0, 2.0]), True],
+    )
+    def test_index_outside_range_or_not_integer(self, i):
+        # 0 used to wrap to index n through d[-1], n + 1 to end in IndexError
+        g = geom([0, 1], [10, 10])
+        p = params()
+        for f in (
+            lambda: compute_B(i, g, p),
+            lambda: compute_B_improved(i, g, p),
+            lambda: compute_B_quantile(i, g, 0.1, 10.0),
+            lambda: elementwise_quantile_bound(i, g, 0.1, 10.0, 1.0),
+        ):
+            with pytest.raises(ConfigError, match=r"indices must be integers in \[1, 20\]"):
+                f()
+
     def test_delta_range_enforced(self):
         g = geom([0], [10])
         with pytest.raises(PreconditionError):
@@ -174,6 +199,23 @@ class TestApplicability:
             L = float(rng.uniform(0.05, 2.0))
             if uniform_bound_sufficient(n, delta, lam, L):
                 assert uniform_quantile_bound(n, delta, lam, L).applicable
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
+def test_growth_L_must_be_positive_and_finite(L):
+    # an infinite L used to pass and report every bound / L as 0, applicable
+    g = geom([0, 1], [64, 64])
+    msg = "growth constant L must be positive and finite"
+    with pytest.raises(ConfigError, match=msg):
+        BoundParams(sigma=0.5, delta=0.1, lam=5.0, growth_L=L)
+    with pytest.raises(ConfigError, match=msg):
+        elementwise_quantile_bound(10, g, 0.1, 5.0, L)
+    with pytest.raises(ConfigError, match=msg):
+        admissibility(g, 0.1, 5.0, L)
+    with pytest.raises(ConfigError, match=msg):
+        uniform_quantile_bound(g.n, 0.1, 5.0, L)
+    with pytest.raises(ConfigError, match=msg):
+        sse_bound_quantile(g, 1e-3, 5.0, L, strict=False)
 
 
 class TestSse:

@@ -136,6 +136,22 @@ class TestBoundsCommand:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("L", ["inf", "0", "nan"])
+    def test_growth_L_not_positive_finite_exit_2(self, tmp_path, L):
+        rc = main(
+            [
+                "bounds",
+                "--signal-values", "0,1",
+                "--signal-lengths", "8,8",
+                "--delta", "0.05",
+                "--lambda", "4.0",
+                "--growth-L", L,
+                "--out-dir", str(tmp_path / "b"),
+            ]
+        )
+        assert rc == 2
+
+
 class TestLilCommand:
     def test_outputs(self, tmp_path):
         out = tmp_path / "lil"
@@ -151,6 +167,17 @@ class TestLilCommand:
         assert meta["within_bound"] is True
         lines = (out / "lil.csv").read_text().splitlines()
         assert len(lines) > 3
+
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        rc = main(
+            [
+                "lil", "--delta", "0.1", "--horizon", "16", "--paths", "4",
+                "--seed", "-1", "--out-dir", str(tmp_path / "lil"),
+            ]
+        )
+        assert rc == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -212,6 +239,12 @@ class TestSimulateCommand:
                 "d_grid": [2, 4],
             },
             {"noise": {"kind": "gaussian", "scale": 1.0}, "loss": _MEDIAN},
+            {
+                "experiment": "sse",
+                "noise": _UNIFORM_MEDIAN,
+                "loss": _MEDIAN,
+                "growth_L": float("inf"),
+            },
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):
