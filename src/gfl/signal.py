@@ -104,10 +104,6 @@ class SignalGeometry:
     V: float
     m_min: int
 
-    def seg_length(self, i: int) -> int:
-        """m_{k(i)} for a 1-based index i."""
-        return self.segment_lengths[self.k_of[i - 1] - 1]
-
 
 def compute_geometry(signal: PiecewiseConstantSignal) -> SignalGeometry:
     """Derive k(i), d_i, eta_k and the monotone-run lengths m_left/m_right.

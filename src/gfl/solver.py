@@ -2,20 +2,27 @@
 
 The objective is
 
-    sum_i rho(y_i - theta_i) + lam * sum_i |theta_i - theta_{i+1}|,
-
-optionally augmented with boundary terms lam*(|theta_1 - a| + |theta_m - b|).
+    sum_i rho(y_i - theta_i) + lam * sum_i |theta_i - theta_{i+1}|.
 
 The algorithm is forward-backward message passing on the chain: the running
 message is a convex function of theta_i whose derivative is maintained
-explicitly (piecewise linear for the square loss, a step function for the
-quantile loss).  Each step adds the data term and then "clips" the derivative
-to [-lam, +lam], which is exactly the infimal convolution with lam*|.|.  Both
-message types keep only their live knots or breakpoints in sorted lists:
-clipping deletes what it passes from the two ends, so one DP loop serves
-either loss and nothing depends on how many entries were ever deleted.  The
-backward pass clamps each theta_i to the clip window recorded at its step,
-picking the smallest optimal value wherever the optimum is a face.
+explicitly.  Each step adds the data term and then "clips" the derivative to
+[-lam, +lam], which is exactly the infimal convolution with lam*|.|, and
+records the clip window.  Each loss has its own forward loop with the message
+state in local variables:
+
+- square loss (``_square_forward``): the derivative is piecewise linear, its
+  knots and per-interval coefficients kept in three ``collections.deque``s
+  relative to a global affine offset, so clipping pops and pushes at either
+  end in O(1);
+- quantile loss (``_quantile_forward``): the derivative is a step function,
+  its breakpoints and jumps kept in two sorted lists that take each data
+  point by ``bisect_left`` and ``list.insert``.
+
+Both keep only live knots or breakpoints: clipping deletes what it passes
+from the two ends, so nothing depends on how many entries were ever deleted.
+The shared backward pass clamps each theta_i to the clip window recorded at
+its step, picking the smallest optimal value wherever the optimum is a face.
 
 Hot loops run on Python floats.  Every per-element loop (the DP, its backward
 clamp, and both passes of ``check_kkt``) iterates over a ``memoryview`` of
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,198 +87,180 @@ def objective(y, lam, loss, theta) -> float:
     return fit + lam * tv
 
 
-# ---------------------------------------------------------------------------
-# square loss: derivative is piecewise linear, kept as knots + interval
-# coefficients relative to a global affine offset (A, B).
-# ---------------------------------------------------------------------------
+def _square_forward(ys, lam, lo_append, hi_append) -> float:
+    """Forward pass for the square loss; returns theta_n.
 
-
-class _QuadMessage:
-    """Derivative of the running message for the square loss.
-
-    ``xs`` are knot positions; ``cf`` holds one (a, b) pair per interval
-    (len(xs) + 1 of them), where the actual derivative on the interval is
-    (a + A)*x + (b + B).  The data term 0.5*(x - y)^2 only touches (A, B),
-    so each DP step is O(1) amortized.
+    The message derivative is piecewise linear: knots ``xs`` and one
+    coefficient pair per interval in ``ca``/``cb`` (one more than there are
+    knots), the derivative on an interval being (ca + A)*x + (cb + B).  The
+    data term 0.5*(x - y)^2 only moves the global offset (A, B), and clipping
+    pops what it passes from either end, so each step is O(1) amortized.
     """
-
-    __slots__ = ("xs", "cf", "A", "B")
-
-    def __init__(self):
-        self.xs: list[float] = []
-        self.cf: list[tuple[float, float]] = [(0.0, 0.0)]
-        self.A = 0.0
-        self.B = 0.0
-
-    def add_data(self, y: float) -> None:
-        self.A += 1.0
-        self.B -= y
-
-    def add_abs(self, center: float, weight: float) -> None:
-        """Add weight*|x - center| (O(#intervals); used only for boundaries)."""
-        xs, cf = self.xs, self.cf
-        pos = bisect_left(xs, center)
-        xs.insert(pos, center)
-        a, b = cf[pos]
-        cf.insert(pos, (a, b))
-        for j in range(pos + 1):
-            a, b = cf[j]
-            cf[j] = (a, b - weight)
-        for j in range(pos + 1, len(cf)):
-            a, b = cf[j]
-            cf[j] = (a, b + weight)
-
-    def crossing_left(self, target: float) -> float:
-        """Smallest x with derivative(x+) >= target; pops intervals below it
-        and replaces the left tail by constant slope ``target`` from there."""
-        xs, cf, A, B = self.xs, self.cf, self.A, self.B
+    xs = deque()
+    ca = deque((0.0,))
+    cb = deque((0.0,))
+    A = B = 0.0
+    neg_lam = -lam
+    for yi in ys[:-1]:
+        A += 1.0
+        B -= yi
+        # smallest x with derivative(x+) >= -lam; the left tail becomes -lam
         floor_x = -_INF
         while True:
-            a0, b0 = cf[0]
-            sl = a0 + A
-            ic = b0 + B
-            right_end = xs[0] if xs else _INF
+            sl = ca[0] + A
+            ic = cb[0] + B
             if sl > 0.0:
-                u = (target - ic) / sl
-            elif ic >= target:
+                u = (neg_lam - ic) / sl
+            elif ic >= neg_lam:
                 u = -_INF
             else:
                 u = _INF
-            if u <= right_end:
+            if u <= (xs[0] if xs else _INF):
                 if floor_x > u:
                     u = floor_x
                 break
             if not xs:
                 raise GflError("derivative stays below target; objective not coercive")
-            floor_x = xs.pop(0)
-            cf.pop(0)
-        if u == -_INF:
-            return u
-        # left tail becomes exactly `target`
-        if xs and xs[0] == u:
-            cf[0] = (-A, target - B)
-        else:
-            xs.insert(0, u)
-            cf.insert(0, (-A, target - B))
-        return u
-
-    def crossing_right(self, target: float) -> float:
-        """Smallest x such that derivative >= target on [x, inf); clips the tail."""
-        xs, cf, A, B = self.xs, self.cf, self.A, self.B
+            floor_x = xs.popleft()
+            ca.popleft()
+            cb.popleft()
+        if u != -_INF:
+            if xs and xs[0] == u:
+                ca[0] = -A
+                cb[0] = neg_lam - B
+            else:
+                xs.appendleft(u)
+                ca.appendleft(-A)
+                cb.appendleft(neg_lam - B)
+        lo_append(u)
+        # smallest x with derivative >= lam on [x, inf); the right tail
+        # becomes lam
         ceil_x = _INF
         while True:
-            a0, b0 = cf[-1]
-            sl = a0 + A
-            ic = b0 + B
-            left_end = xs[-1] if xs else -_INF
+            sl = ca[-1] + A
+            ic = cb[-1] + B
             if sl > 0.0:
-                u = (target - ic) / sl
-            elif ic >= target:
+                u = (lam - ic) / sl
+            elif ic >= lam:
                 u = -_INF
             else:
                 u = _INF
-            if u >= left_end:
+            if u >= (xs[-1] if xs else -_INF):
                 if ceil_x < u:
                     u = ceil_x
                 break
             if not xs:
                 raise GflError("derivative stays above target; objective not coercive")
             ceil_x = xs.pop()
-            cf.pop()
-        if u == _INF:
-            return u
-        if xs and xs[-1] == u:
-            cf[-1] = (-A, target - B)
+            ca.pop()
+            cb.pop()
+        if u != _INF:
+            if xs and xs[-1] == u:
+                ca[-1] = -A
+                cb[-1] = lam - B
+            else:
+                xs.append(u)
+                ca.append(-A)
+                cb.append(lam - B)
+        hi_append(u)
+    # theta_n: the left crossing of 0.  It is (0.0 - ic) / sl, not -ic / sl,
+    # so that a crossing at zero is +0.0.
+    A += 1.0
+    B -= ys[-1]
+    floor_x = -_INF
+    while True:
+        sl = ca[0] + A
+        ic = cb[0] + B
+        if sl > 0.0:
+            u = (0.0 - ic) / sl
+        elif ic >= 0.0:
+            u = -_INF
         else:
-            xs.append(u)
-            cf.append((-A, target - B))
-        return u
-
-
-# ---------------------------------------------------------------------------
-# quantile loss: derivative is a nondecreasing step function.
-# ---------------------------------------------------------------------------
-
-
-class _StepMessage:
-    """Derivative of the running message for the quantile loss.
-
-    Sorted breakpoint positions ``bp`` with positive jumps ``jm``; ``c0`` is
-    the derivative left of every breakpoint and ``clast`` right of every one.
-    Only live breakpoints are kept: data breakpoints are inserted in sorted
-    order, and clipping deletes the ones it passes from the ends, as
-    ``_QuadMessage`` does with its knots.
-    """
-
-    __slots__ = ("tau", "bp", "jm", "c0", "clast")
-
-    def __init__(self, tau: float):
-        self.tau = tau
-        self.bp: list[float] = []
-        self.jm: list[float] = []
-        self.c0 = 0.0
-        self.clast = 0.0
-
-    def _insert(self, x: float, jump: float) -> None:
-        bp = self.bp
-        pos = bisect_left(bp, x)
-        if pos < len(bp) and bp[pos] == x:
-            self.jm[pos] += jump
-        else:
-            bp.insert(pos, x)
-            self.jm.insert(pos, jump)
-        self.clast += jump
-
-    def add_data(self, y: float) -> None:
-        self.c0 -= self.tau
-        self.clast -= self.tau
-        self._insert(y, 1.0)
-
-    def add_abs(self, center: float, weight: float) -> None:
-        self.c0 -= weight
-        self.clast -= weight
-        self._insert(center, 2.0 * weight)
-
-    def crossing_left(self, target: float) -> float:
-        """Smallest x with derivative(x+) >= target; left tail set to target."""
-        if self.c0 >= target:
-            return -_INF
-        bp, jm = self.bp, self.jm
-        c = self.c0
-        h = 0
-        while h < len(bp) and c < target:
-            c += jm[h]
-            h += 1
-        if c < target:
+            u = _INF
+        if u <= (xs[0] if xs else _INF):
+            return floor_x if floor_x > u else u
+        if not xs:
             raise GflError("derivative stays below target; objective not coercive")
-        h -= 1  # keep the crossing breakpoint with an adjusted jump
-        jm[h] = c - target
-        del bp[:h]
-        del jm[:h]
-        self.c0 = target
-        return bp[0]
-
-    def crossing_right(self, target: float) -> float:
-        """Smallest x with derivative >= target on [x, inf); right tail set to target."""
-        if self.clast <= target:
-            return _INF
-        bp, jm = self.bp, self.jm
-        c = self.clast
-        t = len(bp)
-        while t > 1 and c - jm[t - 1] >= target:
-            t -= 1
-            c -= jm[t]
-        # piece left of bp[t-1] is below target (or t == 1); crossing at bp[t-1]
-        jm[t - 1] = target - (c - jm[t - 1])
-        if jm[t - 1] < 0.0:
-            raise GflError("inconsistent step message")
-        del bp[t:]
-        del jm[t:]
-        self.clast = target
-        return bp[t - 1]
+        floor_x = xs.popleft()
+        ca.popleft()
+        cb.popleft()
 
 
-def _solve_path(y, lam, loss, a=None, b=None):
+def _quantile_forward(ys, lam, tau, lo_append, hi_append) -> float:
+    """Forward pass for the quantile loss; returns theta_n.
+
+    The message derivative is a nondecreasing step function: sorted
+    breakpoints ``bp`` with positive jumps ``jm``, value ``c0`` left of every
+    breakpoint and ``clast`` right of every one.  Each data point inserts a
+    unit jump in sorted order, and clipping deletes the breakpoints it passes
+    from either end, so only live breakpoints are kept.  Each step clips the
+    message of the previous data point, then adds its own.
+    """
+    bp = [ys[0]]
+    jm = [1.0]
+    c0 = -tau
+    clast = c0 + 1.0
+    neg_lam = -lam
+    for yi in ys[1:]:
+        # smallest x with derivative(x+) >= -lam; the left tail becomes -lam
+        if c0 >= neg_lam:
+            lo_append(-_INF)
+        else:
+            c = c0
+            h = 0
+            nb = len(bp)
+            while h < nb and c < neg_lam:
+                c += jm[h]
+                h += 1
+            if c < neg_lam:
+                raise GflError("derivative stays below target; objective not coercive")
+            h -= 1  # keep the crossing breakpoint with an adjusted jump
+            jm[h] = c - neg_lam
+            if h:
+                del bp[:h]
+                del jm[:h]
+            c0 = neg_lam
+            lo_append(bp[0])
+        # smallest x with derivative >= lam on [x, inf); the right tail
+        # becomes lam
+        if clast <= lam:
+            hi_append(_INF)
+        else:
+            c = clast
+            k = len(bp) - 1
+            while k > 0 and c - jm[k] >= lam:
+                c -= jm[k]
+                k -= 1
+            # the piece left of bp[k] is below lam (or k == 0): crossing at bp[k]
+            jm[k] = lam - (c - jm[k])
+            if jm[k] < 0.0:
+                raise GflError("inconsistent step message")
+            if k + 1 < len(bp):
+                del bp[k + 1 :]
+                del jm[k + 1 :]
+            clast = lam
+            hi_append(bp[k])
+        c0 -= tau
+        clast -= tau
+        pos = bisect_left(bp, yi)
+        if pos < len(bp) and bp[pos] == yi:
+            jm[pos] += 1.0
+        else:
+            bp.insert(pos, yi)
+            jm.insert(pos, 1.0)
+        clast += 1.0
+    # theta_n: the left crossing of 0
+    if c0 >= 0.0:
+        return -_INF
+    c = c0
+    for x, j in zip(bp, jm):
+        c += j
+        if c >= 0.0:
+            return x
+    raise GflError("derivative stays below target; objective not coercive")
+
+
+def _solve_path(y, lam, loss):
     """Run the DP; returns theta (smallest-optimal tie-breaking)."""
     y = np.asarray(y, dtype=float)
     if lam == 0.0:
@@ -279,19 +269,10 @@ def _solve_path(y, lam, loss, a=None, b=None):
     ys = memoryview(y)
     lo = array("d")
     hi = array("d")
-    msg = _QuadMessage() if loss.kind == "square" else _StepMessage(loss.tau)
-    add_data, left, right = msg.add_data, msg.crossing_left, msg.crossing_right
-    neg_lam = -lam
-    if a is not None:
-        msg.add_abs(a, lam)
-    for yi in ys[:-1]:
-        add_data(yi)
-        lo.append(left(neg_lam))
-        hi.append(right(lam))
-    add_data(ys[-1])
-    if b is not None:
-        msg.add_abs(b, lam)
-    t = left(0.0)
+    if loss.kind == "square":
+        t = _square_forward(ys, lam, lo.append, hi.append)
+    else:
+        t = _quantile_forward(ys, lam, loss.tau, lo.append, hi.append)
 
     if not math.isfinite(t):
         raise GflError("unbounded objective")
@@ -378,112 +359,10 @@ def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
     )
 
 
-def solve_augmented(y, lam, a: float, b: float, loss) -> np.ndarray:
-    """Minimize the boundary-augmented objective with terms lam*|theta_1 - a|
-    and lam*|theta_m - b| added; the chain length m is preserved exactly."""
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ConfigError("boundary values must be finite")
-    FusedLassoProblem(y=np.asarray(y, dtype=float), lam=lam, loss=loss)  # validate
-    return _solve_path(y, lam, loss, a=a, b=b)
-
-
-def oracle_solve(problem: FusedLassoProblem, step: float = 1e-3) -> np.ndarray:
-    """Grid minimizer over theta in grid^n, grid spanning [min y - 1, max y + 1].
-
-    Test-only reference: the chain minimum over the full product grid is
-    computed by exact per-stage minimization (equivalent to enumerating all
-    grid^n candidates), so the value is within Lipschitz * step * sqrt(n) of
-    the continuous optimum.  Refuses n > 4.
-    """
-    y, lam, loss = problem.y, problem.lam, problem.loss
-    n = y.size
-    if n > 4:
-        raise ConfigError("oracle_solve is restricted to n <= 4")
-    g = np.arange(float(np.min(y)) - 1.0, float(np.max(y)) + 1.0 + 0.5 * step, step)
-    lh = lam * step
-
-    def _tv_min(cost):
-        # min_k cost[k] + lam*|g_j - g_k| via two running-minimum passes
-        j = np.arange(cost.size)
-        fwd = lh * j + np.minimum.accumulate(cost - lh * j)
-        rev = cost[::-1]
-        jr = np.arange(cost.size)
-        bwd = (lh * jr + np.minimum.accumulate(rev - lh * jr))[::-1]
-        return np.minimum(fwd, bwd)
-
-    stage_costs = []
-    cost = np.asarray(loss.rho(y[0] - g), dtype=float)
-    stage_costs.append(cost)
-    for i in range(1, n):
-        cost = np.asarray(loss.rho(y[i] - g), dtype=float) + _tv_min(cost)
-        stage_costs.append(cost)
-
-    theta = np.empty(n)
-    j = int(np.argmin(stage_costs[-1]))
-    theta[n - 1] = g[j]
-    for i in range(n - 2, -1, -1):
-        total = stage_costs[i] + lam * np.abs(g - theta[i + 1])
-        j = int(np.argmin(total))
-        theta[i] = g[j]
-    return theta
-
-
-# ---------------------------------------------------------------------------
-# interval subgradient scores for the boundary-augmented problem
-# ---------------------------------------------------------------------------
-
-
-def interval_score_upper(y, lam, loss, alpha: float) -> float:
-    """max over 1 <= s <= i <= t <= m (any i) of the upper subgradient score.
-
-    The score for (s, t) is sum_{j=s..t} rho'_+(y_j - alpha) plus an offset of
-    -2*lam when both endpoints are interior, 0 when exactly one endpoint
-    touches the boundary, and +2*lam when the interval is the whole chain.
-    Any boundary-augmented solution with some theta_i >= alpha forces this
-    maximum to be >= 0 over intervals containing i; maximizing over all (s, t)
-    gives a single conservative certificate.
-    """
-    return _interval_score(np.asarray(loss.rho_plus(y - alpha), dtype=float), lam, sense=+1)
-
-
-def interval_score_lower(y, lam, loss, alpha: float) -> float:
-    """min over intervals of the symmetric lower score, using rho'_-(y_j + alpha)
-    with offsets +2*lam / 0 / -2*lam; a solution with theta_i <= -alpha forces
-    this minimum to be <= 0."""
-    return _interval_score(np.asarray(loss.rho_minus(y + alpha), dtype=float), lam, sense=-1)
-
-
-def _interval_score(vals: np.ndarray, lam: float, sense: int) -> float:
-    m = vals.size
-    prefix = np.concatenate(([0.0], np.cumsum(vals)))
-    best = -_INF if sense > 0 else _INF
-    for s in range(1, m + 1):
-        for t in range(s, m + 1):
-            z = prefix[t] - prefix[s - 1]
-            if s != 1 and t != m:
-                off = -2.0 * lam
-            elif s == 1 and t == m:
-                off = 2.0 * lam
-            else:
-                off = 0.0
-            z += sense * off
-            if sense > 0:
-                if z > best:
-                    best = z
-            else:
-                if z < best:
-                    best = z
-    return float(best)
-
-
 __all__ = [
     "FusedLassoProblem",
     "FusedLassoSolution",
     "solve",
-    "solve_augmented",
     "check_kkt",
-    "oracle_solve",
     "objective",
-    "interval_score_upper",
-    "interval_score_lower",
 ]

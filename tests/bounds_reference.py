@@ -16,11 +16,16 @@ import numpy as np
 from gfl.bounds import BoundParams
 
 
+def seg_length(geometry, i: int) -> int:
+    """m_{k(i)}, the length of the segment holding the 1-based index i."""
+    return geometry.segment_lengths[geometry.k_of[i - 1] - 1]
+
+
 def B_terms(i, geometry, params, improved: bool) -> np.ndarray:
     sigma, delta, lam = params.sigma, params.delta, params.lam
     j = i - 1
     d = float(geometry.d[j])
-    m = float(geometry.seg_length(i))
+    m = float(seg_length(geometry, i))
     l1d = math.log(1.0 / delta)
     d3 = max(3.0, d)
     t1 = 4.0 * sigma * (math.sqrt(math.log(math.log(2.0 * d3)) / d3) + math.sqrt(l1d / d))

@@ -12,18 +12,17 @@ import os
 import numpy as np
 import pytest
 
+from bounds_reference import seg_length
 from gfl import bounds as bnd
 from gfl.lil import LilEnvelope, verify_paths
 from gfl.losses import NoiseModel, QuantileLoss, SquareLoss
 from gfl.signal import PiecewiseConstantSignal
 from gfl.simulate import ExperimentSpec, run_experiment
-from gfl.solver import (
-    FusedLassoProblem,
+from gfl.solver import FusedLassoProblem, objective, solve
+from solver_reference import (
     interval_score_lower,
     interval_score_upper,
-    objective,
     oracle_solve,
-    solve,
     solve_augmented,
 )
 
@@ -314,7 +313,7 @@ def test_09_formula_fidelity(oracle):
         delta = float(rng.uniform(0.005, 0.25))
         lam = float(rng.uniform(1.0, 400.0))
         L = float(rng.uniform(0.1, 2.0))
-        d, m = int(g.d[i - 1]), g.seg_length(i)
+        d, m = int(g.d[i - 1]), seg_length(g, i)
         p = bnd.BoundParams(sigma=sigma, delta=delta, lam=lam)
 
         def rel(a, b):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bounds_reference import seg_length
 from gfl.bounds import (
     DELTA_MAX,
     BoundParams,
@@ -73,7 +74,7 @@ class TestElementwise:
         ]
         for p in p_list:
             i = int(rng.integers(1, g.n + 1))
-            d, m = int(g.d[i - 1]), g.seg_length(i)
+            d, m = int(g.d[i - 1]), seg_length(g, i)
             assert compute_B(i, g, p) == pytest.approx(
                 oracle.oracle_B(d, m, p.sigma, p.delta, p.lam), rel=1e-12
             )

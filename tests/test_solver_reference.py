@@ -1,6 +1,8 @@
-"""The solver's Python-float loops return the same bits as the numpy-scalar
-reference in ``solver_reference.py`` (signed zeros included)."""
+"""The solver's inlined Python-float loops return the same bits as the
+class-based, numpy-scalar reference in ``solver_reference.py`` (signed zeros
+included)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import solver_reference as ref
 from gfl.losses import QuantileLoss, SquareLoss
-from gfl.solver import FusedLassoProblem, check_kkt, solve, solve_augmented
+from gfl.solver import FusedLassoProblem, check_kkt, solve
 
 SHAPES = ("gaussian", "tied", "cauchy", "ramp", "step", "walk")
 TAUS = (0.1, 0.25, 0.5, 0.9, None)  # None: drawn uniformly from (0.05, 0.95)
@@ -65,10 +67,23 @@ def draw_problem(rng, k: int):
     return draw_y(rng, shape, n), draw_lam(rng, n), draw_loss(rng, k)
 
 
+def fixed_problems():
+    """Zero inputs, whose theta_hat must keep the sign of the reference's zero,
+    then one step and one walk input at n = 2^16 per loss, so that no
+    size-dependent path of the DP goes untested."""
+    rng = np.random.default_rng(20260122)
+    n = 2**16
+    for loss in (SquareLoss(), QuantileLoss(0.3)):
+        for y in ([0.0], [-0.0], [0.0, 0.0]):
+            yield np.array(y), 1.0, loss
+        for shape in ("step", "walk"):
+            yield draw_y(rng, shape, n), math.sqrt(n), loss
+
+
 def test_solve_matches_reference_bitwise():
     rng = np.random.default_rng(20260118)
-    for k in range(2000):
-        y, lam, loss = draw_problem(rng, k)
+    drawn = (draw_problem(rng, k) for k in range(2000))
+    for y, lam, loss in itertools.chain(drawn, fixed_problems()):
         problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
         sol = solve(problem)
         theta = ref.solve_path(y, lam, loss)
@@ -76,17 +91,6 @@ def test_solve_matches_reference_bitwise():
         assert_same_bits(sol.theta_hat, theta)
         assert_same_bits(sol.dual_z, z)
         assert_same_bits(sol.kkt_residual, resid)
-
-
-def test_augmented_matches_reference_bitwise():
-    rng = np.random.default_rng(20260119)
-    for k in range(600):
-        y, lam, loss = draw_problem(rng, k)
-        a, b = (float(v) for v in rng.normal(0.0, 3.0, 2))
-        if k % 5 == 0:
-            a, b = float(y[0]), float(y[-1])
-        got = solve_augmented(y, lam, a, b, loss)
-        assert_same_bits(got, ref.solve_path(y, lam, loss, a=a, b=b))
 
 
 def test_check_kkt_matches_reference_off_optimum():
