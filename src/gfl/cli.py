@@ -25,17 +25,27 @@ from .simulate import ExperimentSpec, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: str, payload: dict, config_hash: str) -> None:
@@ -74,7 +84,7 @@ def _cmd_solve(args) -> int:
         {"cmd": "solve", "lambda": args.lam, "loss": args.loss, "tau": args.tau, "n": int(y.size)}
     )
     sol = solve(FusedLassoProblem(y=y, lam=args.lam, loss=loss))
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     # memoryviews hand out Python floats: no numpy scalar per CSV cell
     cols = map(memoryview, (y, sol.theta_hat, sol.dual_z))
     rows = [
@@ -123,7 +133,7 @@ def _cmd_bounds(args) -> int:
     }
     cfg_hash = hash_config(cfg)
     report = bnd.bound_report(geom, params)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     cols = (geom.k_of, geom.d, report.B, report.B_improved, report.B_quantile, report.applicable)
     rows = [
         f"{i},{k},{d},{_fmt(b)},{_fmt(b_imp)},{_fmt(b_q)},{int(ok)}"
@@ -163,7 +173,7 @@ def _cmd_lil(args) -> int:
     cfg_hash = hash_config(cfg)
     t_grid = sorted(set(min(args.horizon, 2**e) for e in range(0, 64) if 2**e <= args.horizon))
     res = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed, t_grid=t_grid)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     rq = res.pop("ratio_quantiles")
     rows = [
         f"{t}," + ",".join(_fmt(v) for v in vals)
@@ -184,11 +194,13 @@ def _cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if args.seed is not None:
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
         cfg["seed"] = args.seed
     spec = ExperimentSpec.from_config(cfg)
+    _make_out_dir(args.out_dir)  # an unusable --out-dir fails before the run, not after
     result = run_experiment(spec)
     cfg_hash = spec.config_hash()
-    os.makedirs(args.out_dir, exist_ok=True)
     _write_json(os.path.join(args.out_dir, "summary.json"), result, cfg_hash)
 
     per_index = result.get("per_index")

@@ -61,6 +61,8 @@ class QuantileLoss:
 
 def make_loss(kind: str, tau: float | None = None):
     if kind == "square":
+        if tau is not None:
+            raise ConfigError("square loss takes no tau")
         return SquareLoss()
     if kind == "quantile":
         if tau is None:

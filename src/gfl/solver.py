@@ -24,8 +24,15 @@ from the two ends, so nothing depends on how many entries were ever deleted.
 The shared backward pass clamps each theta_i to the clip window recorded at
 its step, picking the smallest optimal value wherever the optimum is a face.
 
+Every fit is certified.  ``check_kkt`` runs two passes over the elements: a
+forward pass (``_kkt_bands``) that propagates the feasible band of each dual
+variable and yields the residual, and a backward pass (``_kkt_dual``) that
+picks one dual vector z inside the bands.  ``solve`` runs only the forward
+pass; it keeps the bands, and the backward pass runs on the first read of
+``FusedLassoSolution.dual_z``.
+
 Hot loops run on Python floats.  Every per-element loop (the DP, its backward
-clamp, and both passes of ``check_kkt``) iterates over a ``memoryview`` of
+clamp, and both passes of the certificate) iterates over a ``memoryview`` of
 each input array, built once at the boundary (per-edge constants are
 precomputed with ``np.where``), collects its per-step outputs in
 ``array("d")``, and converts them back to an ndarray once.  A memoryview hands
@@ -46,7 +53,8 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,10 +82,22 @@ class FusedLassoProblem:
 
 @dataclass(frozen=True)
 class FusedLassoSolution:
+    """A fit and its optimality certificate.
+
+    ``dual_z`` (one multiplier per interior edge) is built by the
+    certificate's backward pass the first time it is read, from the forward
+    pass's state that ``solve`` keeps; that state holds no view of ``y`` or
+    ``theta_hat``.
+    """
+
     theta_hat: np.ndarray
-    dual_z: np.ndarray
     kkt_residual: float
     objective_value: float
+    _kkt_state: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def dual_z(self) -> np.ndarray:
+        return _kkt_dual(*self._kkt_state)
 
 
 def objective(y, lam, loss, theta) -> float:
@@ -287,21 +307,20 @@ def _solve_path(y, lam, loss):
     return np.frombuffer(theta)[::-1].copy()
 
 
-def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
-    """Certify optimality of ``theta`` via the edge dual variables.
+def _kkt_bands(problem: FusedLassoProblem, theta):
+    """Forward pass of the certificate: the residual and the dual bands.
 
-    Builds the feasible set of dual vectors z (|z_i| <= lam, z_i = lam*sign of
-    each jump, stationarity inclusion per element, z_0 = z_n = 0) by interval
-    propagation and reports the largest gap encountered; the gap is 0 iff a
-    consistent certificate exists.  Returns (residual, z) with one z per edge.
+    Returns ``(resid, (g_lo, g_hi, band_lo, band_hi))``: the stationarity
+    bounds of each element as ndarrays and the feasible band of each interior
+    edge's z as ``array("d")``, which is all ``_kkt_dual`` reads.
     """
     y, lam, loss = problem.y, problem.lam, problem.loss
     theta = np.asarray(theta, dtype=float)
     if theta.shape != y.shape or not np.all(np.isfinite(theta)):
         raise ConfigError("theta must be a finite vector matching y")
     r = y - theta
-    g_lo = memoryview(-np.atleast_1d(loss.rho_plus(r)))
-    g_hi = memoryview(-np.atleast_1d(loss.rho_minus(r)))
+    g_lo = -np.atleast_1d(loss.rho_plus(r))
+    g_hi = -np.atleast_1d(loss.rho_minus(r))
     # z_i = lam on an upward jump, -lam on a downward one, free in [-lam, lam]
     # on a flat edge; z_n = 0 closes the chain.
     a_lo = memoryview(np.append(np.where(theta[1:] > theta[:-1], lam, -lam), 0.0))
@@ -311,7 +330,7 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
     zlo, zhi = 0.0, 0.0
     band_lo = array("d")
     band_hi = array("d")
-    for gl, gh, alo, ahi in zip(g_lo, g_hi, a_lo, a_hi):
+    for gl, gh, alo, ahi in zip(memoryview(g_lo), memoryview(g_hi), a_lo, a_hi):
         zlo += gl
         if alo > zlo:
             zlo = alo
@@ -325,16 +344,22 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
             zlo = zhi = 0.5 * (zlo + zhi)
         band_lo.append(zlo)
         band_hi.append(zhi)
+    # the last band only closed the chain
+    del band_lo[-1], band_hi[-1]
+    return resid, (g_lo, g_hi, band_lo, band_hi)
 
-    # backward pass from z_n = 0, pairing element i's bounds with band i - 1
-    # (the last band only closed the chain); z is written from z_{n-1} down
-    # to z_1
+
+def _kkt_dual(g_lo, g_hi, band_lo, band_hi) -> np.ndarray:
+    """Backward pass of the certificate: one z per interior edge.
+
+    Runs from z_n = 0, pairing element i's bounds with band i - 1; z is
+    written from z_{n-1} down to z_1.
+    """
     z = array("d")
     cur = 0.0
-    del band_lo[-1], band_hi[-1]
-    for gl, gh, blo, bhi in zip(
-        reversed(g_lo), reversed(g_hi), reversed(band_lo), reversed(band_hi)
-    ):
+    gls = reversed(memoryview(g_lo))
+    ghs = reversed(memoryview(g_hi))
+    for gl, gh, blo, bhi in zip(gls, ghs, reversed(band_lo), reversed(band_hi)):
         wlo = cur - gh
         whi = cur - gl
         slo = wlo if wlo > blo else blo
@@ -347,15 +372,27 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
         if shi < cur:
             cur = shi
         z.append(cur)
-    return resid, np.frombuffer(z)[::-1].copy()
+    return np.frombuffer(z)[::-1].copy()
+
+
+def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
+    """Certify optimality of ``theta`` via the edge dual variables.
+
+    Builds the feasible set of dual vectors z (|z_i| <= lam, z_i = lam*sign of
+    each jump, stationarity inclusion per element, z_0 = z_n = 0) by interval
+    propagation and reports the largest gap encountered; the gap is 0 iff a
+    consistent certificate exists.  Returns (residual, z) with one z per edge.
+    """
+    resid, state = _kkt_bands(problem, theta)
+    return resid, _kkt_dual(*state)
 
 
 def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
     theta = _solve_path(problem.y, problem.lam, problem.loss)
-    resid, z = check_kkt(problem, theta)
+    resid, state = _kkt_bands(problem, theta)
     obj = objective(problem.y, problem.lam, problem.loss, theta)
     return FusedLassoSolution(
-        theta_hat=theta, dual_z=z, kkt_residual=resid, objective_value=obj
+        theta_hat=theta, kkt_residual=resid, objective_value=obj, _kkt_state=state
     )
 
 

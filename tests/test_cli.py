@@ -83,6 +83,20 @@ class TestSolveCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "absent.csv"), "--lambda", "1"]) == 2
 
+    def test_square_loss_with_tau_exit_2(self, tmp_path, capsys):
+        inp = tmp_path / "y.csv"
+        inp.write_text("0.0\n1.0\n")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "solve", "--input", str(inp), "--lambda", "1.0",
+                "--loss", "square", "--tau", "0.3", "--out-dir", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "square loss takes no tau" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundsCommand:
     def test_csv_format(self, tmp_path):
@@ -245,11 +259,20 @@ class TestSimulateCommand:
                 "loss": _MEDIAN,
                 "growth_L": float("inf"),
             },
+            {"loss": {"kind": "square", "tau": 0.3}},
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):
         cfg = write_config(tmp_path, small_config(**over))
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"'], ids=["list", "string"])
+    def test_non_object_config_with_seed_exit_2(self, tmp_path, text, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = ["simulate", "--config", str(path), "--seed", "3", "--out-dir", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_bad_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -268,3 +291,39 @@ class TestSimulateCommand:
         assert leftovers == []
         names = set(os.listdir(out))
         assert {"summary.json", "per_index.csv"} <= names
+
+
+@pytest.mark.parametrize(
+    "command, first_file",
+    [
+        ("solve", "solution.csv"),
+        ("bounds", "bounds.csv"),
+        ("lil", "lil.csv"),
+        ("simulate", "summary.json"),
+    ],
+)
+def test_unwritable_out_dir_exit_2(tmp_path, command, first_file, capsys):
+    """An --out-dir that is a file or lies under one, or an output name taken
+    by a directory, is an input error; no temp file is left behind."""
+    inp = tmp_path / "y.csv"
+    inp.write_text("0.0\n1.0\n")
+    argv = {
+        "solve": ["solve", "--input", str(inp), "--lambda", "1.0"],
+        "bounds": [
+            "bounds", "--signal-values", "0,1", "--signal-lengths", "8,8",
+            "--delta", "0.05", "--lambda", "4.0",
+        ],
+        "lil": ["lil", "--delta", "0.1", "--horizon", "16", "--paths", "4", "--seed", "3"],
+        "simulate": ["simulate", "--config", write_config(tmp_path, small_config())],
+    }[command]
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+    out = tmp_path / "out"
+    (out / first_file).mkdir(parents=True)
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert f"cannot write {out / first_file}" in capsys.readouterr().err
+    assert os.listdir(out) == [first_file]

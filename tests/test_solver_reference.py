@@ -4,6 +4,7 @@ included)."""
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ def test_check_kkt_matches_reference_on_integer_ties():
         want_resid, want_z = ref.check_kkt(problem, theta)
         assert_same_bits(z, want_z)
         assert_same_bits(resid, want_resid)
+
+
+def test_dual_z_is_deferred_and_reads_only_state_kept_by_solve():
+    """``solve`` leaves ``dual_z`` unbuilt; the first read gives the
+    reference's bits even after the caller's ``y`` and ``theta_hat`` were
+    overwritten, and a pickle round trip before or after that read keeps them."""
+    rng = np.random.default_rng(20260123)
+    for k in range(300):
+        y, lam, loss = draw_problem(rng, k)
+        problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
+        sol = solve(problem)
+        assert "dual_z" not in vars(sol)
+        _, want_z = ref.check_kkt(problem, sol.theta_hat)
+        unread = pickle.dumps(sol)
+        y[:] = 7.0
+        sol.theta_hat[:] = -7.0
+        assert_same_bits(sol.dual_z, want_z)
+        assert_same_bits(pickle.loads(unread).dual_z, want_z)
+        assert_same_bits(pickle.loads(pickle.dumps(sol)).dual_z, want_z)
 
 
 @pytest.mark.parametrize("loss", [SquareLoss(), QuantileLoss(0.3)], ids=["square", "quantile"])
