@@ -32,6 +32,154 @@ def base_config(**over):
     return cfg
 
 
+_SCRIPT_SEED = 20240811  # the default --seed of scripts/run_all_experiments.py
+_K4 = {"values": [0.0, 1.0, 0.0, 1.0], "lengths": [1024] * 4}
+_CAUCHY_MEDIAN = {
+    "noise": {"kind": "cauchy", "scale": 1.0, "center_tau": 0.5},
+    "loss": {"kind": "quantile", "tau": 0.5},
+}
+
+# config_hash() of each config as recorded before the schema table replaced
+# the hand-written parser.  Every output file carries this hash, so a change
+# here changes the provenance of results written from an unchanged config.
+_PINNED_HASHES = {
+    "script_pointwise_mean": (
+        {
+            "experiment": "pointwise",
+            "signal": {"values": [0.0, 2.0], "lengths": [1024, 1024]},
+            "noise": {"kind": "gaussian", "scale": 1.0},
+            "loss": {"kind": "square"},
+            "lambda": {"rule": "sqrt_n_over_k"},
+            "delta": 0.05,
+            "replications": 2000,
+            "seed": _SCRIPT_SEED,
+            "monitor": "interior",
+        },
+        "6b506255ac9e3196b0f2965714c0760fb65b728df158a2bc0796c6dcad730f42",
+    ),
+    "script_pointwise_quantile": (
+        {
+            "experiment": "pointwise",
+            "signal": {"values": [0.0, 2.0], "lengths": [1024, 1024]},
+            **_CAUCHY_MEDIAN,
+            "lambda": {"rule": "fixed", "value": 43.0},
+            "delta": 0.05,
+            "replications": 2000,
+            "seed": _SCRIPT_SEED + 1,
+            "monitor": "interior",
+        },
+        "abffc60090dea31fb44dc1c9692a324bfb811a64edae96de5ff5f758dcc377fd",
+    ),
+    "script_sse_mean": (
+        {
+            "experiment": "sse",
+            "signal": _K4,
+            "noise": {"kind": "gaussian", "scale": 1.0},
+            "loss": {"kind": "square"},
+            "lambda": {"rule": "log_sqrt_n_over_k"},
+            "delta": 1e-3,
+            "replications": 500,
+            "seed": _SCRIPT_SEED + 2,
+        },
+        "1383183f5ac221abcd471d78229d627fd0b89d49ab6fbf7f6d48b5b9d380f3e6",
+    ),
+    "script_sse_quantile": (
+        {
+            "experiment": "sse",
+            "signal": _K4,
+            "noise": {"kind": "uniform", "scale": 1.0, "center_tau": 0.5},
+            "loss": {"kind": "quantile", "tau": 0.5},
+            "lambda": {"rule": "fixed", "value": math.log(4096) * math.sqrt(4096 / 4)},
+            "delta": 1e-3,
+            "replications": 500,
+            "seed": _SCRIPT_SEED + 3,
+            "growth_L": "auto",
+        },
+        "e669e4b8bf606240841fdff9d16228d40c57ef5d4db59eb2e06a096dcf8f1b63",
+    ),
+    "script_rate_sweep": (
+        {
+            "experiment": "rate_sweep",
+            "signal": {"values": [0.0, 1.0], "lengths": [2048, 2048]},
+            "noise": {"kind": "gaussian", "scale": 1.0},
+            "loss": {"kind": "square"},
+            "lambda": {"rule": "sqrt_n_over_k"},
+            "delta": 0.05,
+            "replications": 500,
+            "seed": _SCRIPT_SEED + 4,
+            "d_grid": [4, 16, 64, 256, 1024],
+            "n_sweep": [1024, 4096, 16384],
+        },
+        "9ce800dd2f7b4418a79a79b05b6bdcb296e1a092fb0f57c204901afd8c592d89",
+    ),
+    "script_lambda_sweep": (
+        {
+            "experiment": "lambda_sweep",
+            "signal": {"values": [0.0, 1.0, 0.0, 1.0], "lengths": [256] * 4},
+            "noise": {"kind": "gaussian", "scale": 1.0},
+            "loss": {"kind": "square"},
+            "lambda": {"rule": "sqrt_n_over_k"},
+            "delta": 1e-3,
+            "replications": 200,
+            "seed": _SCRIPT_SEED + 5,
+        },
+        "fc111682ca0c548b766285475b1a12ba37e17ee94c2732b769ee67ad0aa330b6",
+    ),
+    "rule_sqrt_n_over_k": (
+        base_config(),
+        "5cb651958a7d14a2c9b2a1bf4a35928da8c18f6f254425914ce41e0a2f5b1bfe",
+    ),
+    "rule_log_sqrt_n_over_k": (
+        base_config(**{"lambda": {"rule": "log_sqrt_n_over_k"}}),
+        "1bfea18bf1671e244605163174a3ed8828affc14f55a0cf038b85cc26a95a091",
+    ),
+    "rule_fixed": (
+        base_config(**{"lambda": {"rule": "fixed", "value": 3.5}}),
+        "bdd4bd29da10fbf58dcd4c035cef0f6cacdc188c0b7ce0e9427a2496e3b61470",
+    ),
+    "monitor_list": (
+        base_config(monitor=[3, 1, 17]),
+        "a87b34e48f150f3f99771c62a11727e4104e3b4eb1241b20ff526134ac76dbcd",
+    ),
+    "growth_L_auto": (
+        base_config(**_CAUCHY_MEDIAN, growth_L="auto"),
+        "1bdc719ad721f42c1a2a1151ff825bb07f8b3c7ae1827a108c2f267122be0294",
+    ),
+    "growth_L_int": (
+        base_config(**_CAUCHY_MEDIAN, growth_L=1),
+        "ce6dae4c0628c4fc1ae22ab536ae90e67cd863eae9f43bc473abc364f0fb83b0",
+    ),
+    "growth_L_float": (
+        base_config(**_CAUCHY_MEDIAN, growth_L=0.125),
+        "ad2b87a44737207fbfc6203070a2d12543d8b21876544b9a82742f29a4251b83",
+    ),
+    "rate_sweep_both": (
+        base_config(experiment="rate_sweep", d_grid=[2, 4, 8], n_sweep=[64, 128]),
+        "8493a91fe458434ebf8d6c1bfba7ae4bce017dcab4816f211cb96d2712a41c2c",
+    ),
+    "lambda_sweep_int_grid_improved": (
+        base_config(experiment="lambda_sweep", lambda_grid=[1, 2, 4], improved=True),
+        "c4d7066895c8c4a198884726e620f6c16704252fd1a73e20f5349578a998fb71",
+    ),
+    "noise_center_tau_null": (
+        base_config(noise={"kind": "gaussian", "scale": 1.0, "center_tau": None}),
+        "5cb651958a7d14a2c9b2a1bf4a35928da8c18f6f254425914ce41e0a2f5b1bfe",
+    ),
+    "loss_tau_null": (
+        base_config(loss={"kind": "square", "tau": None}),
+        "5cb651958a7d14a2c9b2a1bf4a35928da8c18f6f254425914ce41e0a2f5b1bfe",
+    ),
+    "signal_int_values": (
+        base_config(signal={"values": [0, 2], "lengths": [32, 32]}),
+        "5cb651958a7d14a2c9b2a1bf4a35928da8c18f6f254425914ce41e0a2f5b1bfe",
+    ),
+    "fixed_value_int": (
+        base_config(**{"lambda": {"rule": "fixed", "value": 43}}),
+        "df85dfb807031fa44d80cbc3d59837294f98c43d73e636947bce422eea97b706",
+    ),
+}
+
+
 class TestSeedMixing:
     def test_splitmix64_known_values(self):
         # 0 -> 0xE220A8397B1DCDAF is the published splitmix64 test vector
@@ -55,6 +203,11 @@ class TestConfig:
         again = ExperimentSpec.from_config(spec.to_config())
         assert spec.config_hash() == again.config_hash()
         assert len(spec.config_hash()) == 64
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_HASHES))
+    def test_config_hash_pinned(self, name):
+        cfg, expected = _PINNED_HASHES[name]
+        assert ExperimentSpec.from_config(cfg).config_hash() == expected
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
