@@ -191,20 +191,6 @@ class NoiseModel:
         # Symmetric unimodal: the density minimum sits at the far endpoint.
         return float(self._base_pdf(q + 1.0))
 
-    def to_record(self) -> dict:
-        return {"kind": self.kind, "scale": self.scale, "center_tau": self.center_tau}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "NoiseModel":
-        try:
-            return cls(
-                kind=record["kind"],
-                scale=float(record["scale"]),
-                center_tau=record.get("center_tau"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad noise record: {exc}") from exc
-
 
 def _check_pairing(loss, noise: NoiseModel) -> None:
     if loss.kind == "square" and noise.center_tau is not None:

@@ -83,7 +83,7 @@ class PiecewiseConstantSignal:
             raise ConfigError(f"bad signal record: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalGeometry:
     """Per-index structure of a piecewise-constant signal.
 

@@ -39,30 +39,104 @@ def derived_seed(base_seed: int, index: int) -> int:
 
 _LAMBDA_RULES = ("fixed", "sqrt_n_over_k", "log_sqrt_n_over_k")
 _MONITOR_NAMES = ("all", "interior", "change_points")
-_EXPERIMENTS = ("pointwise", "elementwise_quantile", "sse", "rate_sweep", "lambda_sweep")
 # experiments whose quantile-loss bounds are scaled by the growth constant L
 _NEEDS_GROWTH_L = ("elementwise_quantile", "sse", "lambda_sweep")
 
-_ALLOWED_KEYS = {
-    "experiment",
-    "signal",
-    "noise",
-    "loss",
-    "lambda",
-    "delta",
-    "replications",
-    "seed",
-    "monitor",
-    "growth_L",
-    "n_sweep",
-    "d_grid",
-    "lambda_grid",
-    "improved",
+_REQUIRED = object()
+
+# The config format: key -> (type, default).  A type is int, float (any JSON
+# number, stored as a float), str, bool, [type] (a JSON list of that type), a
+# nested table, a string literal that stands for itself, or a tuple of
+# alternative types.  A key whose default is _REQUIRED must be given.
+_SCHEMA = {
+    "experiment": (str, _REQUIRED),
+    "signal": ({"values": ([float], _REQUIRED), "lengths": ([int], _REQUIRED)}, _REQUIRED),
+    "noise": (
+        {"kind": (str, _REQUIRED), "scale": (float, _REQUIRED), "center_tau": (float, None)},
+        _REQUIRED,
+    ),
+    "loss": ({"kind": (str, _REQUIRED), "tau": (float, None)}, _REQUIRED),
+    "lambda": ({"rule": (str, "fixed"), "value": (float, None)}, {"rule": "sqrt_n_over_k"}),
+    "delta": (float, _REQUIRED),
+    "replications": (int, 100),
+    "seed": (int, _REQUIRED),
+    "monitor": ((str, [int]), "interior"),
+    "growth_L": ((float, "auto"), None),
+    "n_sweep": ([int], []),
+    "d_grid": ([int], []),
+    "lambda_grid": ([float], []),
+    "improved": (bool, False),
 }
+
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, dict):
+        return "a JSON object"
+    if isinstance(kind, list):
+        return "a JSON list"
+    if isinstance(kind, tuple):
+        return " or ".join(map(_describe, kind))
+    return _TYPE_NAMES.get(kind, repr(kind))
+
+
+def _parse(kind, value, what: str):
+    """Check ``value`` against the schema type ``kind`` and return it as
+    stored: numbers as floats, lists as tuples, tables with defaults filled."""
+    if isinstance(kind, tuple):
+        for alternative in kind:
+            try:
+                return _parse(alternative, value, what)
+            except ConfigError:
+                pass
+    elif isinstance(kind, dict):
+        if isinstance(value, dict):
+            unknown = set(value) - set(kind)
+            if unknown:
+                raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+            out = {}
+            for key, (sub, default) in kind.items():
+                v = value.get(key, default)
+                if v is _REQUIRED:
+                    raise ConfigError(f"{what} missing required key {key!r}")
+                name = key if what == "config" else f"{what}.{key}"
+                out[key] = None if v is None and default is None else _parse(sub, v, name)
+            return out
+    elif isinstance(kind, list):
+        if isinstance(value, list):
+            return tuple(_parse(kind[0], v, f"{what} entry") for v in value)
+    elif isinstance(kind, str):
+        if value == kind:
+            return value
+    # bool is an int subclass, and float("0.05") or int(1.5) would coerce
+    elif isinstance(value, bool) == (kind is bool) and isinstance(value, _JSON_TYPES[kind]):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{what} must be {_describe(kind)}, got {value!r}")
+
+
+def _unparse(kind, value):
+    """The JSON form of a stored value.  A table reads its keys from a dict or
+    an object's attributes and leaves out a key the object lacks (the square
+    loss has no tau) and an empty list whose default is empty."""
+    if isinstance(value, tuple):
+        return list(value)
+    if not isinstance(kind, dict):
+        return value
+    record = value if isinstance(value, dict) else vars(value)
+    return {
+        key: _unparse(sub, record[key])
+        for key, (sub, default) in kind.items()
+        if key in record and not (default == [] and not record[key])
+    }
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A checked config: one field per _SCHEMA key, with signal, noise and
+    loss built into their models and lambda split into rule and value."""
+
     experiment: str
     signal: PiecewiseConstantSignal
     noise: NoiseModel
@@ -72,15 +146,15 @@ class ExperimentSpec:
     delta: float
     replications: int
     seed: int
-    monitor: object = "interior"
-    growth_L: float | None = None
-    n_sweep: tuple = ()
-    d_grid: tuple = ()
-    lambda_grid: tuple = ()
-    improved: bool = False
+    monitor: object
+    growth_L: float | None
+    n_sweep: tuple
+    d_grid: tuple
+    lambda_grid: tuple
+    improved: bool
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
@@ -90,11 +164,10 @@ class ExperimentSpec:
             self.lambda_value is None or not self.lambda_value >= 0
         ):
             raise ConfigError("fixed lambda rule requires a nonnegative value")
-        if isinstance(self.monitor, str):
-            if self.monitor not in _MONITOR_NAMES:
-                raise ConfigError(f"unknown monitor set {self.monitor!r}")
-        else:
-            object.__setattr__(self, "monitor", tuple(int(i) for i in self.monitor))
+        if isinstance(self.monitor, str) and self.monitor not in _MONITOR_NAMES:
+            raise ConfigError(f"unknown monitor set {self.monitor!r}")
+        if self.d_grid and len(set(self.d_grid)) < 2:
+            raise ConfigError("d_grid needs at least two distinct distances to fit a slope")
         if any(n < 4 for n in self.n_sweep):
             # the n-sweep's interior index is n // 4
             raise ConfigError("n_sweep entries must be >= 4")
@@ -109,95 +182,23 @@ class ExperimentSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ExperimentSpec":
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(cfg) - _ALLOWED_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("experiment", "signal", "noise", "loss", "delta", "seed"):
-            if key not in cfg:
-                raise ConfigError(f"config missing required key {key!r}")
-        loss_cfg = dict(_object(cfg["loss"], "loss"))
-        kind = loss_cfg.pop("kind", None)
-        tau = loss_cfg.pop("tau", None)
-        if tau is not None:
-            _number(tau, "loss tau")
-        if loss_cfg:
-            raise ConfigError(f"unknown loss keys: {sorted(loss_cfg)}")
-        lam_cfg = dict(_object(cfg.get("lambda", {"rule": "sqrt_n_over_k"}), "lambda"))
-        rule = lam_cfg.pop("rule", "fixed")
-        value = lam_cfg.pop("value", None)
-        if value is not None:
-            _number(value, "lambda value")  # kept as given: the config hash covers it
-        if lam_cfg:
-            raise ConfigError(f"unknown lambda keys: {sorted(lam_cfg)}")
-        growth_L = cfg.get("growth_L")
-        d_grid = tuple(_integer(x, "d_grid entry") for x in _list(cfg.get("d_grid", []), "d_grid"))
-        if d_grid and len(set(d_grid)) < 2:
-            raise ConfigError("d_grid needs at least two distinct distances to fit a slope")
-        improved = cfg.get("improved", False)
-        if not isinstance(improved, bool):
-            raise ConfigError(f"improved must be true or false, got {improved!r}")
-        monitor = cfg.get("monitor", "interior")
-        if not isinstance(monitor, str):
-            monitor = [_integer(i, "monitor index") for i in _list(monitor, "monitor")]
-        signal_cfg = _object(cfg["signal"], "signal")
-        for v in _list(signal_cfg.get("values", []), "signal values"):
-            _number(v, "signal value")
-        for m in _list(signal_cfg.get("lengths", []), "signal lengths"):
-            _integer(m, "signal length")
-        noise_cfg = _object(cfg["noise"], "noise")
-        for key in ("scale", "center_tau"):
-            if noise_cfg.get(key) is not None:
-                _number(noise_cfg[key], f"noise {key}")
-        noise = NoiseModel.from_record(noise_cfg)
-        if growth_L == "auto":
-            growth_L = noise.growth_constant()
+        c = _parse(_SCHEMA, cfg, "config")
+        lam = c.pop("lambda")
+        noise = NoiseModel(**c.pop("noise"))
+        if c["growth_L"] == "auto":
+            c["growth_L"] = noise.growth_constant()
         return cls(
-            experiment=cfg["experiment"],
-            signal=PiecewiseConstantSignal.from_record(signal_cfg),
+            signal=PiecewiseConstantSignal(**c.pop("signal")),
             noise=noise,
-            loss=make_loss(kind, tau),
-            lambda_rule=rule,
-            lambda_value=value,
-            delta=_number(cfg["delta"], "delta"),
-            replications=_integer(cfg.get("replications", 100), "replications"),
-            seed=_integer(cfg["seed"], "seed"),
-            monitor=monitor,
-            growth_L=None if growth_L is None else _number(growth_L, "growth_L"),
-            n_sweep=tuple(
-                _integer(x, "n_sweep entry") for x in _list(cfg.get("n_sweep", []), "n_sweep")
-            ),
-            d_grid=d_grid,
-            lambda_grid=tuple(
-                _number(x, "lambda_grid entry")
-                for x in _list(cfg.get("lambda_grid", []), "lambda_grid")
-            ),
-            improved=improved,
+            loss=make_loss(**c.pop("loss")),
+            lambda_rule=lam["rule"],
+            lambda_value=lam["value"],
+            **c,
         )
 
     def to_config(self) -> dict:
-        cfg = {
-            "experiment": self.experiment,
-            "signal": self.signal.to_record(),
-            "noise": self.noise.to_record(),
-            "loss": {"kind": self.loss.kind}
-            | ({"tau": self.loss.tau} if self.loss.kind == "quantile" else {}),
-            "lambda": {"rule": self.lambda_rule, "value": self.lambda_value},
-            "delta": self.delta,
-            "replications": self.replications,
-            "seed": self.seed,
-            "monitor": list(self.monitor) if not isinstance(self.monitor, str) else self.monitor,
-            "growth_L": self.growth_L,
-            "improved": self.improved,
-        }
-        if self.n_sweep:
-            cfg["n_sweep"] = list(self.n_sweep)
-        if self.d_grid:
-            cfg["d_grid"] = list(self.d_grid)
-        if self.lambda_grid:
-            cfg["lambda_grid"] = list(self.lambda_grid)
-        return cfg
+        lam = {"rule": self.lambda_rule, "value": self.lambda_value}
+        return _unparse(_SCHEMA, vars(self) | {"lambda": lam})
 
     def config_hash(self) -> str:
         return hash_config(self.to_config())
@@ -207,32 +208,6 @@ def hash_config(cfg) -> str:
     """SHA-256 of the sorted-key JSON form of ``cfg``: the config hash that
     every output file carries."""
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-
-
-def _integer(value, what: str) -> int:
-    # bool is an int subclass, and int(1.5) would silently truncate
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    # float("0.05") would silently accept a string, float(True) a boolean
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a JSON list, got {value!r}")
-    return value
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    return value
 
 
 def resolve_lambda(rule: str, value: float | None, n: int, K: int) -> float:

@@ -63,7 +63,7 @@ from .errors import ConfigError, GflError
 _INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusedLassoProblem:
     y: np.ndarray
     lam: float
@@ -80,7 +80,7 @@ class FusedLassoProblem:
             raise ConfigError("lambda must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusedLassoSolution:
     """A fit and its optimality certificate.
 
@@ -93,7 +93,7 @@ class FusedLassoSolution:
     theta_hat: np.ndarray
     kkt_residual: float
     objective_value: float
-    _kkt_state: tuple = field(repr=False, compare=False)
+    _kkt_state: tuple = field(repr=False)
 
     @cached_property
     def dual_z(self) -> np.ndarray:

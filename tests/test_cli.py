@@ -260,6 +260,9 @@ class TestSimulateCommand:
                 "growth_L": float("inf"),
             },
             {"loss": {"kind": "square", "tau": 0.3}},
+            {"signal": {"values": [0.0, 2.0], "lengths": [16, 16], "typo": 1}},
+            {"noise": {"kind": "gaussian", "scale": 1.0, "centre_tau": 0.5}},
+            {"noise": {"kind": "gaussian", "scale": 1.0, "foo": 3}},
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from gfl.bounds import prob_const
 from gfl.errors import ConfigError, UnsupportedModelError
 from gfl.signal import PiecewiseConstantSignal
 from gfl.simulate import (
+    _SCHEMA,
     ExperimentSpec,
     derived_seed,
     monitored_indices,
@@ -39,9 +42,9 @@ _CAUCHY_MEDIAN = {
     "loss": {"kind": "quantile", "tau": 0.5},
 }
 
-# config_hash() of each config as recorded before the schema table replaced
-# the hand-written parser.  Every output file carries this hash, so a change
-# here changes the provenance of results written from an unchanged config.
+# Literal config_hash() values.  Every output file carries the hash of its
+# config, so a change here changes the provenance of results written from an
+# unchanged config.
 _PINNED_HASHES = {
     "script_pointwise_mean": (
         {
@@ -173,9 +176,9 @@ _PINNED_HASHES = {
         base_config(signal={"values": [0, 2], "lengths": [32, 32]}),
         "5cb651958a7d14a2c9b2a1bf4a35928da8c18f6f254425914ce41e0a2f5b1bfe",
     ),
-    "fixed_value_int": (
-        base_config(**{"lambda": {"rule": "fixed", "value": 43}}),
-        "df85dfb807031fa44d80cbc3d59837294f98c43d73e636947bce422eea97b706",
+    "fixed_value_43": (
+        base_config(**{"lambda": {"rule": "fixed", "value": 43.0}}),
+        "b524905855a2bd09497fe77c6d6a046af296adb31c1cbb8665a09ff9b5c6a2c3",
     ),
 }
 
@@ -208,6 +211,21 @@ class TestConfig:
     def test_config_hash_pinned(self, name):
         cfg, expected = _PINNED_HASHES[name]
         assert ExperimentSpec.from_config(cfg).config_hash() == expected
+
+    def test_integer_spelled_number_hashes_as_float(self):
+        # every number is stored as a float, so 43 and 43.0 are one experiment
+        cfg = base_config(**{"lambda": {"rule": "fixed", "value": 43}})
+        spec = ExperimentSpec.from_config(cfg)
+        assert spec.lambda_value == 43.0
+        assert spec.config_hash() == _PINNED_HASHES["fixed_value_43"][1]
+
+    def test_readme_schema_matches_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment config schema (JSON)", 1)[1]
+        documented = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert documented.keys() == _SCHEMA.keys()
+        for key in ("signal", "noise", "loss", "lambda"):
+            assert documented[key].keys() == _SCHEMA[key][0].keys()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfl.losses import QuantileLoss, SquareLoss
+from gfl.signal import PiecewiseConstantSignal
 from gfl.solver import FusedLassoProblem, check_kkt, objective, solve
 from solver_reference import (
     interval_score_lower,
@@ -159,6 +160,16 @@ class TestOracleAgreement:
             ref = oracle_solve(p)
             assert sol.objective_value <= objective(y, lam, loss, ref) + 1e-4
             assert sol.kkt_residual <= 1e-9
+
+
+def test_array_holding_types_compare_by_identity():
+    """== and hash() on the types that hold arrays return without raising."""
+    p = prob([0.0, 1.0, 5.0], 1.0)
+    signal = PiecewiseConstantSignal([0.0, 1.0], [4, 4])
+    for make in (lambda: p, lambda: solve(p), signal.geometry):
+        a, b = make(), make()
+        assert a == a and hash(a) == hash(a)
+        assert (a == b) == (a is b)
 
 
 class TestStructuralProperties:
