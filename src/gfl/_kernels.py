@@ -1,0 +1,88 @@
+"""Build and load the solver's C kernels (``_kernels.c``).
+
+The library is compiled with the C compiler Python was built with
+(``sysconfig``'s ``CC``) into this package's ``__pycache__``, once per SHA-256
+of the C source and the compile command; every later import loads the file
+that is there.  A build is written to a temporary file and published with
+``os.replace``, so a process that starts while another builds never loads a
+half-written library.  If the compiler is missing or fails, importing this
+module raises ``ImportError`` with the command and the compiler's output.
+
+``ctypes`` checks each array argument's dtype and contiguity (and that an
+output is writable); the callers in ``solver.py`` size the arrays.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+# -ffp-contract=off keeps every a*b + c two roundings, as in Python; with no
+# -ffast-math and no -march the compiler may not reorder or fuse operations,
+# so the kernels' bits are those of the reference loops in the tests.
+COMMAND = (
+    *shlex.split(sysconfig.get_config_var("CC") or "cc"),
+    "-O2",
+    "-fPIC",
+    "-shared",
+    "-ffp-contract=off",
+)
+
+
+def _build() -> Path:
+    """The path of the compiled library, compiling it if it is not cached."""
+    try:
+        source = SOURCE.read_bytes()
+    except OSError as exc:
+        raise ImportError(f"cannot read the gfl C kernels: {exc}") from exc
+    key = hashlib.sha256(source + b"\0" + shlex.join(COMMAND).encode()).hexdigest()
+    path = SOURCE.parent / "__pycache__" / f"_kernels-{key[:16]}.so"
+    if path.exists():
+        return path
+    try:
+        path.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".so")
+        os.close(fd)
+    except OSError as exc:
+        raise ImportError(f"cannot build the gfl C kernels in {path.parent}: {exc}") from exc
+    cmd = [*COMMAND, "-o", tmp, str(SOURCE)]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise ImportError(
+                f"cannot build the gfl C kernels: {shlex.join(cmd)} exited with status "
+                f"{proc.returncode}:\n{proc.stderr.strip()}"
+            )
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ImportError(f"cannot build the gfl C kernels: {shlex.join(cmd)}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+lib = ctypes.CDLL(str(_build()))
+
+_IN = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_OUT = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_N = ctypes.c_ssize_t
+_F = ctypes.c_double
+
+lib.gfl_square_path.argtypes = (_IN, _N, _F, _OUT, _OUT)
+lib.gfl_square_path.restype = ctypes.c_int
+lib.gfl_quantile_path.argtypes = (_IN, _N, _F, _F, _OUT, _OUT)
+lib.gfl_quantile_path.restype = ctypes.c_int
+lib.gfl_kkt_bands.argtypes = (_IN, _IN, _IN, _N, _F, _F, _OUT, _OUT)
+lib.gfl_kkt_bands.restype = ctypes.c_double
+lib.gfl_kkt_dual.argtypes = (_IN, _IN, _IN, _IN, _N, _OUT)
+lib.gfl_kkt_dual.restype = None

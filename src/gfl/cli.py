@@ -50,7 +50,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _write_json(path: str, payload: dict, config_hash: str) -> None:
     payload = {"version": __version__, "config_hash": config_hash} | payload
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise GflError(f"not writing {path}: {exc}") from exc
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path: str, header: str, rows, config_hash: str) -> None:

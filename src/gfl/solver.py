@@ -8,16 +8,15 @@ The algorithm is forward-backward message passing on the chain: the running
 message is a convex function of theta_i whose derivative is maintained
 explicitly.  Each step adds the data term and then "clips" the derivative to
 [-lam, +lam], which is exactly the infimal convolution with lam*|.|, and
-records the clip window.  Each loss has its own forward loop with the message
-state in local variables:
+records the clip window.  Each loss has its own forward loop:
 
-- square loss (``_square_forward``): the derivative is piecewise linear, its
-  knots and per-interval coefficients kept in three ``collections.deque``s
-  relative to a global affine offset, so clipping pops and pushes at either
-  end in O(1);
-- quantile loss (``_quantile_forward``): the derivative is a step function,
-  its breakpoints and jumps kept in two sorted lists that take each data
-  point by ``bisect_left`` and ``list.insert``.
+- square loss (``square_forward`` in ``_kernels.c``): the derivative is
+  piecewise linear, its knots and per-interval coefficients kept relative to
+  a global affine offset in three arrays of length 2n that start in the
+  middle, so clipping pops and pushes at either end in O(1);
+- quantile loss (``quantile_forward``): the derivative is a step function,
+  its breakpoints and jumps kept in two sorted arrays that take each data
+  point by a binary search and a ``memmove``.
 
 Both keep only live knots or breakpoints: clipping deletes what it passes
 from the two ends, so nothing depends on how many entries were ever deleted.
@@ -31,36 +30,43 @@ picks one dual vector z inside the bands.  ``solve`` runs only the forward
 pass; it keeps the bands, and the backward pass runs on the first read of
 ``FusedLassoSolution.dual_z``.
 
-Hot loops run on Python floats.  Every per-element loop (the DP, its backward
-clamp, and both passes of the certificate) iterates over a ``memoryview`` of
-each input array, built once at the boundary (per-edge constants are
-precomputed with ``np.where``), collects its per-step outputs in
-``array("d")``, and converts them back to an ndarray once.  A memoryview hands
-out Python floats without the 32 bytes per element a ``tolist()`` copy would
-hold.  Indexing an ndarray inside the loop would hand out ``np.float64``
-scalars instead, and every ``+``, comparison and ``max`` on those costs
-several times the float one; the arithmetic is the same either way, so the
-results are bit-identical.  For the
-same reason a two-way ``max(a, b)`` is written as the comparison
-``b if b > a else a`` (and ``min(a, b)`` as ``b if b < a else a``), or as
-``if b > a: a = b`` in a clamp: that is exactly what the builtin returns, ties
-and signed zeros included, without the cost of a builtin call.
+The per-element loops (both forward passes, the backward clamp, and both
+passes of the certificate) are C functions in ``_kernels.c``, which
+``_kernels.py`` compiles at the first import and loads with ``ctypes``.  Each
+does the operations of its reference loop in ``tests/solver_reference.py``,
+in the same order: the same sums, products and quotients
+(``(0.0 - ic) / sl``, not ``-ic / sl``, so that a zero crossing is +0.0),
+every two-way ``max(a, b)`` as the comparison ``b if b > a else a`` that
+Python's builtin makes (``min`` likewise), ties and signed zeros included,
+and a search that is ``bisect_left``'s loop.  The file is compiled with
+``-ffp-contract=off`` and without ``-ffast-math`` or ``-march``, so the
+compiler may not fuse a multiply and an add into one rounding or reorder an
+operation: IEEE double arithmetic in a fixed order gives the same bits in C
+as in Python, and ``theta_hat``, ``kkt_residual`` and ``dual_z`` are bit for
+bit the reference's.
+Arrays cross the boundary as contiguous float64 ndarrays; the wrappers here
+allocate every output and scratch buffer, so the C code allocates nothing.
+
+The solver works in float64, so ``FusedLassoProblem`` rejects a problem whose
+scale lambda + n*max|y| exceeds 2^1020: the square DP's running offset is a
+sum of n data points, and each intermediate stays within a few times that
+scale.  ``solve`` rejects a fit whose objective overflows.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError, GflError
 
-_INF = math.inf
+# lambda + n*max|y| bound: the DP's and the certificate's sums stay below
+# a few times this, and float64 overflows at 2^1024.
+_MAX_SCALE = 2.0**1020
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +80,17 @@ class FusedLassoProblem:
         object.__setattr__(self, "y", y)
         if y.ndim != 1 or y.size < 1:
             raise ConfigError("y must be a nonempty 1D vector")
-        if not np.all(np.isfinite(y)):
+        y_max = float(np.max(np.abs(y)))
+        if not math.isfinite(y_max):
             raise ConfigError("y contains non-finite values")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError("lambda must be finite and nonnegative")
+        if not self.lam + y.size * y_max <= _MAX_SCALE:
+            raise ConfigError(
+                f"lambda + n*max|y| = {self.lam:g} + {y.size}*{y_max:g} exceeds 2^1020"
+                f" ({_MAX_SCALE:.4g}), the largest scale the float64 solver takes;"
+                " rescale y and lambda"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,212 +120,39 @@ def objective(y, lam, loss, theta) -> float:
     return fit + lam * tv
 
 
-def _square_forward(ys, lam, lo_append, hi_append) -> float:
-    """Forward pass for the square loss; returns theta_n.
-
-    The message derivative is piecewise linear: knots ``xs`` and one
-    coefficient pair per interval in ``ca``/``cb`` (one more than there are
-    knots), the derivative on an interval being (ca + A)*x + (cb + B).  The
-    data term 0.5*(x - y)^2 only moves the global offset (A, B), and clipping
-    pops what it passes from either end, so each step is O(1) amortized.
-    """
-    xs = deque()
-    ca = deque((0.0,))
-    cb = deque((0.0,))
-    A = B = 0.0
-    neg_lam = -lam
-    for yi in ys[:-1]:
-        A += 1.0
-        B -= yi
-        # smallest x with derivative(x+) >= -lam; the left tail becomes -lam
-        floor_x = -_INF
-        while True:
-            sl = ca[0] + A
-            ic = cb[0] + B
-            if sl > 0.0:
-                u = (neg_lam - ic) / sl
-            elif ic >= neg_lam:
-                u = -_INF
-            else:
-                u = _INF
-            if u <= (xs[0] if xs else _INF):
-                if floor_x > u:
-                    u = floor_x
-                break
-            if not xs:
-                raise GflError("derivative stays below target; objective not coercive")
-            floor_x = xs.popleft()
-            ca.popleft()
-            cb.popleft()
-        if u != -_INF:
-            if xs and xs[0] == u:
-                ca[0] = -A
-                cb[0] = neg_lam - B
-            else:
-                xs.appendleft(u)
-                ca.appendleft(-A)
-                cb.appendleft(neg_lam - B)
-        lo_append(u)
-        # smallest x with derivative >= lam on [x, inf); the right tail
-        # becomes lam
-        ceil_x = _INF
-        while True:
-            sl = ca[-1] + A
-            ic = cb[-1] + B
-            if sl > 0.0:
-                u = (lam - ic) / sl
-            elif ic >= lam:
-                u = -_INF
-            else:
-                u = _INF
-            if u >= (xs[-1] if xs else -_INF):
-                if ceil_x < u:
-                    u = ceil_x
-                break
-            if not xs:
-                raise GflError("derivative stays above target; objective not coercive")
-            ceil_x = xs.pop()
-            ca.pop()
-            cb.pop()
-        if u != _INF:
-            if xs and xs[-1] == u:
-                ca[-1] = -A
-                cb[-1] = lam - B
-            else:
-                xs.append(u)
-                ca.append(-A)
-                cb.append(lam - B)
-        hi_append(u)
-    # theta_n: the left crossing of 0.  It is (0.0 - ic) / sl, not -ic / sl,
-    # so that a crossing at zero is +0.0.
-    A += 1.0
-    B -= ys[-1]
-    floor_x = -_INF
-    while True:
-        sl = ca[0] + A
-        ic = cb[0] + B
-        if sl > 0.0:
-            u = (0.0 - ic) / sl
-        elif ic >= 0.0:
-            u = -_INF
-        else:
-            u = _INF
-        if u <= (xs[0] if xs else _INF):
-            return floor_x if floor_x > u else u
-        if not xs:
-            raise GflError("derivative stays below target; objective not coercive")
-        floor_x = xs.popleft()
-        ca.popleft()
-        cb.popleft()
-
-
-def _quantile_forward(ys, lam, tau, lo_append, hi_append) -> float:
-    """Forward pass for the quantile loss; returns theta_n.
-
-    The message derivative is a nondecreasing step function: sorted
-    breakpoints ``bp`` with positive jumps ``jm``, value ``c0`` left of every
-    breakpoint and ``clast`` right of every one.  Each data point inserts a
-    unit jump in sorted order, and clipping deletes the breakpoints it passes
-    from either end, so only live breakpoints are kept.  Each step clips the
-    message of the previous data point, then adds its own.
-    """
-    bp = [ys[0]]
-    jm = [1.0]
-    c0 = -tau
-    clast = c0 + 1.0
-    neg_lam = -lam
-    for yi in ys[1:]:
-        # smallest x with derivative(x+) >= -lam; the left tail becomes -lam
-        if c0 >= neg_lam:
-            lo_append(-_INF)
-        else:
-            c = c0
-            h = 0
-            nb = len(bp)
-            while h < nb and c < neg_lam:
-                c += jm[h]
-                h += 1
-            if c < neg_lam:
-                raise GflError("derivative stays below target; objective not coercive")
-            h -= 1  # keep the crossing breakpoint with an adjusted jump
-            jm[h] = c - neg_lam
-            if h:
-                del bp[:h]
-                del jm[:h]
-            c0 = neg_lam
-            lo_append(bp[0])
-        # smallest x with derivative >= lam on [x, inf); the right tail
-        # becomes lam
-        if clast <= lam:
-            hi_append(_INF)
-        else:
-            c = clast
-            k = len(bp) - 1
-            while k > 0 and c - jm[k] >= lam:
-                c -= jm[k]
-                k -= 1
-            # the piece left of bp[k] is below lam (or k == 0): crossing at bp[k]
-            jm[k] = lam - (c - jm[k])
-            if jm[k] < 0.0:
-                raise GflError("inconsistent step message")
-            if k + 1 < len(bp):
-                del bp[k + 1 :]
-                del jm[k + 1 :]
-            clast = lam
-            hi_append(bp[k])
-        c0 -= tau
-        clast -= tau
-        pos = bisect_left(bp, yi)
-        if pos < len(bp) and bp[pos] == yi:
-            jm[pos] += 1.0
-        else:
-            bp.insert(pos, yi)
-            jm.insert(pos, 1.0)
-        clast += 1.0
-    # theta_n: the left crossing of 0
-    if c0 >= 0.0:
-        return -_INF
-    c = c0
-    for x, j in zip(bp, jm):
-        c += j
-        if c >= 0.0:
-            return x
-    raise GflError("derivative stays below target; objective not coercive")
+# The kernels' status codes (``_kernels.c``), as the errors they stand for.
+_STATUS = {
+    1: "derivative stays below target; objective not coercive",
+    2: "derivative stays above target; objective not coercive",
+    3: "inconsistent step message",
+    4: "unbounded objective",
+}
 
 
 def _solve_path(y, lam, loss):
     """Run the DP; returns theta (smallest-optimal tie-breaking)."""
-    y = np.asarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if lam == 0.0:
         return y.copy()
-
-    ys = memoryview(y)
-    lo = array("d")
-    hi = array("d")
+    n = y.size
+    theta = np.empty(n)
     if loss.kind == "square":
-        t = _square_forward(ys, lam, lo.append, hi.append)
+        status = _kernels.lib.gfl_square_path(y, n, float(lam), theta, np.empty(8 * n))
     else:
-        t = _quantile_forward(ys, lam, loss.tau, lo.append, hi.append)
-
-    if not math.isfinite(t):
-        raise GflError("unbounded objective")
-    # backward clamp, written from theta_n down to theta_1
-    theta = array("d", (t,))
-    for l, h in zip(reversed(lo), reversed(hi)):
-        if l > t:
-            t = l
-        if h < t:
-            t = h
-        theta.append(t)
-    return np.frombuffer(theta)[::-1].copy()
+        status = _kernels.lib.gfl_quantile_path(
+            y, n, float(lam), float(loss.tau), theta, np.empty(4 * n)
+        )
+    if status:
+        raise GflError(_STATUS[status])
+    return theta
 
 
 def _kkt_bands(problem: FusedLassoProblem, theta):
     """Forward pass of the certificate: the residual and the dual bands.
 
     Returns ``(resid, (g_lo, g_hi, band_lo, band_hi))``: the stationarity
-    bounds of each element as ndarrays and the feasible band of each interior
-    edge's z as ``array("d")``, which is all ``_kkt_dual`` reads.
+    bounds of each element and the feasible band of each interior edge's z,
+    all as ndarrays, which is all ``_kkt_dual`` reads.
     """
     y, lam, loss = problem.y, problem.lam, problem.loss
     theta = np.asarray(theta, dtype=float)
@@ -321,58 +161,21 @@ def _kkt_bands(problem: FusedLassoProblem, theta):
     r = y - theta
     g_lo = -np.atleast_1d(loss.rho_plus(r))
     g_hi = -np.atleast_1d(loss.rho_minus(r))
-    # z_i = lam on an upward jump, -lam on a downward one, free in [-lam, lam]
-    # on a flat edge; z_n = 0 closes the chain.
-    a_lo = memoryview(np.append(np.where(theta[1:] > theta[:-1], lam, -lam), 0.0))
-    a_hi = memoryview(np.append(np.where(theta[1:] < theta[:-1], -lam, lam), 0.0))
-
-    resid = 0.0
-    zlo, zhi = 0.0, 0.0
-    band_lo = array("d")
-    band_hi = array("d")
-    for gl, gh, alo, ahi in zip(memoryview(g_lo), memoryview(g_hi), a_lo, a_hi):
-        zlo += gl
-        if alo > zlo:
-            zlo = alo
-        zhi += gh
-        if ahi < zhi:
-            zhi = ahi
-        if zlo > zhi:
-            gap = zlo - zhi
-            if gap > resid:
-                resid = gap
-            zlo = zhi = 0.5 * (zlo + zhi)
-        band_lo.append(zlo)
-        band_hi.append(zhi)
-    # the last band only closed the chain
-    del band_lo[-1], band_hi[-1]
+    n = y.size
+    band_lo = np.empty(n - 1)
+    band_hi = np.empty(n - 1)
+    # -lam is computed here, not in C: it is +0.0 for an integer lam of 0
+    resid = _kernels.lib.gfl_kkt_bands(
+        np.ascontiguousarray(theta), g_lo, g_hi, n, float(lam), float(-lam), band_lo, band_hi
+    )
     return resid, (g_lo, g_hi, band_lo, band_hi)
 
 
 def _kkt_dual(g_lo, g_hi, band_lo, band_hi) -> np.ndarray:
-    """Backward pass of the certificate: one z per interior edge.
-
-    Runs from z_n = 0, pairing element i's bounds with band i - 1; z is
-    written from z_{n-1} down to z_1.
-    """
-    z = array("d")
-    cur = 0.0
-    gls = reversed(memoryview(g_lo))
-    ghs = reversed(memoryview(g_hi))
-    for gl, gh, blo, bhi in zip(gls, ghs, reversed(band_lo), reversed(band_hi)):
-        wlo = cur - gh
-        whi = cur - gl
-        slo = wlo if wlo > blo else blo
-        shi = whi if whi < bhi else bhi
-        if slo > shi:
-            cur = 0.5 * (slo + shi)
-            slo, shi = blo, bhi
-        if slo > cur:
-            cur = slo
-        if shi < cur:
-            cur = shi
-        z.append(cur)
-    return np.frombuffer(z)[::-1].copy()
+    """Backward pass of the certificate: one z per interior edge."""
+    z = np.empty(band_lo.size)
+    _kernels.lib.gfl_kkt_dual(g_lo, g_hi, band_lo, band_hi, g_lo.size, z)
+    return z
 
 
 def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
@@ -390,7 +193,13 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
 def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
     theta = _solve_path(problem.y, problem.lam, problem.loss)
     resid, state = _kkt_bands(problem, theta)
-    obj = objective(problem.y, problem.lam, problem.loss, theta)
+    with np.errstate(over="ignore"):
+        obj = objective(problem.y, problem.lam, problem.loss, theta)
+    if not math.isfinite(obj):
+        raise GflError(
+            f"the objective at the fit overflows float64 (max {np.finfo(float).max:.4g});"
+            " rescale y and lambda"
+        )
     return FusedLassoSolution(
         theta_hat=theta, kkt_residual=resid, objective_value=obj, _kkt_state=state
     )

@@ -7,7 +7,8 @@ an ndarray (so every operation is a ``np.float64`` one) and every per-step
 output is written into one.  ``solve_path`` drives the message classes
 ``_QuadMessage`` and ``_StepMessage`` that the package's DP used before each
 loss got its own inlined loop, so ``test_solver_reference.py`` checks the
-package's loops against the original class-based arithmetic, bit for bit.
+package's C kernels (``gfl/_kernels.c``) against the original class-based
+arithmetic, bit for bit.
 
 The messages' ``add_abs`` and the ``a``/``b`` parameters of ``solve_path``
 add the boundary terms lam*(|theta_1 - a| + |theta_m - b|); only the tests

@@ -1,10 +1,12 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from gfl.cli import main
+from gfl.cli import _write_json, main
+from gfl.errors import GflError
 from gfl.losses import QuantileLoss
 from gfl.solver import FusedLassoProblem, solve
 
@@ -96,6 +98,27 @@ class TestSolveCommand:
         assert rc == 2
         assert "square loss takes no tau" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_beyond_float64_scale_exit_2(self, tmp_path, capsys):
+        """|y| near the float64 limit: exit 2 with a message, no numpy
+        warning, and no solution.json holding Infinity."""
+        inp = tmp_path / "y.csv"
+        inp.write_text("1e308\n-1e308\n1e308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--input", str(inp), "--lambda", "1", "--out-dir", str(out)])
+        assert rc == 2
+        assert "float64" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_non_finite_json_is_not_written(tmp_path):
+    path = tmp_path / "x.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(GflError, match="not writing"):
+            _write_json(str(path), {"value": bad}, "hash")
+        assert not path.exists()
 
 
 class TestBoundsCommand:

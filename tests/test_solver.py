@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfl.errors import ConfigError, GflError
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.signal import PiecewiseConstantSignal
 from gfl.solver import FusedLassoProblem, check_kkt, objective, solve
@@ -56,6 +59,24 @@ class TestLargeN:
         y = np.linspace(0, 100, 140000) + 0.01 * rng.standard_normal(140000)
         sol = solve(prob(y, lam, MED))
         assert sol.kkt_residual <= 1e-12
+
+
+class TestFloat64Scale:
+    """Inputs whose sums or objective leave float64 end in an error that says
+    so, not in a wrong message or a non-finite result."""
+
+    def test_sum_of_y_beyond_scale_is_rejected(self):
+        # the square DP's offset -sum(y) would overflow to -inf
+        with pytest.raises(ConfigError, match="float64"):
+            solve(prob([1e307] * 100, 1.0))
+
+    def test_objective_overflow_is_rejected(self):
+        # within scale, but the fit theta = 0 leaves residuals whose squares
+        # overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GflError, match="objective .* float64"):
+                solve(prob([1e200, -1e200], 1e300))
 
 
 class TestAugmented:

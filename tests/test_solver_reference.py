@@ -1,6 +1,5 @@
-"""The solver's inlined Python-float loops return the same bits as the
-class-based, numpy-scalar reference in ``solver_reference.py`` (signed zeros
-included)."""
+"""The solver's C kernels return the same bits as the class-based,
+numpy-scalar reference in ``solver_reference.py`` (signed zeros included)."""
 
 import itertools
 import math
@@ -81,10 +80,26 @@ def fixed_problems():
             yield draw_y(rng, shape, n), math.sqrt(n), loss
 
 
+def boundary_problems():
+    """Inputs that reach the C kernels in another form than a contiguous
+    float64 vector and a float lambda: a strided view, integer and float32
+    arrays, the shortest chains, lambda = 0 and a Python int lambda."""
+    rng = np.random.default_rng(20260124)
+    y = rng.normal(0.0, 2.0, 41)
+    for loss in (SquareLoss(), QuantileLoss(0.3)):
+        yield y[::2], 1.5, loss
+        yield rng.integers(-3, 4, 30), 1.0, loss
+        yield y.astype(np.float32), 2.0, loss
+        yield y[:1], 1.0, loss
+        yield y[:2], 0.5, loss
+        yield y, 0.0, loss
+        yield y, 3, loss
+
+
 def test_solve_matches_reference_bitwise():
     rng = np.random.default_rng(20260118)
     drawn = (draw_problem(rng, k) for k in range(2000))
-    for y, lam, loss in itertools.chain(drawn, fixed_problems()):
+    for y, lam, loss in itertools.chain(drawn, fixed_problems(), boundary_problems()):
         problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
         sol = solve(problem)
         theta = ref.solve_path(y, lam, loss)
