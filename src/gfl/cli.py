@@ -2,16 +2,20 @@
 
 Exit codes: 0 success, 2 config/input error, 3 mathematical precondition
 failure.  All outputs are written atomically (temp file + rename) and carry
-the package version and a config hash in their header.
+the package version and a config hash in their header.  The JSON files hold
+the bytes ``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by
+json's C encoder.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-import tempfile
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,9 +37,10 @@ def _make_out_dir(path: str) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(path) or "."
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+        # mode 0o666 less the umask, as open(path, "w") creates a file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
@@ -48,10 +53,94 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _c_encoder(item_separator: str):
+    """json's C encoder, one per item separator, so one per nesting level."""
+    return json.JSONEncoder(
+        sort_keys=True, allow_nan=False, separators=(item_separator, ": ")
+    ).encode
+
+
+def _flat(values) -> bool:
+    """Whether ``values`` hold no non-empty dict, list or tuple."""
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        return True
+    return not any(v for v in values if isinstance(v, _CONTAINERS))
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: str, or int, float, bool or None as a string."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _c_encoder(",")(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _table(rows, level: int) -> str | None:
+    """``rows`` encoded a column at a time, if they are non-empty flat dicts
+    (plain ``dict``s) sharing one set of str keys; None otherwise.
+
+    Each column is one C-encoder call with a NUL item separator (JSON text
+    never holds a raw NUL), and one ``%`` template lays out every row.
+    """
+    if set(map(type, rows)) != {dict} or len(set(map(len, rows))) != 1:
+        return None
+    if not rows[0] or not all(isinstance(k, str) for k in rows[0]):
+        return None
+    keys = sorted(rows[0])
+    try:
+        cols = [list(map(itemgetter(k), rows)) for k in keys]
+    except KeyError:  # rows of one size share their keys unless one is missing
+        return None
+    if not all(map(_flat, cols)):
+        return None
+    cells = [_c_encoder("\0")(col)[1:-1].split("\0") for col in cols]
+    row_indent, field_indent = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
+    body = ("," + row_indent).join(map(template.__mod__, zip(*cells)))
+    return "[" + row_indent + body + "\n" + "  " * level + "]"
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
+
+    With ``indent`` set, json runs its pure-Python encoder, one generator step
+    per element.  Here json's C encoder does the work: a container with no
+    non-empty container inside is one call whose item separator carries the
+    newline and indent of its level, a table (``_table``) is one call per
+    column, and only what remains recurses here, a container at a time.
+    """
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return _c_encoder(",")(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    indent = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if _flat(values):
+        text = _c_encoder("," + indent)(obj)
+        return text[0] + indent + text[1:-1] + close + text[-1]
+    if isinstance(obj, dict):
+        parts = [f"{_key(k)}: {_dumps(v, level + 1)}" for k, v in sorted(obj.items())]
+        return "{" + indent + ("," + indent).join(parts) + close + "}"
+    table = _table(obj, level)
+    if table is not None:
+        return table
+    return "[" + indent + ("," + indent).join(_dumps(v, level + 1) for v in obj) + close + "]"
+
+
 def _write_json(path: str, payload: dict, config_hash: str) -> None:
     payload = {"version": __version__, "config_hash": config_hash} | payload
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = _dumps(payload)
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise GflError(f"not writing {path}: {exc}") from exc
     _atomic_write(path, text + "\n")
@@ -287,9 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PreconditionError as exc:

@@ -56,6 +56,7 @@ scale.  ``solve`` rejects a fit whose objective overflows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,6 +68,7 @@ from .errors import ConfigError, GflError
 # lambda + n*max|y| bound: the DP's and the certificate's sums stay below
 # a few times this, and float64 overflows at 2^1024.
 _MAX_SCALE = 2.0**1020
+_SCALE_HELP = ", the largest scale the float64 solver takes; rescale y and lambda"
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +85,21 @@ class FusedLassoProblem:
         y_max = float(np.max(np.abs(y)))
         if not math.isfinite(y_max):
             raise ConfigError("y contains non-finite values")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError("lambda must be finite and nonnegative")
-        if not self.lam + y.size * y_max <= _MAX_SCALE:
+        lam = self.lam
+        # an int is finite and compares exactly, however large: its float
+        # conversion (for the sum below) could overflow, so compare it first
+        if not (
+            isinstance(lam, numbers.Real)
+            and (isinstance(lam, numbers.Integral) or math.isfinite(lam))
+            and lam >= 0
+        ):
+            raise ConfigError("lambda must be a finite, nonnegative real number")
+        if not lam <= _MAX_SCALE:
+            raise ConfigError(f"lambda exceeds 2^1020 ({_MAX_SCALE:.4g}){_SCALE_HELP}")
+        if not lam + y.size * y_max <= _MAX_SCALE:
             raise ConfigError(
-                f"lambda + n*max|y| = {self.lam:g} + {y.size}*{y_max:g} exceeds 2^1020"
-                f" ({_MAX_SCALE:.4g}), the largest scale the float64 solver takes;"
-                " rescale y and lambda"
+                f"lambda + n*max|y| = {lam:g} + {y.size}*{y_max:g} exceeds 2^1020"
+                f" ({_MAX_SCALE:.4g}){_SCALE_HELP}"
             )
 
 

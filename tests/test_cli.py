@@ -1,13 +1,17 @@
+import argparse
 import json
 import os
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
-from gfl.cli import _write_json, main
+from gfl import cli
+from gfl.cli import _write_json, build_parser, main
 from gfl.errors import GflError
 from gfl.losses import QuantileLoss
+from gfl.simulate import ExperimentSpec
 from gfl.solver import FusedLassoProblem, solve
 
 
@@ -353,3 +357,68 @@ def test_unwritable_out_dir_exit_2(tmp_path, command, first_file, capsys):
     assert main(argv + ["--out-dir", str(out)]) == 2
     assert f"cannot write {out / first_file}" in capsys.readouterr().err
     assert os.listdir(out) == [first_file]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_output_mode_is_what_open_creates(tmp_path, umask):
+    """Outputs get 0o666 less the umask, as a file open(path, "w") creates."""
+    old = os.umask(umask)
+    try:
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, small_config())]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("summary.json", "per_index.csv"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == want, name
+
+
+def test_parser_built_once_and_no_value_leaks(tmp_path, monkeypatch):
+    """main parses every call with one parser, and no argument of one call
+    reaches the next."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+
+    cfg = small_config()
+    path = write_config(tmp_path, cfg)
+    inp = tmp_path / "y.csv"
+    inp.write_text("0.0\n0.0\n10.0\n")
+
+    def simulate(out, *extra):
+        assert main(["simulate", "--config", path, *extra, "--out-dir", str(tmp_path / out)]) == 0
+        return json.loads((tmp_path / out / "summary.json").read_text())["config_hash"]
+
+    def solve_cmd(out, *extra):
+        argv = ["solve", "--input", str(inp), "--lambda", "1.0", *extra]
+        assert main(argv + ["--out-dir", str(tmp_path / out)]) == 0
+        return json.loads((tmp_path / out / "solution.json").read_text())
+
+    seeded = ExperimentSpec.from_config(cfg | {"seed": 5}).config_hash()
+    assert simulate("a", "--seed", "5") == seeded
+    assert simulate("b") == ExperimentSpec.from_config(cfg).config_hash()
+    assert solve_cmd("c", "--loss", "quantile", "--tau", "0.5")["tau"] == 0.5
+    # a tau left over from the call before would make the square loss exit 2
+    meta = solve_cmd("d")
+    assert (meta["loss"], meta["tau"]) == ("square", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(inp), "--lambda", "x"])
+    assert exc.value.code == 2
+    assert simulate("e") == ExperimentSpec.from_config(cfg).config_hash()
+    summary = "summary.json"
+    assert (tmp_path / "e" / summary).read_bytes() == (tmp_path / "b" / summary).read_bytes()
+
+    one_build = len(built)  # every parser the calls above made
+    build_parser()
+    assert len(built) == 2 * one_build
+    assert build_parser() is not build_parser()

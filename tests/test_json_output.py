@@ -1,19 +1,123 @@
-"""The JSON files gfl writes: their bytes.
+"""The JSON files gfl writes: the encoder behind them and their bytes.
 
-The ``summary.json`` of one small config per experiment is pinned by its
-SHA-256.
+``gfl.cli._dumps`` must give the bytes of
+``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, which stays
+here as the oracle, and the ``summary.json`` of one small config per
+experiment is pinned by its SHA-256.
 """
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfl.cli import main
+from gfl.cli import _dumps, main
 
 
 def oracle(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+# -- property test -----------------------------------------------------------
+
+_text = st.text(
+    st.characters(codec="utf-8", exclude_categories=["Cs"])
+    | st.sampled_from('%"\\\x00\x1f\x7f/é☃😀'),
+    max_size=6,
+)
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1]
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _floats,
+    _floats.map(np.float64),
+    _text,
+)
+_empty = st.sampled_from([[], {}, ()])
+# dict keys as json takes them: str, and int, float, bool or None converted
+_keys = _text | st.integers() | _floats | _floats.map(np.float64) | st.booleans() | st.none()
+
+
+def _rows(cell):
+    """Lists of dicts: a shared key set (a table) or one drawn per row."""
+    keys = st.lists(_text, min_size=1, max_size=4, unique=True)
+    shared = keys.flatmap(
+        lambda ks: st.lists(st.fixed_dictionaries({k: cell for k in ks}), min_size=1, max_size=5)
+    )
+    mixed = st.lists(st.dictionaries(_text, cell, max_size=4), min_size=1, max_size=5)
+    return shared | mixed
+
+
+def _nested(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(_text, children, max_size=5)
+        | _rows(children)
+    )
+
+
+_values = st.recursive(_scalars | _empty, _nested, max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values)
+def test_dumps_matches_json_dumps(obj):
+    assert _dumps(obj) == oracle(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_keys, _scalars | _empty, max_size=6))
+def test_dumps_converts_keys_as_json_does(obj):
+    deep = {k: {"v": [v]} for k, v in obj.items()}  # not flat: keys converted here
+    for o in (obj, deep, [obj, [1]]):
+        try:
+            want = oracle(o)
+        except TypeError:  # keys of mixed types do not sort
+            with pytest.raises(TypeError):
+                _dumps(o)
+        else:
+            assert _dumps(o) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rows(_scalars | _empty | _nested(_scalars)), st.integers(0, 3))
+def test_tables_at_any_depth(rows, depth):
+    obj = rows
+    for _ in range(depth):
+        obj = {"t": obj, "n": [1, [2]]}
+    assert _dumps(obj) == oracle(obj)
+
+
+def test_table_with_percent_and_control_keys():
+    rows = [{"%s": i, 'a"b': -0.0, "\x00": None, "é%%": [], "c": {}} for i in range(3)]
+    assert _dumps(rows) == oracle(rows)
+    assert _dumps({"per_index": rows}) == oracle({"per_index": rows})
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=["nan", "inf", "-inf", "np"]
+)
+def test_non_finite_raises_everywhere(bad):
+    for obj in (bad, [bad], {"a": [1, bad]}, [{"a": 1}, {"a": bad}], {bad: 1}, {"x": {bad: [1]}}):
+        with pytest.raises(ValueError):
+            oracle(obj)
+        with pytest.raises(ValueError):
+            _dumps(obj)
+
+
+def test_unencodable_raises_type_error():
+    for obj in ([np.int64(3)], {"a": [1, {"b": object()}]}, [{"a": 1}, {"a": {1, 2}}]):
+        with pytest.raises(TypeError):
+            _dumps(obj)
 
 
 # -- pinned summary.json bytes -----------------------------------------------
@@ -29,7 +133,7 @@ _BASE = {
 }
 
 # one small config per experiment; the digests were recorded with
-# json.dumps(..., indent=2)
+# json.dumps(..., indent=2), before summary.json went through _dumps
 _PINNED = {
     "pointwise": (
         {"experiment": "pointwise", "monitor": "all"},

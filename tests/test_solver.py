@@ -78,6 +78,20 @@ class TestFloat64Scale:
             with pytest.raises(GflError, match="objective .* float64"):
                 solve(prob([1e200, -1e200], 1e300))
 
+    def test_int_lambda_beyond_scale_is_rejected(self):
+        # 2^1020 is a float64, but lambda + n*max|y| is beyond the scale
+        with pytest.raises(ConfigError, match="lambda \\+ n\\*max\\|y\\| .* float64"):
+            prob([1e300] * 4, 2**1020)
+
+    def test_int_lambda_beyond_float64_is_rejected(self):
+        # 2^2000 has no float64 value; the scale bound rejects it as well
+        with pytest.raises(ConfigError, match="lambda exceeds 2\\^1020 .* float64"):
+            prob([1.0, 2.0], 2**2000)
+
+    def test_string_lambda_is_rejected(self):
+        with pytest.raises(ConfigError, match="finite, nonnegative real number"):
+            prob([1.0, 2.0], "3")
+
 
 class TestAugmented:
     def test_huge_lambda_pins_boundaries(self):
