@@ -68,7 +68,7 @@ def _nested(children):
 _values = st.recursive(_scalars | _empty, _nested, max_leaves=20)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_values)
 def test_dumps_matches_json_dumps(obj):
     assert _dumps(obj) == oracle(obj)
@@ -101,6 +101,21 @@ def test_table_with_percent_and_control_keys():
     rows = [{"%s": i, 'a"b': -0.0, "\x00": None, "é%%": [], "c": {}} for i in range(3)]
     assert _dumps(rows) == oracle(rows)
     assert _dumps({"per_index": rows}) == oracle({"per_index": rows})
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"a": 1, "b": 2}, {"a": 3, "c": 4}],  # one size, other keys
+        [{"a": 1}, {"a": 2, "b": 3}],
+        [{"a": 1}, {"a": [2]}],  # a cell that is not flat
+        [{"a": 1}, [1, 2]],
+        [{}, {}],
+        [{1: 2}, {1: 3}],
+    ],
+)
+def test_lists_that_are_not_tables(rows):
+    assert _dumps(rows) == oracle(rows)
 
 
 @pytest.mark.parametrize(
