@@ -1,9 +1,10 @@
-"""The JSON files gfl writes: the encoder behind them and their bytes.
+"""The files gfl writes: the JSON encoder behind them and their bytes.
 
 ``gfl.cli._dumps`` must give the bytes of
 ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, which stays
-here as the oracle, and the ``summary.json`` of one small config per
-experiment is pinned by its SHA-256.
+here as the oracle.  The ``summary.json`` of one small config per
+experiment, and every file of small ``simulate``, ``solve``, ``bounds`` and
+``lil`` runs, are pinned by their SHA-256.
 """
 
 import hashlib
@@ -200,3 +201,85 @@ def test_summary_json_bytes_pinned(tmp_path, name):
     data = (out / "summary.json").read_bytes()
     assert data.decode() == oracle(json.loads(data)) + "\n"
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# -- pinned bytes of every output file -----------------------------------------
+
+# the _PINNED configs, and a quantile lambda sweep whose bound preconditions
+# fail at 4 and 128: a CSV with empty bound cells
+_CONFIGS = {name: over for name, (over, _) in _PINNED.items()}
+_CONFIGS["lambda_sweep_null_bound"] = {
+    "experiment": "lambda_sweep",
+    "signal": {"values": [0.0, 1.0], "lengths": [256, 256]},
+    "noise": {"kind": "uniform", "scale": 1.0, "center_tau": 0.5},
+    "loss": {"kind": "quantile", "tau": 0.5},
+    "growth_L": 4.0,
+    "lambda_grid": [4.0, 16.0, 128.0],
+    "replications": 3,
+}
+
+
+def _cli_argv(tmp_path, name) -> list:
+    if name in _CONFIGS:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_BASE | _CONFIGS[name]))
+        return ["simulate", "--config", str(path)]
+    if name == "solve":
+        path = tmp_path / "y.csv"
+        path.write_text("0.1\n-3.25\n2.5\n2.5\n1e-07\n7.0\n")
+        return ["solve", "--input", str(path), "--lambda", "0.75"]
+    if name == "bounds":
+        return [
+            "bounds", "--signal-values", "0,1.5,0", "--signal-lengths", "8,5,7",
+            "--delta", "0.05", "--lambda", "4.0", "--growth-L", "12",
+        ]
+    return ["lil", "--delta", "0.1", "--horizon", "100", "--paths", "20", "--seed", "3"]
+
+
+# every file each run writes; the digests were recorded before the CSVs went
+# through one column writer
+_PINNED_FILES = {
+    "bounds": {
+        "bounds.csv": "c678b49f256bfc6d5ea712b1ab43cf1b2964133fe2b53d78af84928e7aecb77c",
+        "bounds.json": "9f8e2208d4b4a44af5002d299e2279788185a35cfe75f4cabbfb54bf7400d752",
+    },
+    "elementwise_quantile": {
+        "per_index.csv": "3f0cf4edb1946e3526d5b0ff517db269cae8a0d4fc7e2d72103a2c57d4347fa3",
+    },
+    "lambda_sweep": {
+        "plotdata_lambda_sweep.csv": "4e23d42709ba467576ab81c3480b0574e6a7b4fd902c190dfb3f136ad0917227",
+    },
+    "lambda_sweep_null_bound": {
+        "plotdata_lambda_sweep.csv": "1979df245ff7616f9788c1fb720a99ed2899f72787f54a13261d3ee4b82d8780",
+        "summary.json": "fb766f110cb9995146ee64b9c8103ab406a9611f8457ed3160673bf195733382",
+    },
+    "lil": {
+        "lil.csv": "bac16f791b9d403a5071b9b5abfc0f1efdafd019fe699c58a89ff33b2ac3f6e1",
+        "lil.json": "faefa8e924f3f97af4ba8d5c3fe2b91368f75b772d1bb14e3f6e963a66ed2c6d",
+    },
+    "pointwise": {
+        "per_index.csv": "1edfbff7fbfe0a369b88477b7133df95c49aad2c0b3bd7087c50d7b359d1c629",
+    },
+    "rate_sweep": {
+        "plotdata_d_sweep.csv": "d2fb59decfabf277662f3a48b853b2364a8a861613ec2df782221871ad3205e1",
+        "plotdata_n_sweep.csv": "c99149526260690111e014bebf65c27c5b8078fb4d8ea982a44a6ed9aafe3e8b",
+    },
+    "solve": {
+        "solution.csv": "8d6067ed179ab3ceb124d9d4b14c5ce66dc45ebd2b3e2b898315e8ce7877b8ef",
+        "solution.json": "4dbd9fa3d17384266324aff34816cb23f6d6c5243b3422215b7c742ee809d358",
+    },
+    "sse": {
+        "sse.csv": "f7543d226c988219e2351bc59d5454aef72b2f34f9adabaa4b1e63b25cf1225d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FILES))
+def test_output_file_bytes_pinned(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(_cli_argv(tmp_path, name) + ["--out-dir", str(out)]) == 0
+    want = dict(_PINNED_FILES[name])
+    if name in _PINNED:
+        want["summary.json"] = _PINNED[name][1]
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == want
