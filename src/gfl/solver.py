@@ -87,8 +87,9 @@ class FusedLassoProblem:
             raise ConfigError("y contains non-finite values")
         lam = self.lam
         # an int is finite and compares exactly, however large: its float
-        # conversion (for the sum below) could overflow, so compare it first
-        if not (
+        # conversion (for the sum below) could overflow, so compare it first;
+        # a bool is an Integral but no lambda
+        if isinstance(lam, bool) or not (
             isinstance(lam, numbers.Real)
             and (isinstance(lam, numbers.Integral) or math.isfinite(lam))
             and lam >= 0

@@ -92,6 +92,12 @@ class TestFloat64Scale:
         with pytest.raises(ConfigError, match="finite, nonnegative real number"):
             prob([1.0, 2.0], "3")
 
+    @pytest.mark.parametrize("lam", [True, False])
+    def test_bool_lambda_is_rejected(self, lam):
+        # bool is an int subclass: True would be solved as lambda 1
+        with pytest.raises(ConfigError, match="finite, nonnegative real number"):
+            prob([0.0, 1.0, 5.0], lam)
+
 
 class TestAugmented:
     def test_huge_lambda_pins_boundaries(self):
