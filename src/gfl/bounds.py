@@ -215,7 +215,6 @@ def sse_bound_quantile(
     delta: float,
     lam: float,
     L: float,
-    V: float | None = None,
     improved: bool = False,
     strict: bool = True,
 ) -> SseBound:
@@ -227,10 +226,8 @@ def sse_bound_quantile(
     _check_growth_L(L)
     _check_lambda(lam)
     _check_delta(delta, upper=DELTA_MAX * DELTA_MAX)
-    n, K = geometry.n, geometry.K
+    n, K, V = geometry.n, geometry.K, geometry.V
     m = geometry.segment_lengths
-    if V is None:
-        V = geometry.V
     lnd = math.log(n / delta)
     lln = math.log(math.log(2.0 * n))
     m_min = geometry.m_min
