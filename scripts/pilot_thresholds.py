@@ -3,7 +3,7 @@
 Runs a reduced-replication version of the two rate diagnostics (distance
 sweep and change-point inconsistency sweep) and writes the observed
 statistics plus the derived acceptance thresholds to
-src/gfl/calibration.json.  The full-scale experiments in the test suite
+tests/calibration.json.  The full-scale experiments in the test suite
 check against the thresholds stored there.
 
 Usage: python scripts/pilot_thresholds.py [--replications R] [--seed S]
@@ -68,7 +68,7 @@ def main() -> int:
     )
     payload["pilot_within_thresholds"] = ok
 
-    out = os.path.join(os.path.dirname(__file__), "..", "src", "gfl", "calibration.json")
+    out = os.path.join(os.path.dirname(__file__), "..", "tests", "calibration.json")
     with open(os.path.abspath(out), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -28,9 +28,7 @@ from solver_reference import (
 
 SQ = SquareLoss()
 MED = QuantileLoss(0.5)
-_CALIBRATION = os.path.join(
-    os.path.dirname(__file__), "..", "src", "gfl", "calibration.json"
-)
+_CALIBRATION = os.path.join(os.path.dirname(__file__), "calibration.json")
 
 
 def report(num, ok, detail):
