@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -146,10 +147,34 @@ def _write_json(path: str, payload: dict, config_hash: str) -> None:
     _atomic_write(path, text + "\n")
 
 
-def _write_csv(path: str, header: str, rows, config_hash: str) -> None:
-    lines = [f"# version={__version__} config_hash={config_hash}", header]
-    lines.extend(rows)
+def _cells(values):
+    """A CSV column's cells: an int or float as ``repr`` writes the Python
+    number, a bool as 0/1, None as an empty cell."""
+    a = np.asarray(values)
+    if a.dtype == bool:
+        a = a.view(np.uint8)
+    if a.dtype == object:  # a column holding None
+        return ("" if v is None else repr(v) for v in a.tolist())
+    # a memoryview hands out Python numbers, not numpy scalars
+    return map(repr, memoryview(a))
+
+
+def _write_csv(path: str, table: dict, config_hash: str) -> None:
+    """``table``, {column name: values}, as CSV; a column shorter than the
+    others ends in empty cells."""
+    rows = itertools.zip_longest(*map(_cells, table.values()), fillvalue="")
+    lines = [f"# version={__version__} config_hash={config_hash}", ",".join(table)]
+    lines.extend(map(",".join, rows))
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
+    """Write ``files``, {file name: content}, into ``out_dir`` in their order:
+    a ``.json`` name through ``_write_json``, any other as a CSV table."""
+    _make_out_dir(out_dir)
+    for name, content in files.items():
+        write = _write_json if name.endswith(".json") else _write_csv
+        write(os.path.join(out_dir, name), content, config_hash)
 
 
 def _read_values(path: str) -> np.ndarray:
@@ -166,10 +191,6 @@ def _read_values(path: str) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _cmd_solve(args) -> int:
     y = _read_values(args.input)
     loss = make_loss(args.loss, args.tau)
@@ -177,27 +198,17 @@ def _cmd_solve(args) -> int:
         {"cmd": "solve", "lambda": args.lam, "loss": args.loss, "tau": args.tau, "n": int(y.size)}
     )
     sol = solve(FusedLassoProblem(y=y, lam=args.lam, loss=loss))
-    _make_out_dir(args.out_dir)
-    # memoryviews hand out Python floats: no numpy scalar per CSV cell
-    cols = map(memoryview, (y, sol.theta_hat, sol.dual_z))
-    rows = [
-        f"{i},{_fmt(yi)},{_fmt(ti)},{_fmt(zi)}"
-        for i, (yi, ti, zi) in enumerate(zip(*cols), start=1)
-    ]
-    rows.append(f"{y.size},{_fmt(y[-1])},{_fmt(sol.theta_hat[-1])},")  # no edge after it
-    _write_csv(os.path.join(args.out_dir, "solution.csv"), "i,y,theta_hat,z", rows, cfg_hash)
-    _write_json(
-        os.path.join(args.out_dir, "solution.json"),
-        {
-            "objective": sol.objective_value,
-            "kkt_residual": sol.kkt_residual,
-            "lambda": args.lam,
-            "loss": args.loss,
-            "tau": args.tau,
-            "n": int(y.size),
-        },
-        cfg_hash,
-    )
+    # z has one value per edge, so the last row's z cell is empty
+    table = {"i": np.arange(1, y.size + 1), "y": y, "theta_hat": sol.theta_hat, "z": sol.dual_z}
+    summary = {
+        "objective": sol.objective_value,
+        "kkt_residual": sol.kkt_residual,
+        "lambda": args.lam,
+        "loss": args.loss,
+        "tau": args.tau,
+        "n": int(y.size),
+    }
+    _write_outputs(args.out_dir, {"solution.csv": table, "solution.json": summary}, cfg_hash)
     return 0
 
 
@@ -226,19 +237,16 @@ def _cmd_bounds(args) -> int:
     }
     cfg_hash = hash_config(cfg)
     report = bnd.bound_report(geom, params)
-    _make_out_dir(args.out_dir)
-    cols = (geom.k_of, geom.d, report.B, report.B_improved, report.B_quantile, report.applicable)
-    rows = [
-        f"{i},{k},{d},{_fmt(b)},{_fmt(b_imp)},{_fmt(b_q)},{int(ok)}"
-        for i, (k, d, b, b_imp, b_q, ok) in enumerate(zip(*map(memoryview, cols)), start=1)
-    ]
-    _write_csv(
-        os.path.join(args.out_dir, "bounds.csv"),
-        "i,k,d,B,B_improved,B_quantile,applicable",
-        rows,
-        cfg_hash,
-    )
-    payload = {
+    table = {
+        "i": np.arange(1, geom.n + 1),
+        "k": geom.k_of,
+        "d": geom.d,
+        "B": report.B,
+        "B_improved": report.B_improved,
+        "B_quantile": report.B_quantile,
+        "applicable": report.applicable,
+    }
+    summary = {
         "inputs": cfg,
         "n": geom.n,
         "K": geom.K,
@@ -248,7 +256,7 @@ def _cmd_bounds(args) -> int:
         "B_max": float(report.B.max()),
         "B_min": float(report.B.min()),
     }
-    _write_json(os.path.join(args.out_dir, "bounds.json"), payload, cfg_hash)
+    _write_outputs(args.out_dir, {"bounds.csv": table, "bounds.json": summary}, cfg_hash)
     return 0
 
 
@@ -264,18 +272,40 @@ def _cmd_lil(args) -> int:
         "seed": args.seed,
     }
     cfg_hash = hash_config(cfg)
-    t_grid = sorted(set(min(args.horizon, 2**e) for e in range(0, 64) if 2**e <= args.horizon))
+    t_grid = [2**e for e in range(args.horizon.bit_length())]  # the powers of 2 up to horizon
     res = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed, t_grid=t_grid)
-    _make_out_dir(args.out_dir)
     rq = res.pop("ratio_quantiles")
-    rows = [
-        f"{t}," + ",".join(_fmt(v) for v in vals)
-        for t, vals in zip(rq["t"], rq["values"])
-    ]
-    header = "t," + ",".join(f"ratio_q{int(q * 100)}" for q in rq["q"])
-    _write_csv(os.path.join(args.out_dir, "lil.csv"), header, rows, cfg_hash)
-    _write_json(os.path.join(args.out_dir, "lil.json"), {"inputs": cfg} | res, cfg_hash)
+    table = {"t": rq["t"]}
+    table.update((f"ratio_q{int(q * 100)}", col) for q, col in zip(rq["q"], zip(*rq["values"])))
+    _write_outputs(args.out_dir, {"lil.csv": table, "lil.json": {"inputs": cfg} | res}, cfg_hash)
     return 0
+
+
+def _columns(rows) -> dict:
+    """Rows, dicts sharing their keys, as {column name: values}; {} for no rows."""
+    return {c: [r[c] for r in rows] for c in rows[0]} if rows else {}
+
+
+# The CSV tables of each experiment's result, {file name: table}; an empty
+# table is not written.
+_EXPERIMENT_CSVS = {
+    "pointwise": lambda r: {"per_index.csv": _columns(r["per_index"])},
+    "elementwise_quantile": lambda r: {"per_index.csv": _columns(r["per_index"])},
+    "sse": lambda r: {
+        "sse.csv": {"replication": np.arange(len(r["sse_samples"])), "sse": r["sse_samples"]}
+    },
+    "rate_sweep": lambda r: {
+        "plotdata_d_sweep.csv": (
+            {c: r["d_sweep"][c] for c in ("d", "median_err")} if "d_sweep" in r else {}
+        ),
+        "plotdata_n_sweep.csv": _columns(r.get("n_sweep", {}).get("rows")),
+    },
+    "lambda_sweep": lambda r: {
+        "plotdata_lambda_sweep.csv": {
+            "lambda": r["lambda_grid"], "mean_sse": r["mean_sse"], "bound": r["bound"]
+        }
+    },
+}
 
 
 def _cmd_simulate(args) -> int:
@@ -293,46 +323,9 @@ def _cmd_simulate(args) -> int:
     spec = ExperimentSpec.from_config(cfg)
     _make_out_dir(args.out_dir)  # an unusable --out-dir fails before the run, not after
     result = run_experiment(spec)
-    cfg_hash = spec.config_hash()
-    _write_json(os.path.join(args.out_dir, "summary.json"), result, cfg_hash)
-
-    per_index = result.get("per_index")
-    if per_index:
-        cols = list(per_index[0].keys())
-        rows = [
-            ",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols)
-            for r in per_index
-        ]
-        _write_csv(os.path.join(args.out_dir, "per_index.csv"), ",".join(cols), rows, cfg_hash)
-    if "sse_samples" in result:
-        rows = [f"{i},{_fmt(v)}" for i, v in enumerate(result["sse_samples"])]
-        _write_csv(os.path.join(args.out_dir, "sse.csv"), "replication,sse", rows, cfg_hash)
-    if "d_sweep" in result:
-        ds = result["d_sweep"]
-        rows = [f"{d},{_fmt(m)}" for d, m in zip(ds["d"], ds["median_err"])]
-        _write_csv(os.path.join(args.out_dir, "plotdata_d_sweep.csv"), "d,median_err", rows, cfg_hash)
-    if "n_sweep" in result:
-        rows = [
-            f"{r['n']},{_fmt(r['lambda'])},{_fmt(r['median_err_change_point'])},{_fmt(r['median_err_interior'])}"
-            for r in result["n_sweep"]["rows"]
-        ]
-        _write_csv(
-            os.path.join(args.out_dir, "plotdata_n_sweep.csv"),
-            "n,lambda,median_err_change_point,median_err_interior",
-            rows,
-            cfg_hash,
-        )
-    if result.get("experiment") == "lambda_sweep":
-        rows = [
-            f"{_fmt(lam)},{_fmt(s)}," + ("" if b is None else _fmt(b))
-            for lam, s, b in zip(result["lambda_grid"], result["mean_sse"], result["bound"])
-        ]
-        _write_csv(
-            os.path.join(args.out_dir, "plotdata_lambda_sweep.csv"),
-            "lambda,mean_sse,bound",
-            rows,
-            cfg_hash,
-        )
+    tables = _EXPERIMENT_CSVS[result["experiment"]](result)
+    files = {"summary.json": result} | {name: t for name, t in tables.items() if t}
+    _write_outputs(args.out_dir, files, spec.config_hash())
     return 0
 
 
