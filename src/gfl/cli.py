@@ -200,7 +200,7 @@ def _cmd_solve(args) -> int:
     sol = solve(FusedLassoProblem(y=y, lam=args.lam, loss=loss))
     # z has one value per edge, so the last row's z cell is empty
     table = {"i": np.arange(1, y.size + 1), "y": y, "theta_hat": sol.theta_hat, "z": sol.dual_z}
-    summary = {
+    payload = {
         "objective": sol.objective_value,
         "kkt_residual": sol.kkt_residual,
         "lambda": args.lam,
@@ -208,7 +208,7 @@ def _cmd_solve(args) -> int:
         "tau": args.tau,
         "n": int(y.size),
     }
-    _write_outputs(args.out_dir, {"solution.csv": table, "solution.json": summary}, cfg_hash)
+    _write_outputs(args.out_dir, {"solution.csv": table, "solution.json": payload}, cfg_hash)
     return 0
 
 
@@ -246,7 +246,7 @@ def _cmd_bounds(args) -> int:
         "B_quantile": report.B_quantile,
         "applicable": report.applicable,
     }
-    summary = {
+    payload = {
         "inputs": cfg,
         "n": geom.n,
         "K": geom.K,
@@ -256,7 +256,7 @@ def _cmd_bounds(args) -> int:
         "B_max": float(report.B.max()),
         "B_min": float(report.B.min()),
     }
-    _write_outputs(args.out_dir, {"bounds.csv": table, "bounds.json": summary}, cfg_hash)
+    _write_outputs(args.out_dir, {"bounds.csv": table, "bounds.json": payload}, cfg_hash)
     return 0
 
 
