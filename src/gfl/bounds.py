@@ -9,7 +9,7 @@ growth constant L (quantile regression).  Logarithms are natural throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,11 +116,6 @@ def compute_B_quantile(i, geometry: SignalGeometry, delta: float, lam: float):
 class PointwiseBound:
     value: float | np.ndarray
     applicable: bool | np.ndarray
-    probability_raw: float
-    probability: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "probability", min(max(self.probability_raw, 0.0), 1.0))
 
 
 def elementwise_quantile_bound(
@@ -133,11 +128,7 @@ def elementwise_quantile_bound(
     """
     _check_growth_L(L)
     B = compute_B_quantile(i, geometry, delta, lam)
-    return PointwiseBound(
-        value=B / L,
-        applicable=B <= L,
-        probability_raw=1.0 - 2.0 * prob_const() * delta * delta,
-    )
+    return PointwiseBound(value=B / L, applicable=B <= L)
 
 
 def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
@@ -180,23 +171,14 @@ def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> Pointw
     _check_delta(delta)
     l1d = math.log(1.0 / delta)
     B = (math.log(math.log(2.0 * n)) + l1d) / lam + math.sqrt(l1d / n)
-    return PointwiseBound(
-        value=B / L,
-        applicable=B <= L,
-        probability_raw=1.0 - 2.0 * prob_const() * delta * delta,
-    )
+    return PointwiseBound(value=B / L, applicable=B <= L)
 
 
 @dataclass(frozen=True)
 class SseBound:
     bound: float
-    probability_raw: float
     terms: dict
     precondition_failures: tuple = ()
-    probability: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "probability", min(max(self.probability_raw, 0.0), 1.0))
 
 
 def _improved_lambda_sum(geometry: SignalGeometry) -> float:
@@ -263,10 +245,7 @@ def sse_bound_quantile(
     t5 = 2.0 * K * max(3.0, 12.0**4 / L2**2, 144.0 / (2.0 * L2) * lnd) * V * V
     terms = {"lil": t1, "inv_lambda_sq": t2, "segment_count": t3, "lambda_sq": t4, "range": t5}
     return SseBound(
-        bound=t1 + t2 + t3 + t4 + t5,
-        probability_raw=1.0 - 4.0 * prob_const() * delta,
-        terms=terms,
-        precondition_failures=tuple(failures),
+        bound=t1 + t2 + t3 + t4 + t5, terms=terms, precondition_failures=tuple(failures)
     )
 
 
@@ -297,11 +276,7 @@ def sse_bound_mean(
     else:
         t4 = 24.0 * lam * lam * sum(1.0 / mk for mk in m)
     terms = {"lil": t1, "inv_lambda_sq": t2, "segment_count": t3, "lambda_sq": t4}
-    return SseBound(
-        bound=t1 + t2 + t3 + t4,
-        probability_raw=1.0 - 4.0 * prob_const() * delta,
-        terms=terms,
-    )
+    return SseBound(bound=t1 + t2 + t3 + t4, terms=terms)
 
 
 def iterative_sum_check(m_list) -> tuple[float, float]:
@@ -319,14 +294,13 @@ def iterative_sum_check(m_list) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-index bound values for a signal, with echoed inputs.
+    """Per-index bound values for a signal.
 
-    Probabilities are the raw closed forms; ``probability`` clamps to [0, 1]
-    so vacuous regimes stay visible through ``probability_raw``.
+    ``pointwise_probability_raw`` is the closed-form guarantee level and
+    ``pointwise_probability`` the same clamped to [0, 1], so a vacuous regime
+    stays visible through the raw value.
     """
 
-    n: int
-    params: BoundParams
     B: np.ndarray
     B_improved: np.ndarray
     B_quantile: np.ndarray
@@ -352,8 +326,6 @@ def bound_report(geometry: SignalGeometry, params: BoundParams) -> BoundReport:
         applicable = np.zeros(n, dtype=bool)
     p_raw = 1.0 - prob_const() * params.delta**2
     return BoundReport(
-        n=n,
-        params=params,
         B=B,
         B_improved=Bi,
         B_quantile=Bq,

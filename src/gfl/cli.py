@@ -272,11 +272,8 @@ def _cmd_lil(args) -> int:
         "seed": args.seed,
     }
     cfg_hash = hash_config(cfg)
-    t_grid = [2**e for e in range(args.horizon.bit_length())]  # the powers of 2 up to horizon
-    res = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed, t_grid=t_grid)
-    rq = res.pop("ratio_quantiles")
-    table = {"t": rq["t"]}
-    table.update((f"ratio_q{int(q * 100)}", col) for q, col in zip(rq["q"], zip(*rq["values"])))
+    res = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed)
+    table = res.pop("ratio_quantiles")
     _write_outputs(args.out_dir, {"lil.csv": table, "lil.json": {"inputs": cfg} | res}, cfg_hash)
     return 0
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, UnsupportedModelError
 
@@ -103,6 +102,8 @@ class NoiseModel:
         x = np.asarray(x, dtype=float)
         s = self.scale
         if self.kind == "gaussian":
+            from scipy.special import ndtr  # here, so that importing gfl leaves scipy unloaded
+
             return ndtr(x / s)
         if self.kind == "uniform":
             return np.clip((x + s) / (2.0 * s), 0.0, 1.0)
@@ -124,6 +125,8 @@ class NoiseModel:
     def _base_quantile(self, p: float) -> float:
         s = self.scale
         if self.kind == "gaussian":
+            from scipy.special import ndtri
+
             return s * float(ndtri(p))
         if self.kind == "uniform":
             return s * (2.0 * p - 1.0)
@@ -142,9 +145,6 @@ class NoiseModel:
 
     def cdf(self, x):
         return self._base_cdf(np.asarray(x, dtype=float) + self.shift)
-
-    def pdf(self, x):
-        return self._base_pdf(np.asarray(x, dtype=float) + self.shift)
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
         s = self.scale

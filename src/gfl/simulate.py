@@ -164,6 +164,10 @@ class ExperimentSpec:
             self.lambda_value is None or not self.lambda_value >= 0
         ):
             raise ConfigError("fixed lambda rule requires a nonnegative value")
+        if self.lambda_rule != "fixed" and self.lambda_value is not None:
+            raise ConfigError(f"lambda rule {self.lambda_rule!r} takes no value")
+        if self.monitor == ():
+            raise ConfigError("monitor list is empty")
         if isinstance(self.monitor, str) and self.monitor not in _MONITOR_NAMES:
             raise ConfigError(f"unknown monitor set {self.monitor!r}")
         if self.d_grid and len(set(self.d_grid)) < 2:
@@ -378,6 +382,18 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
     } | _verdict(2.0 * bnd.prob_const() * spec.delta**2, worst, R)
 
 
+def _sse_bound(spec: ExperimentSpec, geom, lam: float, improved: bool, strict: bool = True):
+    """The sum-of-squares bound for the spec's loss: the quantile bound with
+    growth_L (``strict`` as in sse_bound_quantile), or the mean bound with the
+    noise's sub-Gaussian parameter, which has no preconditions to relax."""
+    if spec.loss.kind == "quantile":
+        return bnd.sse_bound_quantile(
+            geom, spec.delta, lam, spec.growth_L, improved=improved, strict=strict
+        )
+    sigma = spec.noise.sigma_for(spec.loss)
+    return bnd.sse_bound_mean(geom, spec.delta, lam, sigma, improved=improved)
+
+
 def run_sse(spec: ExperimentSpec) -> dict:
     """Frequency of {sum of squared errors > bound}, original and improved.
 
@@ -385,21 +401,13 @@ def run_sse(spec: ExperimentSpec) -> dict:
     every fitted value within B_uniform/L of the truth's range.
     """
     geom, theta_star, lam = _setup(spec)
+    # strict=False: evaluate the formula even when the lambda window fails,
+    # and surface the failures in the result instead of refusing
+    sse_orig = _sse_bound(spec, geom, lam, improved=False, strict=False)
+    sse_impr = _sse_bound(spec, geom, lam, improved=True, strict=False)
+    uni = None
     if spec.loss.kind == "quantile":
-        # strict=False: evaluate the formula even when the lambda window
-        # fails, and surface the failures in the result instead of refusing
-        sse_orig = bnd.sse_bound_quantile(
-            geom, spec.delta, lam, spec.growth_L, improved=False, strict=False
-        )
-        sse_impr = bnd.sse_bound_quantile(
-            geom, spec.delta, lam, spec.growth_L, improved=True, strict=False
-        )
         uni = bnd.uniform_quantile_bound(geom.n, math.sqrt(spec.delta), lam, spec.growth_L)
-    else:
-        sigma = spec.noise.sigma_for(spec.loss)
-        sse_orig = bnd.sse_bound_mean(geom, spec.delta, lam, sigma, improved=False)
-        sse_impr = bnd.sse_bound_mean(geom, spec.delta, lam, sigma, improved=True)
-        uni = None
 
     R = spec.replications
     sse_samples = np.empty(R)
@@ -527,15 +535,7 @@ def run_lambda_sweep(spec: ExperimentSpec) -> dict:
     bound_vals = []
     for lam in grid:
         try:
-            if spec.loss.kind == "quantile":
-                b = bnd.sse_bound_quantile(
-                    geom, spec.delta, lam, spec.growth_L, improved=spec.improved
-                )
-            else:
-                b = bnd.sse_bound_mean(
-                    geom, spec.delta, lam, spec.noise.sigma_for(spec.loss), improved=spec.improved
-                )
-            bound_vals.append(b.bound)
+            bound_vals.append(_sse_bound(spec, geom, lam, spec.improved).bound)
         except PreconditionError:
             bound_vals.append(None)
 

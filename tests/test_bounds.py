@@ -155,7 +155,6 @@ class TestApplicability:
         pb = elementwise_quantile_bound(2048, g, delta=0.05, lam=70.0, L=0.5)
         assert pb.applicable
         assert pb.value <= 1.0
-        assert pb.probability_raw == pytest.approx(1.0 - 2.0 * prob_const() * 0.05**2)
         near = elementwise_quantile_bound(4096, g, delta=0.05, lam=70.0, L=0.5)
         assert not near.applicable  # d = 1 at the change point
 
@@ -230,7 +229,6 @@ class TestSse:
             list(self.g.segment_lengths), list(self.g.eta), delta, lam, L, self.g.V
         )
         assert b.bound == pytest.approx(ref, rel=1e-12)
-        assert b.probability_raw == pytest.approx(1.0 - 4.0 * prob_const() * delta)
         assert sum(b.terms.values()) == pytest.approx(b.bound, rel=1e-12)
         bi = sse_bound_quantile(self.g, delta, lam, L, improved=True)
         refi = oracle.oracle_sse_quantile(
@@ -318,9 +316,9 @@ class TestSse:
         ratios = [b / a for a, b in zip(vals, vals[1:])]
         assert all(r < 2.0 for r in ratios)  # doubling n less than doubles the bound
 
-    def test_bound_and_probability_fields(self):
+    def test_bound_fields(self):
         b = sse_bound_mean(self.g, 1e-3, 300.0, 1.0)
-        assert b.bound > 0 and 0.0 <= b.probability <= 1.0
+        assert b.bound > 0 and b.precondition_failures == ()
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
     def test_lambda_must_be_positive(self, lam):

@@ -290,6 +290,9 @@ class TestSimulateCommand:
             {"signal": {"values": [0.0, 2.0], "lengths": [16, 16], "typo": 1}},
             {"noise": {"kind": "gaussian", "scale": 1.0, "centre_tau": 0.5}},
             {"noise": {"kind": "gaussian", "scale": 1.0, "foo": 3}},
+            # a value the rule would ignore, yet would still enter config_hash
+            {"lambda": {"rule": "sqrt_n_over_k", "value": 5}},
+            {"monitor": []},
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):

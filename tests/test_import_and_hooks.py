@@ -1,0 +1,75 @@
+"""What a fresh ``import gfl.cli`` loads, and the names perfbench's tracer
+patches (perfbench/tracing.py, read here without being changed)."""
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType, SimpleNamespace
+
+import gfl.bounds
+import gfl.cli
+import gfl.lil
+import gfl.losses
+import gfl.signal
+import gfl.simulate
+import gfl.solver
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special is most of gfl's import time; only tau-centred Gaussian
+    # noise needs it, and it loads at first use
+    code = "import sys, gfl.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def _tracing():
+    """perfbench/tracing.py as a module, compiled in memory so that no
+    bytecode is written beside it."""
+    path = _ROOT / "perfbench" / "tracing.py"
+    mod = ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def test_tracer_installs_and_restores(tmp_path):
+    tracing = _tracing()
+    g = SimpleNamespace(
+        cli=gfl.cli, solver=gfl.solver, simulate=gfl.simulate, losses=gfl.losses,
+        signal=gfl.signal, bounds=gfl.bounds, lil=gfl.lil,
+    )
+    targets = [(g.solver, n) for n in ("solve", "check_kkt", "objective")]
+    targets += [(g.simulate, "solve"), (g.signal, "compute_geometry")]
+    targets += [(g.cli, n) for n in ("solve", "run_experiment", "verify_paths")]
+    targets += [(g.bounds, n) for n in tracing.BOUNDS_FUNCS]
+    targets += [(g.losses.NoiseModel, "sample_rng"), (g.signal.PiecewiseConstantSignal, "expand")]
+    before = [getattr(obj, name) for obj, name in targets]
+    # the step counter reads verify_paths' first three positional parameters
+    params = list(inspect.signature(g.lil.verify_paths).parameters)
+    assert params[:3] == ["noise", "horizon", "paths"]
+    assert callable(g.signal.PiecewiseConstantSignal.from_record)
+
+    log, tracer = tracing.FitLog(), tracing.Tracer()
+    patches = tracing.install(g, log, tracer)
+    try:
+        assert all(getattr(obj, name) is not f for (obj, name), f in zip(targets, before))
+        argv = ["lil", "--delta", "0.1", "--horizon", "64", "--paths", "8", "--seed", "1"]
+        assert g.cli.main(argv + ["--out-dir", str(tmp_path / "lil")]) == 0
+        argv = ["bounds", "--signal-values", "0,1", "--signal-lengths", "8,8"]
+        argv += ["--delta", "0.1", "--lambda", "2", "--out-dir", str(tmp_path / "bounds")]
+        assert g.cli.main(argv) == 0
+    finally:
+        patches.restore()
+    assert [getattr(obj, name) for obj, name in targets] == before
+    assert tracer.counts["lil.steps"] == 64 * 8
+    assert tracer.counts["losses.draws"] == 64 * 8
+    assert tracer.counts["bounds.calls"] == 1
+    spans = {s[0] for s in tracer.spans}
+    assert {"lil.verify", "losses.sample", "bounds", "signal.geometry"} <= spans

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gfl import lil
 from gfl.errors import ConfigError, PreconditionError
 from gfl.lil import LilEnvelope, envelope, verify_paths
 from gfl.losses import NoiseModel
@@ -78,30 +79,31 @@ class TestVerifyPaths:
         assert res["violation_frequency"] <= res["probability_bound"] + res["binomial_slack"]
         assert 0.0 < res["max_ratio"] < 1.5
 
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         noise = NoiseModel(kind="gaussian", scale=1.0)
-        a = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4, chunk=64)
-        b = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4, chunk=64)
+        a = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4)
+        b = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4)
         assert a == b
         # chunking changes only memory layout, not the sample stream
-        c = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4, chunk=7)
-        assert c["violations"] == a["violations"]
-        assert c["max_ratio"] == a["max_ratio"]
+        monkeypatch.setattr(lil, "_CHUNK", 7)
+        c = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4)
+        assert c == a
 
     def test_ratio_quantiles_shape(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)
-        res = verify_paths(
-            noise, 64, 50, LilEnvelope(1.0, 0.1), seed=5, t_grid=[1, 8, 64]
-        )
+        res = verify_paths(noise, 64, 50, LilEnvelope(1.0, 0.1), seed=5)
         rq = res["ratio_quantiles"]
-        assert rq["t"] == [1, 8, 64]
-        assert len(rq["values"]) == 3 and len(rq["values"][0]) == 4
-        for row in rq["values"]:
+        assert list(rq) == ["t", "ratio_q50", "ratio_q90", "ratio_q99", "ratio_q100"]
+        assert rq["t"] == [1, 2, 4, 8, 16, 32, 64]
+        rows = list(zip(*list(rq.values())[1:]))
+        assert len(rows) == 7
+        for row in rows:
             assert all(a <= b + 1e-15 for a, b in zip(row, row[1:]))
+        # the grid is the powers of 2 up to the horizon
+        res = verify_paths(noise, 100, 3, LilEnvelope(1.0, 0.1), seed=5)
+        assert res["ratio_quantiles"]["t"][-1] == 64
 
     def test_bad_inputs(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)
         with pytest.raises(ConfigError):
             verify_paths(noise, 0, 10, LilEnvelope(1.0, 0.1), seed=1)
-        with pytest.raises(ConfigError):
-            verify_paths(noise, 10, 10, LilEnvelope(1.0, 0.1), seed=1, t_grid=[0, 5])

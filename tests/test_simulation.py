@@ -271,6 +271,16 @@ class TestConfig:
         spec = ExperimentSpec.from_config(base_config(monitor=[3, 1, 17]))
         assert spec.monitor == (3, 1, 17)
 
+    def test_empty_monitor_list_rejected(self):
+        with pytest.raises(ConfigError, match="monitor list is empty"):
+            ExperimentSpec.from_config(base_config(monitor=[]))
+
+    @pytest.mark.parametrize("rule", ["sqrt_n_over_k", "log_sqrt_n_over_k"])
+    def test_lambda_value_needs_fixed_rule(self, rule):
+        # the value would be ignored, yet would still enter config_hash
+        with pytest.raises(ConfigError, match=f"lambda rule '{rule}' takes no value"):
+            ExperimentSpec.from_config(base_config(**{"lambda": {"rule": rule, "value": 5}}))
+
 
 class TestLambdaAndMonitor:
     def test_resolve_lambda(self):
@@ -331,9 +341,7 @@ class TestRunners:
         assert res["monitored"] == [2048]  # deep interior index is admissible
         assert res["excluded_not_admissible"] == [4096]  # d = 1 at the jump
         assert res["per_index"][0]["bound"] <= 1.0
-        assert res["probability_bound_raw"] == pytest.approx(
-            2.0 * prob_const() * 0.05**2
-        )
+        assert res["probability_bound_raw"] == 2.0 * prob_const() * 0.05**2
 
     def test_elementwise_quantile_requires_growth(self):
         cfg = base_config(
@@ -359,6 +367,8 @@ class TestRunners:
         assert len(res["sse_samples"]) == 10
         assert res["sse_median"] <= res["sse_max"]
         assert res["freq_exceed_original"] == 0.0  # bound far above typical SSE
+        assert res["probability_bound_raw"] == 4.0 * prob_const() * 1e-3
+        assert res["probability_bound"] == res["probability_bound_raw"]
 
     def test_sse_quantile_reports_failed_preconditions(self):
         cfg = base_config(
@@ -375,7 +385,8 @@ class TestRunners:
         assert res["preconditions_hold"] is False
         conds = [f["condition"] for f in res["precondition_failures"]]
         assert any("lambda <=" in c for c in conds)
-        assert "uniform_range" in res
+        assert res["uniform_range"]["probability_bound"] == 2.0 * prob_const() * 1e-3
+        assert res["probability_bound_raw"] == 4.0 * prob_const() * 1e-3
         assert math.isfinite(res["bound_original"])
 
     def test_seed_changes_results(self):
