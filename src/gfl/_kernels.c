@@ -267,19 +267,36 @@ int gfl_quantile_path(const double *ys, ptrdiff_t n, double lam, double tau,
     return status ? status : backward_clamp(n, t, lo, hi, theta);
 }
 
-/* Forward pass of the certificate: propagates the feasible band of each
- * dual variable z_i (lam on an upward jump of theta, -lam on a downward one,
- * free in [-lam, lam] on a flat edge; z_n = 0 closes the chain) and returns
- * the largest gap met.  neg_lam is passed in, not computed, because it is
- * the caller's -lam: +0.0 for an integer lam of 0.  Writes the bands of the
- * n - 1 interior edges. */
-double gfl_kkt_bands(const double *theta, const double *g_lo, const double *g_hi,
-                     ptrdiff_t n, double lam, double neg_lam, double *band_lo,
-                     double *band_hi)
+/* Forward pass of the certificate.  state holds 4n - 2 doubles: the
+ * stationarity bounds g_lo and g_hi of each element (n each), then the bands
+ * band_lo and band_hi of the n - 1 interior edges.  The bounds are
+ * -rho'_+(r) and -rho'_-(r) at the residual r = y_i - theta_i, in the
+ * operations of the losses' numpy forms: -(r + 0.0) for the square loss (so
+ * r = -0.0 gives -0.0), and -tau or -(tau - 1.0), chosen by r >= 0 and by
+ * r > 0, for the quantile loss.  The pass then propagates the feasible band
+ * of each dual variable z_i (lam on an upward jump of theta, -lam on a
+ * downward one, free in [-lam, lam] on a flat edge; z_n = 0 closes the chain)
+ * and returns the largest gap met, or -1.0 if some theta_i is not finite.
+ * neg_lam is passed in, not computed, because it is the caller's -lam: +0.0
+ * for an integer lam of 0. */
+double gfl_kkt_bands(const double *y, const double *theta, ptrdiff_t n, int quantile,
+                     double tau, double lam, double neg_lam, double *state)
 {
-    double resid = 0.0, zlo = 0.0, zhi = 0.0, alo, ahi, gap;
+    double *g_lo = state, *g_hi = state + n;
+    double *band_lo = state + 2 * n, *band_hi = band_lo + (n - 1);
+    double resid = 0.0, zlo = 0.0, zhi = 0.0, alo, ahi, gap, r;
+    double g_pos = -tau, g_neg = -(tau - 1.0);
 
     for (ptrdiff_t i = 0; i < n; i++) {
+        if (!isfinite(theta[i]))
+            return -1.0;
+        r = y[i] - theta[i];
+        if (quantile) {
+            g_lo[i] = r >= 0.0 ? g_pos : g_neg;
+            g_hi[i] = r > 0.0 ? g_pos : g_neg;
+        } else {
+            g_lo[i] = g_hi[i] = -(r + 0.0);
+        }
         if (i < n - 1) {
             alo = theta[i + 1] > theta[i] ? lam : neg_lam;
             ahi = theta[i + 1] < theta[i] ? neg_lam : lam;
@@ -307,12 +324,13 @@ double gfl_kkt_bands(const double *theta, const double *g_lo, const double *g_hi
     return resid;
 }
 
-/* Backward pass of the certificate: one z per interior edge.  Runs from
- * z_n = 0, pairing element i's bounds with band i - 1; z is written from
- * z_{n-1} down to z_1. */
-void gfl_kkt_dual(const double *g_lo, const double *g_hi, const double *band_lo,
-                  const double *band_hi, ptrdiff_t n, double *z)
+/* Backward pass of the certificate: one z per interior edge, from the state
+ * the forward pass wrote.  Runs from z_n = 0, pairing element i's bounds
+ * with band i - 1; z is written from z_{n-1} down to z_1. */
+void gfl_kkt_dual(const double *state, ptrdiff_t n, double *z)
 {
+    const double *g_lo = state, *g_hi = state + n;
+    const double *band_lo = state + 2 * n, *band_hi = band_lo + (n - 1);
     double cur = 0.0, wlo, whi, slo, shi, blo, bhi;
 
     for (ptrdiff_t i = n - 1; i > 0; i--) {

@@ -8,8 +8,12 @@ that is there.  A build is written to a temporary file and published with
 half-written library.  If the compiler is missing or fails, importing this
 module raises ``ImportError`` with the command and the compiler's output.
 
-``ctypes`` checks each array argument's dtype and contiguity (and that an
-output is writable); the callers in ``solver.py`` size the arrays.
+Every array crosses as a raw pointer (``c_void_p``), which ``ctypes`` does
+not check.  The wrappers in ``solver.py`` pass ``.ctypes.data`` only of
+arrays they have just allocated with ``np.empty`` or made with
+``np.ascontiguousarray(..., dtype=np.float64)``, so each is a contiguous
+float64 array, every output a fresh writable one; they size every array and
+hold a reference to each for the length of the call.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 # -ffp-contract=off keeps every a*b + c two roundings, as in Python; with no
@@ -73,16 +75,15 @@ def _build() -> Path:
 
 lib = ctypes.CDLL(str(_build()))
 
-_IN = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_OUT = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_P = ctypes.c_void_p
 _N = ctypes.c_ssize_t
 _F = ctypes.c_double
 
-lib.gfl_square_path.argtypes = (_IN, _N, _F, _OUT, _OUT)
+lib.gfl_square_path.argtypes = (_P, _N, _F, _P, _P)
 lib.gfl_square_path.restype = ctypes.c_int
-lib.gfl_quantile_path.argtypes = (_IN, _N, _F, _F, _OUT, _OUT)
+lib.gfl_quantile_path.argtypes = (_P, _N, _F, _F, _P, _P)
 lib.gfl_quantile_path.restype = ctypes.c_int
-lib.gfl_kkt_bands.argtypes = (_IN, _IN, _IN, _N, _F, _F, _OUT, _OUT)
+lib.gfl_kkt_bands.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _F, _P)
 lib.gfl_kkt_bands.restype = ctypes.c_double
-lib.gfl_kkt_dual.argtypes = (_IN, _IN, _IN, _IN, _N, _OUT)
+lib.gfl_kkt_dual.argtypes = (_P, _N, _P)
 lib.gfl_kkt_dual.restype = None

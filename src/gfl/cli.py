@@ -178,10 +178,12 @@ def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
 
 
 def _read_values(path: str) -> np.ndarray:
-    # one decimal value per line, no header
+    # one decimal value per line, no header.  Lines end only at a newline:
+    # str.splitlines would also split at \x0c, \x1c, \u2028 and others, and
+    # so accept a line such as "1\x0c2" as two values.
     try:
         with open(path) as fh:
-            vals = [float(line.strip()) for line in fh if line.strip()]
+            vals = list(map(float, filter(None, map(str.strip, fh.read().split("\n")))))
     except OSError as exc:
         raise ConfigError(f"cannot read input file {path}: {exc}") from exc
     except ValueError as exc:

@@ -318,23 +318,22 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
                 cross_check_ok = False
 
     p_bound = bnd.prob_const() * spec.delta**2
-    rows = []
-    worst = 0.0
-    for j, i in enumerate(idx):
-        f_lo = lower_hits[j] / R
-        f_hi = upper_hits[j] / R
-        worst = max(worst, f_lo, f_hi)
-        rows.append(
-            {
-                "i": int(i),
-                "k": int(geom.k_of[i - 1]),
-                "d": int(geom.d[i - 1]),
-                "B": B[j],
-                "freq_lower": f_lo,
-                "freq_upper": f_hi,
-                "mean_abs_err": abs_err_sum[j] / R,
-            }
+    # each column divided once, then read as Python numbers
+    f_lo = (lower_hits / R).tolist()
+    f_hi = (upper_hits / R).tolist()
+    worst = max([0.0, *f_lo, *f_hi])
+    rows = [
+        {"i": i, "k": k, "d": d, "B": b, "freq_lower": lo, "freq_upper": hi, "mean_abs_err": e}
+        for i, k, d, b, lo, hi, e in zip(
+            idx.tolist(),
+            geom.k_of[idx - 1].tolist(),
+            geom.d[idx - 1].tolist(),
+            B.tolist(),
+            f_lo,
+            f_hi,
+            (abs_err_sum / R).tolist(),
         )
+    ]
     return {
         "experiment": "pointwise",
         "lambda": lam,
@@ -375,8 +374,8 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
         "excluded_not_admissible": excluded,
         "max_frequency": worst,
         "per_index": [
-            {"i": int(i), "bound": float(b), "freq": int(h) / R}
-            for i, b, h in zip(idx, bound_vals, hits)
+            {"i": i, "bound": b, "freq": f}
+            for i, b, f in zip(idx.tolist(), bound_vals.tolist(), (hits / R).tolist())
         ],
         "provenance": _provenance(spec),
     } | _verdict(2.0 * bnd.prob_const() * spec.delta**2, worst, R)

@@ -23,12 +23,22 @@ from the two ends, so nothing depends on how many entries were ever deleted.
 The shared backward pass clamps each theta_i to the clip window recorded at
 its step, picking the smallest optimal value wherever the optimum is a face.
 
-Every fit is certified.  ``check_kkt`` runs two passes over the elements: a
-forward pass (``_kkt_bands``) that propagates the feasible band of each dual
-variable and yields the residual, and a backward pass (``_kkt_dual``) that
-picks one dual vector z inside the bands.  ``solve`` runs only the forward
-pass; it keeps the bands, and the backward pass runs on the first read of
+Every fit is certified by the dual of the generalized lasso (Tibshirani &
+Taylor, Ann. Statist. 39(3), 2011).  ``check_kkt`` runs two passes over the
+elements: a forward pass (``_kkt_bands``) that computes the stationarity
+bounds -rho'_+(y_i - theta_i) and -rho'_-(y_i - theta_i) in C, propagates the
+feasible band of each dual variable and yields the residual, and a backward
+pass (``_kkt_dual``) that picks one dual vector z inside the bands.
+``solve`` calls the same forward pass and runs no other; it keeps the bounds
+and bands, and the backward pass runs on the first read of
 ``FusedLassoSolution.dual_z``.
+
+``FusedLassoSolution.objective_value`` is likewise computed on its first
+read, by ``objective``.  The fit's objective is at most that of theta = 0,
+sum_i rho(y_i), so it can overflow only if that reaches 2^1021: never for the
+quantile loss, whose sum is below n*max|y| <= 2^1020, and for the square loss
+only if 0.5*n*max|y|^2 >= 2^1021.  In that case ``solve`` computes the
+objective itself and rejects a fit whose objective overflows.
 
 The per-element loops (both forward passes, the backward clamp, and both
 passes of the certificate) are C functions in ``_kernels.c``, which
@@ -44,13 +54,16 @@ compiler may not fuse a multiply and an add into one rounding or reorder an
 operation: IEEE double arithmetic in a fixed order gives the same bits in C
 as in Python, and ``theta_hat``, ``kkt_residual`` and ``dual_z`` are bit for
 bit the reference's.
-Arrays cross the boundary as contiguous float64 ndarrays; the wrappers here
-allocate every output and scratch buffer, so the C code allocates nothing.
+Arrays cross the boundary as raw pointers to contiguous float64 ndarrays
+that the wrappers here make or allocate, every output and scratch buffer
+included, so the C code allocates nothing.  A fit allocates only what its
+solution keeps (theta and the certificate's state) and the DP's scratch,
+which is freed when the DP returns.
 
 The solver works in float64, so ``FusedLassoProblem`` rejects a problem whose
 scale lambda + n*max|y| exceeds 2^1020: the square DP's running offset is a
 sum of n data points, and each intermediate stays within a few times that
-scale.  ``solve`` rejects a fit whose objective overflows.
+scale.
 """
 
 from __future__ import annotations
@@ -69,6 +82,8 @@ from .errors import ConfigError, GflError
 # a few times this, and float64 overflows at 2^1024.
 _MAX_SCALE = 2.0**1020
 _SCALE_HELP = ", the largest scale the float64 solver takes; rescale y and lambda"
+# solve computes the objective at once when sum_i rho(y_i) may reach this
+_OBJECTIVE_GUARD = 2.0**1021
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,15 +91,17 @@ class FusedLassoProblem:
     y: np.ndarray
     lam: float
     loss: object
+    y_max: float = field(init=False, repr=False)  # max|y|, set by the checks below
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "y", y)
         if y.ndim != 1 or y.size < 1:
             raise ConfigError("y must be a nonempty 1D vector")
-        y_max = float(np.max(np.abs(y)))
+        y_max = float(np.abs(y).max())
         if not math.isfinite(y_max):
             raise ConfigError("y contains non-finite values")
+        object.__setattr__(self, "y_max", y_max)
         lam = self.lam
         # an int is finite and compares exactly, however large: its float
         # conversion (for the sum below) could overflow, so compare it first;
@@ -110,18 +127,24 @@ class FusedLassoSolution:
 
     ``dual_z`` (one multiplier per interior edge) is built by the
     certificate's backward pass the first time it is read, from the forward
-    pass's state that ``solve`` keeps; that state holds no view of ``y`` or
-    ``theta_hat``.
+    pass's state that ``solve`` keeps.  ``objective_value`` is computed from
+    the problem the first time it is read, unless ``solve`` computed it
+    already to rule out an overflow.
     """
 
     theta_hat: np.ndarray
     kkt_residual: float
-    objective_value: float
-    _kkt_state: tuple = field(repr=False)
+    _problem: FusedLassoProblem = field(repr=False)
+    _kkt_state: np.ndarray = field(repr=False)
 
     @cached_property
     def dual_z(self) -> np.ndarray:
-        return _kkt_dual(*self._kkt_state)
+        return _kkt_dual(self._kkt_state)
+
+    @cached_property
+    def objective_value(self) -> float:
+        p = self._problem
+        return objective(p.y, p.lam, p.loss, self.theta_hat)
 
 
 def objective(y, lam, loss, theta) -> float:
@@ -139,53 +162,65 @@ _STATUS = {
     4: "unbounded objective",
 }
 
+# Each kernel takes raw pointers (``_kernels.py``): every array passed below
+# is a contiguous float64 array made here, and stays referenced by a local
+# name until the call returns.
 
-def _solve_path(y, lam, loss):
-    """Run the DP; returns theta (smallest-optimal tie-breaking)."""
-    y = np.ascontiguousarray(y, dtype=np.float64)
+
+def _solve_path(y: np.ndarray, lam, loss) -> np.ndarray:
+    """Run the DP on contiguous float64 ``y``; returns theta (smallest-optimal
+    tie-breaking).  The DP's scratch is freed when this returns."""
     if lam == 0.0:
         return y.copy()
     n = y.size
     theta = np.empty(n)
     if loss.kind == "square":
-        status = _kernels.lib.gfl_square_path(y, n, float(lam), theta, np.empty(8 * n))
+        work = np.empty(8 * n)
+        status = _kernels.lib.gfl_square_path(
+            y.ctypes.data, n, float(lam), theta.ctypes.data, work.ctypes.data
+        )
     else:
+        work = np.empty(4 * n)
         status = _kernels.lib.gfl_quantile_path(
-            y, n, float(lam), float(loss.tau), theta, np.empty(4 * n)
+            y.ctypes.data, n, float(lam), float(loss.tau), theta.ctypes.data, work.ctypes.data
         )
     if status:
         raise GflError(_STATUS[status])
     return theta
 
 
-def _kkt_bands(problem: FusedLassoProblem, theta):
-    """Forward pass of the certificate: the residual and the dual bands.
+def _kkt_bands(y: np.ndarray, lam, loss, theta: np.ndarray):
+    """Forward pass of the certificate on contiguous float64 ``y`` and ``theta``.
 
-    Returns ``(resid, (g_lo, g_hi, band_lo, band_hi))``: the stationarity
-    bounds of each element and the feasible band of each interior edge's z,
-    all as ndarrays, which is all ``_kkt_dual`` reads.
+    Returns ``(resid, state)``: ``state`` holds the stationarity bounds of
+    each element and the feasible band of each interior edge's z (4n - 2
+    values, laid out as ``gfl_kkt_bands`` in ``_kernels.c`` says), which is
+    all ``_kkt_dual`` reads.
     """
-    y, lam, loss = problem.y, problem.lam, problem.loss
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != y.shape or not np.all(np.isfinite(theta)):
-        raise ConfigError("theta must be a finite vector matching y")
-    r = y - theta
-    g_lo = -np.atleast_1d(loss.rho_plus(r))
-    g_hi = -np.atleast_1d(loss.rho_minus(r))
     n = y.size
-    band_lo = np.empty(n - 1)
-    band_hi = np.empty(n - 1)
+    state = np.empty(4 * n - 2)
+    quantile = loss.kind != "square"
     # -lam is computed here, not in C: it is +0.0 for an integer lam of 0
     resid = _kernels.lib.gfl_kkt_bands(
-        np.ascontiguousarray(theta), g_lo, g_hi, n, float(lam), float(-lam), band_lo, band_hi
+        y.ctypes.data,
+        theta.ctypes.data,
+        n,
+        quantile,
+        float(loss.tau) if quantile else 0.0,
+        float(lam),
+        float(-lam),
+        state.ctypes.data,
     )
-    return resid, (g_lo, g_hi, band_lo, band_hi)
+    if resid < 0.0:
+        raise ConfigError("theta must be a finite vector matching y")
+    return resid, state
 
 
-def _kkt_dual(g_lo, g_hi, band_lo, band_hi) -> np.ndarray:
+def _kkt_dual(state: np.ndarray) -> np.ndarray:
     """Backward pass of the certificate: one z per interior edge."""
-    z = np.empty(band_lo.size)
-    _kernels.lib.gfl_kkt_dual(g_lo, g_hi, band_lo, band_hi, g_lo.size, z)
+    n = (state.size + 2) // 4
+    z = np.empty(n - 1)
+    _kernels.lib.gfl_kkt_dual(state.ctypes.data, n, z.ctypes.data)
     return z
 
 
@@ -197,23 +232,38 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
     propagation and reports the largest gap encountered; the gap is 0 iff a
     consistent certificate exists.  Returns (residual, z) with one z per edge.
     """
-    resid, state = _kkt_bands(problem, theta)
-    return resid, _kkt_dual(*state)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != problem.y.shape:
+        raise ConfigError("theta must be a finite vector matching y")
+    resid, state = _kkt_bands(
+        np.ascontiguousarray(problem.y, dtype=np.float64),
+        problem.lam,
+        problem.loss,
+        np.ascontiguousarray(theta, dtype=np.float64),
+    )
+    return resid, _kkt_dual(state)
 
 
 def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
-    theta = _solve_path(problem.y, problem.lam, problem.loss)
-    resid, state = _kkt_bands(problem, theta)
-    with np.errstate(over="ignore"):
-        obj = objective(problem.y, problem.lam, problem.loss, theta)
-    if not math.isfinite(obj):
-        raise GflError(
-            f"the objective at the fit overflows float64 (max {np.finfo(float).max:.4g});"
-            " rescale y and lambda"
-        )
-    return FusedLassoSolution(
-        theta_hat=theta, kkt_residual=resid, objective_value=obj, _kkt_state=state
+    y, lam, loss = np.ascontiguousarray(problem.y, dtype=np.float64), problem.lam, problem.loss
+    theta = _solve_path(y, lam, loss)
+    resid, state = _kkt_bands(y, lam, loss, theta)
+    sol = FusedLassoSolution(
+        theta_hat=theta, kkt_residual=resid, _problem=problem, _kkt_state=state
     )
+    # the objective is at most sum_i rho(y_i): only a square loss with
+    # 0.5*n*max|y|^2 >= 2^1021 can make it overflow (see the module docstring)
+    y_max = problem.y_max
+    if loss.kind == "square" and 0.5 * y.size * y_max * y_max >= _OBJECTIVE_GUARD:
+        with np.errstate(over="ignore"):
+            obj = objective(problem.y, lam, loss, theta)
+        if not math.isfinite(obj):
+            raise GflError(
+                f"the objective at the fit overflows float64 (max {np.finfo(float).max:.4g});"
+                " rescale y and lambda"
+            )
+        sol.__dict__["objective_value"] = obj  # the cached_property's slot
+    return sol
 
 
 __all__ = [

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from gfl import solver
+
 _SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
@@ -16,3 +18,18 @@ def oracle():
     sys.modules["bound_oracle"] = mod
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """The argument tuples of every call of ``gfl.solver.objective`` made
+    while the test runs."""
+    calls = []
+    objective = solver.objective
+
+    def counted(*args):
+        calls.append(args)
+        return objective(*args)
+
+    monkeypatch.setattr(solver, "objective", counted)
+    return calls

@@ -116,6 +116,49 @@ class TestSolveCommand:
         assert "float64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x1e", "\x0b"])
+    def test_line_with_inner_line_break_character_exit_2(self, tmp_path, capsys, sep):
+        # str.splitlines would split "1<sep>2" into two values; a line ends
+        # only at a newline, so this line is one malformed value
+        inp = tmp_path / "y.csv"
+        inp.write_bytes(f"0.5\n1{sep}2\n3.0\n".encode())
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(inp), "--lambda", "1.0", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        line = "1" + sep + "2"
+        assert f"non-numeric line in {inp}: could not convert string to float: {line!r}" in err
+        assert not out.exists()
+
+    def test_blank_lines_padding_and_line_endings(self, tmp_path):
+        inp = tmp_path / "y.csv"
+        inp.write_bytes(b"\n  0.5 \r\n\t-2\r\r\n3e0\x0c\n\n \n1")
+        assert cli._read_values(str(inp)).tolist() == [0.5, -2.0, 3.0, 1.0]
+        inp.write_bytes(b" \n\n\t\r\n")
+        with pytest.raises(GflError, match="is empty"):
+            cli._read_values(str(inp))
+
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {},
+        {"experiment": "sse", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN, "growth_L": 1.2},
+        {"experiment": "lambda_sweep", "lambda_grid": [1.0, 4.0]},
+    ],
+    ids=["pointwise", "sse_quantile", "lambda_sweep"],
+)
+def test_objective_computed_only_by_solve_command(tmp_path, objective_calls, over):
+    """No simulate runner reads the objective, so no fit computes it; gfl
+    solve writes it, and computes it once."""
+    cfg = write_config(tmp_path, small_config(**over))
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
+    assert objective_calls == []
+    inp = tmp_path / "y.csv"
+    inp.write_text("0.0\n0.0\n10.0\n")
+    argv = ["solve", "--input", str(inp), "--lambda", "1.0", "--out-dir", str(tmp_path / "s")]
+    assert main(argv) == 0
+    assert len(objective_calls) == 1
 
 def test_non_finite_json_is_not_written(tmp_path):
     path = tmp_path / "x.json"

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import gfl
+from gfl import _kernels
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.solver import FusedLassoProblem, solve
 
@@ -90,3 +91,13 @@ def test_failed_build_fails_import_with_command_and_output(tmp_path):
     assert "ImportError: cannot build the gfl C kernels" in proc.stderr
     assert "-ffp-contract=off" in proc.stderr and "error" in proc.stderr
     assert built(pkg / "__pycache__") == []
+
+
+def test_kernels_compile_clean_with_warnings_as_errors(tmp_path):
+    # an unused static or variable, or a signed/unsigned comparison, in
+    # _kernels.c fails here, not only as a build warning
+    out = tmp_path / "k.so"
+    cmd = [*_kernels.COMMAND, "-Wall", "-Wextra", "-Werror", "-o", str(out), str(_kernels.SOURCE)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()

@@ -203,6 +203,115 @@ class TestOracleAgreement:
             assert sol.kkt_residual <= 1e-9
 
 
+def bits(sol):
+    """theta_hat, kkt_residual and dual_z of a fit, as bytes."""
+    return (sol.theta_hat.tobytes(), np.float64(sol.kkt_residual).tobytes(), sol.dual_z.tobytes())
+
+
+class TestRawPointerInputs:
+    """The kernels take raw pointers, which check no dtype, contiguity or
+    writability; solve and check_kkt make every array they pass."""
+
+    WAVE = np.cos(np.arange(80) * 0.37) * 3.0
+
+    @pytest.mark.parametrize("loss", [SQ, QuantileLoss(0.3)], ids=["square", "quantile"])
+    @pytest.mark.parametrize(
+        "y", [np.arange(40.0)[::2], WAVE[::2], WAVE[::-3]], ids=["arange", "wave", "reversed"]
+    )
+    def test_strided_view_fits_as_contiguous_copy(self, y, loss):
+        assert not y.flags.c_contiguous
+        want = bits(solve(FusedLassoProblem(np.ascontiguousarray(y), 1.5, loss)))
+        assert bits(solve(FusedLassoProblem(y, 1.5, loss))) == want
+
+    @pytest.mark.parametrize("loss", [SQ, QuantileLoss(0.3)], ids=["square", "quantile"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_other_dtypes_fit_as_float64(self, dtype, loss):
+        y64 = np.round(self.WAVE * 4.0)  # whole numbers, exact in every dtype here
+        y = y64.astype(dtype)
+        assert np.array_equal(y.astype(np.float64), y64)
+        want = bits(solve(FusedLassoProblem(y64, 1.5, loss)))
+        assert bits(solve(FusedLassoProblem(y, 1.5, loss))) == want
+
+    def test_read_only_input(self):
+        y = self.WAVE.copy()
+        want = bits(solve(prob(y, 0.8, MED)))
+        y.flags.writeable = False
+        assert bits(solve(FusedLassoProblem(y, 0.8, MED))) == want
+
+    def test_check_kkt_on_strided_and_float32_theta(self):
+        p = FusedLassoProblem(self.WAVE[::2], 1.5, MED)
+        theta = solve(p).theta_hat
+        resid, z = check_kkt(p, theta)
+        got = check_kkt(p, np.repeat(theta, 2)[::2])
+        assert got[0] == resid and got[1].tobytes() == z.tobytes()
+        t32 = theta.astype(np.float32)
+        resid, z = check_kkt(p, t32.astype(np.float64))
+        got = check_kkt(p, t32)
+        assert got[0] == resid and got[1].tobytes() == z.tobytes()
+
+    def test_no_buffer_is_shared_between_fits(self):
+        a = prob(self.WAVE[:50], 1.5, SQ)
+        first = solve(a)
+        want = bits(first)  # reads first.dual_z now
+        late = solve(a)  # its dual_z is read only after the other fits
+        others = (
+            prob(self.WAVE[10:60], 0.4, QuantileLoss(0.3)),  # same size, other loss
+            prob(self.WAVE, 0.4, QuantileLoss(0.3)),
+            prob(self.WAVE[:7], 2.0, SQ),
+        )
+        for other in others:
+            sol = solve(other)
+            sol.dual_z[:] = 7.0
+            sol.theta_hat[:] = 7.0
+        assert bits(first) == want
+        assert bits(late) == want
+
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_check_kkt_rejects_non_finite_theta(self, where, bad):
+        for loss in (SQ, MED):
+            p = prob(self.WAVE[:10], 1.0, loss)
+            theta = solve(p).theta_hat.copy()
+            theta[where] = bad
+            with pytest.raises(ConfigError, match="finite vector matching y"):
+                check_kkt(p, theta)
+
+    def test_check_kkt_rejects_wrong_shape(self):
+        p = prob([1.0], 1.0)
+        for theta in (1.0, [1.0, 2.0], [[1.0]]):
+            with pytest.raises(ConfigError, match="finite vector matching y"):
+                check_kkt(p, theta)
+
+
+class TestLazyObjective:
+    @pytest.mark.parametrize("loss", [SQ, QuantileLoss(0.3)], ids=["square", "quantile"])
+    @pytest.mark.parametrize("lam", [0, 0.0, 0.7, 40.0])
+    def test_equals_objective_of_fit(self, loss, lam):
+        y = np.cos(np.arange(60) * 0.37) * 3.0
+        sol = solve(prob(y, lam, loss))
+        want = objective(y, lam, loss, sol.theta_hat)
+        assert np.float64(sol.objective_value).tobytes() == np.float64(want).tobytes()
+
+    def test_computed_only_when_read(self, objective_calls):
+        for loss in (SQ, MED):
+            sol = solve(prob([1e150, -1e150, 3e150], 1.0, loss))
+            assert objective_calls == []
+            first = sol.objective_value
+            assert sol.objective_value == first and len(objective_calls) == 1
+            objective_calls.clear()
+
+    def test_computed_in_solve_where_it_could_overflow(self, objective_calls):
+        # 0.5 * n * max|y|^2 >= 2^1021: solve computes and checks the
+        # objective, and a read returns that value
+        y = [1e154, -1e154, 5e153]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(prob(y, 1e-3))
+        assert len(objective_calls) == 1
+        assert sol.objective_value == objective(y, 1e-3, SQ, sol.theta_hat)
+        assert len(objective_calls) == 1
+
+
 def test_array_holding_types_compare_by_identity():
     """== and hash() on the types that hold arrays return without raising."""
     p = prob([0.0, 1.0, 5.0], 1.0)
