@@ -9,8 +9,8 @@
  * into one rounding and no operation is reordered.
  *
  * The caller owns every buffer; nothing here allocates.  Sizes are those
- * the Python wrappers in solver.py pass: n >= 1 elements, lo/hi with n - 1
- * entries, and the scratch each forward pass names.
+ * the Python wrappers in solver.py pass: n >= 1 elements, and the work or
+ * state block each exported function names.
  */
 
 #include <math.h>
@@ -25,216 +25,218 @@ enum {
     GFL_UNBOUNDED = 4     /* theta_n is not finite */
 };
 
-/* Square loss.  The message derivative is piecewise linear: knots xs[l..r-1]
- * and one coefficient pair per interval in ca/cb[l..r] (knot j separates
- * intervals j and j + 1), the derivative on an interval being
- * (ca + A)*x + (cb + B).  The data term only moves the offset (A, B), and
- * clipping pops what it passes from either end.  Each step pushes at most
- * one knot at each end, so with l = r = n at the start, xs, ca and cb of
- * length 2n never overflow. */
-static int square_forward(const double *ys, ptrdiff_t n, double lam, double *lo,
-                          double *hi, double *xs, double *ca, double *cb,
-                          double *theta_n)
-{
-    ptrdiff_t l = n, r = n;
-    double A = 0.0, B = 0.0, neg_lam = -lam;
-    double sl, ic, u, floor_x, ceil_x;
+/* Square loss: _QuadMessage.  The message derivative is piecewise linear:
+ * knots xs[l..r-1] and one coefficient pair per interval in ca/cb[l..r]
+ * (knot j separates intervals j and j + 1), the derivative on an interval
+ * being (ca + A)*x + (cb + B).  The data term only moves the offset (A, B),
+ * and a crossing pops what it passes at its end and pushes at most one knot
+ * there.  With l = r = n at the start, the n - 1 steps push at most n - 1
+ * knots on each side of index n, and the final left crossing one more, at
+ * index 0 or above, so xs, ca and cb of length 2n never overflow. */
+struct quad {
+    double *xs, *ca, *cb;
+    ptrdiff_t l, r;
+    double A, B;
+};
 
-    ca[n] = 0.0;
-    cb[n] = 0.0;
-    for (ptrdiff_t i = 0; i < n - 1; i++) {
-        A += 1.0;
-        B -= ys[i];
-        /* smallest x with derivative(x+) >= -lam; the left tail becomes -lam */
-        floor_x = -INFINITY;
-        for (;;) {
-            sl = ca[l] + A;
-            ic = cb[l] + B;
-            if (sl > 0.0)
-                u = (neg_lam - ic) / sl;
-            else if (ic >= neg_lam)
-                u = -INFINITY;
-            else
-                u = INFINITY;
-            if (u <= (l < r ? xs[l] : INFINITY)) {
-                if (floor_x > u)
-                    u = floor_x;
-                break;
-            }
-            if (l == r)
-                return GFL_BELOW;
-            floor_x = xs[l++];
-        }
-        if (u != -INFINITY) {
-            if (!(l < r && xs[l] == u))
-                xs[--l] = u;
-            ca[l] = -A;
-            cb[l] = neg_lam - B;
-        }
-        lo[i] = u;
-        /* smallest x with derivative >= lam on [x, inf); the right tail
-         * becomes lam */
-        ceil_x = INFINITY;
-        for (;;) {
-            sl = ca[r] + A;
-            ic = cb[r] + B;
-            if (sl > 0.0)
-                u = (lam - ic) / sl;
-            else if (ic >= lam)
-                u = -INFINITY;
-            else
-                u = INFINITY;
-            if (u >= (l < r ? xs[r - 1] : -INFINITY)) {
-                if (ceil_x < u)
-                    u = ceil_x;
-                break;
-            }
-            if (l == r)
-                return GFL_ABOVE;
-            ceil_x = xs[--r];
-        }
-        if (u != INFINITY) {
-            if (!(l < r && xs[r - 1] == u))
-                xs[r++] = u;
-            ca[r] = -A;
-            cb[r] = lam - B;
-        }
-        hi[i] = u;
-    }
-    /* theta_n: the left crossing of 0.  It is (0.0 - ic) / sl, not -ic / sl,
-     * so that a crossing at zero is +0.0. */
-    A += 1.0;
-    B -= ys[n - 1];
-    floor_x = -INFINITY;
-    for (;;) {
-        sl = ca[l] + A;
-        ic = cb[l] + B;
-        if (sl > 0.0)
-            u = (0.0 - ic) / sl;
-        else if (ic >= 0.0)
-            u = -INFINITY;
-        else
-            u = INFINITY;
-        if (u <= (l < r ? xs[l] : INFINITY)) {
-            *theta_n = floor_x > u ? floor_x : u;
-            return GFL_OK;
-        }
-        if (l == r)
-            return GFL_BELOW;
-        floor_x = xs[l++];
-    }
+/* Where the derivative on interval j reaches target, as both crossings of
+ * _QuadMessage compute it: the root of its line, or -inf (inf) if the line
+ * is flat at or above (below) target.  It is (target - ic) / sl, so a
+ * crossing of 0.0 at zero is +0.0. */
+static inline double quad_root(const struct quad *m, ptrdiff_t j, double target)
+{
+    double sl = m->ca[j] + m->A, ic = m->cb[j] + m->B;
+
+    if (sl > 0.0)
+        return (target - ic) / sl;
+    return ic >= target ? -INFINITY : INFINITY;
 }
 
-/* First index in sorted a[0..len) whose value is not below x: the loop of
- * Python's bisect.bisect_left. */
-static ptrdiff_t bisect_left(const double *a, ptrdiff_t len, double x)
+/* _QuadMessage.crossing_left: the smallest x with derivative(x+) >= target;
+ * the left tail becomes target from there. */
+static inline int quad_left(struct quad *m, double target, double *x)
 {
-    ptrdiff_t lo = 0, hi = len;
+    double floor_x = -INFINITY, u;
+
+    for (;;) {
+        u = quad_root(m, m->l, target);
+        if (u <= (m->l < m->r ? m->xs[m->l] : INFINITY)) {
+            if (floor_x > u)
+                u = floor_x;
+            break;
+        }
+        if (m->l == m->r)
+            return GFL_BELOW;
+        floor_x = m->xs[m->l++];
+    }
+    if (u != -INFINITY) {
+        if (!(m->l < m->r && m->xs[m->l] == u))
+            m->xs[--m->l] = u;
+        m->ca[m->l] = -m->A;
+        m->cb[m->l] = target - m->B;
+    }
+    *x = u;
+    return GFL_OK;
+}
+
+/* _QuadMessage.crossing_right: the smallest x with derivative >= target on
+ * [x, inf); the right tail becomes target. */
+static inline int quad_right(struct quad *m, double target, double *x)
+{
+    double ceil_x = INFINITY, u;
+
+    for (;;) {
+        u = quad_root(m, m->r, target);
+        if (u >= (m->l < m->r ? m->xs[m->r - 1] : -INFINITY)) {
+            if (ceil_x < u)
+                u = ceil_x;
+            break;
+        }
+        if (m->l == m->r)
+            return GFL_ABOVE;
+        ceil_x = m->xs[--m->r];
+    }
+    if (u != INFINITY) {
+        if (!(m->l < m->r && m->xs[m->r - 1] == u))
+            m->xs[m->r++] = u;
+        m->ca[m->r] = -m->A;
+        m->cb[m->r] = target - m->B;
+    }
+    *x = u;
+    return GFL_OK;
+}
+
+/* Quantile loss: _StepMessage.  The message derivative is a nondecreasing
+ * step function: sorted breakpoints bp[0..nb) with positive jumps jm, value
+ * c0 left of every breakpoint and clast right of every one.  Each data point
+ * adds at most one breakpoint and a crossing only deletes, so nb <= n. */
+struct step {
+    double *bp, *jm;
+    ptrdiff_t nb;
+    double c0, clast, tau;
+};
+
+/* _StepMessage.add_data: a unit jump at y, inserted in sorted order where
+ * bisect_left puts it (memmove, as list.insert does). */
+static inline void step_add(struct step *m, double y)
+{
+    ptrdiff_t lo = 0, hi = m->nb, mid;
+
+    m->c0 -= m->tau;
+    m->clast -= m->tau;
     while (lo < hi) {
-        ptrdiff_t mid = (lo + hi) / 2;
-        if (a[mid] < x)
+        mid = (lo + hi) / 2;
+        if (m->bp[mid] < y)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return lo;
+    if (lo < m->nb && m->bp[lo] == y) {
+        m->jm[lo] += 1.0;
+    } else {
+        memmove(m->bp + lo + 1, m->bp + lo, (size_t)(m->nb - lo) * sizeof *m->bp);
+        memmove(m->jm + lo + 1, m->jm + lo, (size_t)(m->nb - lo) * sizeof *m->jm);
+        m->bp[lo] = y;
+        m->jm[lo] = 1.0;
+        m->nb += 1;
+    }
+    m->clast += 1.0;
 }
 
-/* Quantile loss.  The message derivative is a nondecreasing step function:
- * sorted breakpoints bp[0..nb) with positive jumps jm, value c0 left of
- * every breakpoint and clast right of every one.  Each data point inserts a
- * unit jump in sorted order (memmove, as list.insert does), and clipping
- * deletes the breakpoints it passes from either end, so only live
- * breakpoints are kept and nb <= n.  Each step clips the message of the
- * previous data point, then adds its own. */
-static int quantile_forward(const double *ys, ptrdiff_t n, double lam, double tau,
-                            double *lo, double *hi, double *bp, double *jm,
-                            double *theta_n)
+/* _StepMessage.crossing_left: the smallest x with derivative(x+) >= target;
+ * the breakpoints below it are deleted and the left tail becomes target. */
+static inline int step_left(struct step *m, double target, double *x)
 {
-    ptrdiff_t nb = 1, h, k, pos;
-    double c0 = -tau, clast = c0 + 1.0, neg_lam = -lam, c, yi;
+    ptrdiff_t h = 0;
+    double c = m->c0;
 
-    bp[0] = ys[0];
-    jm[0] = 1.0;
-    for (ptrdiff_t i = 1; i < n; i++) {
-        yi = ys[i];
-        /* smallest x with derivative(x+) >= -lam; the left tail becomes -lam */
-        if (c0 >= neg_lam) {
-            lo[i - 1] = -INFINITY;
-        } else {
-            c = c0;
-            h = 0;
-            while (h < nb && c < neg_lam)
-                c += jm[h++];
-            if (c < neg_lam)
-                return GFL_BELOW;
-            h -= 1; /* keep the crossing breakpoint with an adjusted jump */
-            jm[h] = c - neg_lam;
-            if (h) {
-                nb -= h;
-                memmove(bp, bp + h, (size_t)nb * sizeof *bp);
-                memmove(jm, jm + h, (size_t)nb * sizeof *jm);
-            }
-            c0 = neg_lam;
-            lo[i - 1] = bp[0];
-        }
-        /* smallest x with derivative >= lam on [x, inf); the right tail
-         * becomes lam */
-        if (clast <= lam) {
-            hi[i - 1] = INFINITY;
-        } else {
-            c = clast;
-            k = nb - 1;
-            while (k > 0 && c - jm[k] >= lam) {
-                c -= jm[k];
-                k -= 1;
-            }
-            /* the piece left of bp[k] is below lam (or k == 0): crossing at bp[k] */
-            jm[k] = lam - (c - jm[k]);
-            if (jm[k] < 0.0)
-                return GFL_INCONSISTENT;
-            nb = k + 1;
-            clast = lam;
-            hi[i - 1] = bp[k];
-        }
-        c0 -= tau;
-        clast -= tau;
-        pos = bisect_left(bp, nb, yi);
-        if (pos < nb && bp[pos] == yi) {
-            jm[pos] += 1.0;
-        } else {
-            memmove(bp + pos + 1, bp + pos, (size_t)(nb - pos) * sizeof *bp);
-            memmove(jm + pos + 1, jm + pos, (size_t)(nb - pos) * sizeof *jm);
-            bp[pos] = yi;
-            jm[pos] = 1.0;
-            nb += 1;
-        }
-        clast += 1.0;
-    }
-    /* theta_n: the left crossing of 0 */
-    if (c0 >= 0.0) {
-        *theta_n = -INFINITY;
+    if (c >= target) {
+        *x = -INFINITY;
         return GFL_OK;
     }
-    c = c0;
-    for (ptrdiff_t j = 0; j < nb; j++) {
-        c += jm[j];
-        if (c >= 0.0) {
-            *theta_n = bp[j];
-            return GFL_OK;
-        }
+    while (h < m->nb && c < target)
+        c += m->jm[h++];
+    if (c < target)
+        return GFL_BELOW;
+    h -= 1; /* keep the crossing breakpoint with an adjusted jump */
+    m->jm[h] = c - target;
+    if (h) {
+        m->nb -= h;
+        memmove(m->bp, m->bp + h, (size_t)m->nb * sizeof *m->bp);
+        memmove(m->jm, m->jm + h, (size_t)m->nb * sizeof *m->jm);
     }
-    return GFL_BELOW;
+    m->c0 = target;
+    *x = m->bp[0];
+    return GFL_OK;
 }
 
-/* Clamp each theta_i to the clip window of its step, from theta_n down. */
-static int backward_clamp(ptrdiff_t n, double t, const double *lo, const double *hi,
-                          double *theta)
+/* _StepMessage.crossing_right: the smallest x with derivative >= target on
+ * [x, inf); the breakpoints above it are deleted and the right tail becomes
+ * target. */
+static inline int step_right(struct step *m, double target, double *x)
 {
+    ptrdiff_t k = m->nb - 1;
+    double c = m->clast;
+
+    if (c <= target) {
+        *x = INFINITY;
+        return GFL_OK;
+    }
+    while (k > 0 && c - m->jm[k] >= target) {
+        c -= m->jm[k];
+        k -= 1;
+    }
+    /* the piece left of bp[k] is below target (or k == 0): crossing at bp[k] */
+    m->jm[k] = target - (c - m->jm[k]);
+    if (m->jm[k] < 0.0)
+        return GFL_INCONSISTENT;
+    m->nb = k + 1;
+    m->clast = target;
+    *x = m->bp[k];
+    return GFL_OK;
+}
+
+/* The DP, solve_path: each step adds a data point and clips the message's
+ * derivative to [-lam, lam], recording the clip window in lo and hi; theta_n
+ * is the left crossing of 0.0, and each theta_i is then clamped to its
+ * step's window, from theta_n down.  work holds lo and hi (n each, the last
+ * entry unused), then xs, ca and cb (2n each) for the square loss, 8n in
+ * all, or bp and jm (n each) for the quantile loss, 4n in all. */
+int gfl_path(const double *ys, ptrdiff_t n, double lam, int quantile, double tau,
+             double *theta, double *work)
+{
+    double *lo = work, *hi = work + n, neg_lam = -lam, t;
+    ptrdiff_t i;
+    int status;
+
+    if (quantile) {
+        struct step m = {work + 2 * n, work + 3 * n, 0, 0.0, 0.0, tau};
+        for (i = 0; i < n - 1; i++) {
+            step_add(&m, ys[i]);
+            if ((status = step_left(&m, neg_lam, &lo[i])) || (status = step_right(&m, lam, &hi[i])))
+                return status;
+        }
+        step_add(&m, ys[n - 1]);
+        status = step_left(&m, 0.0, &t);
+    } else {
+        struct quad m = {work + 2 * n, work + 4 * n, work + 6 * n, n, n, 0.0, 0.0};
+        m.ca[n] = m.cb[n] = 0.0;
+        for (i = 0; i < n - 1; i++) {
+            m.A += 1.0; /* _QuadMessage.add_data */
+            m.B -= ys[i];
+            if ((status = quad_left(&m, neg_lam, &lo[i])) || (status = quad_right(&m, lam, &hi[i])))
+                return status;
+        }
+        m.A += 1.0;
+        m.B -= ys[n - 1];
+        status = quad_left(&m, 0.0, &t);
+    }
+    if (status)
+        return status;
     if (!isfinite(t))
         return GFL_UNBOUNDED;
     theta[n - 1] = t;
-    for (ptrdiff_t i = n - 2; i >= 0; i--) {
+    for (i = n - 2; i >= 0; i--) {
         if (lo[i] > t)
             t = lo[i];
         if (hi[i] < t)
@@ -242,29 +244,6 @@ static int backward_clamp(ptrdiff_t n, double t, const double *lo, const double 
         theta[i] = t;
     }
     return GFL_OK;
-}
-
-/* The DP for the square loss.  work holds 8n doubles: lo and hi (n each, the
- * last entry unused), then xs, ca and cb (2n each). */
-int gfl_square_path(const double *ys, ptrdiff_t n, double lam, double *theta,
-                    double *work)
-{
-    double *lo = work, *hi = work + n, *xs = work + 2 * n;
-    double *ca = xs + 2 * n, *cb = ca + 2 * n;
-    double t;
-    int status = square_forward(ys, n, lam, lo, hi, xs, ca, cb, &t);
-    return status ? status : backward_clamp(n, t, lo, hi, theta);
-}
-
-/* The DP for the quantile loss.  work holds 4n doubles: lo, hi, bp and jm
- * (n each). */
-int gfl_quantile_path(const double *ys, ptrdiff_t n, double lam, double tau,
-                      double *theta, double *work)
-{
-    double *lo = work, *hi = work + n, *bp = work + 2 * n, *jm = work + 3 * n;
-    double t;
-    int status = quantile_forward(ys, n, lam, tau, lo, hi, bp, jm, &t);
-    return status ? status : backward_clamp(n, t, lo, hi, theta);
 }
 
 /* Forward pass of the certificate.  state holds 4n - 2 doubles: the

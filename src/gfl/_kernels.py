@@ -79,10 +79,8 @@ _P = ctypes.c_void_p
 _N = ctypes.c_ssize_t
 _F = ctypes.c_double
 
-lib.gfl_square_path.argtypes = (_P, _N, _F, _P, _P)
-lib.gfl_square_path.restype = ctypes.c_int
-lib.gfl_quantile_path.argtypes = (_P, _N, _F, _F, _P, _P)
-lib.gfl_quantile_path.restype = ctypes.c_int
+lib.gfl_path.argtypes = (_P, _N, _F, ctypes.c_int, _F, _P, _P)
+lib.gfl_path.restype = ctypes.c_int
 lib.gfl_kkt_bands.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _F, _P)
 lib.gfl_kkt_bands.restype = ctypes.c_double
 lib.gfl_kkt_dual.argtypes = (_P, _N, _P)

@@ -26,6 +26,8 @@ def prob_const() -> float:
 
 
 def _check_delta(delta: float, upper: float = DELTA_MAX) -> None:
+    if not math.isfinite(delta):
+        raise ConfigError(f"delta must be a finite number; got {delta}")
     if not (0.0 < delta < upper):
         raise PreconditionError(
             f"delta must lie in (0, {upper:.6g}); got {delta}",

@@ -177,13 +177,34 @@ def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
         write(os.path.join(out_dir, name), content, config_hash)
 
 
+def _strict(convert):
+    """``convert`` (float or int) refusing ``_`` and non-ASCII text, which
+    Python's own parsers read as digit separators and Unicode digits."""
+
+    def parse(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"not a plain ASCII number: {text!r}")
+        return convert(text)
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value"
+    return parse
+
+
+_float, _int = _strict(float), _strict(int)
+
+
 def _read_values(path: str) -> np.ndarray:
     # one decimal value per line, no header.  Lines end only at a newline:
     # str.splitlines would also split at \x0c, \x1c, \u2028 and others, and
-    # so accept a line such as "1\x0c2" as two values.
+    # so accept a line such as "1\x0c2" as two values.  The text is searched
+    # once for "_" and non-ASCII characters, which _float refuses.
     try:
         with open(path) as fh:
-            vals = list(map(float, filter(None, map(str.strip, fh.read().split("\n")))))
+            text = fh.read()
+        if "_" in text or not text.isascii():
+            bad = next(line for line in text.split("\n") if "_" in line or not line.isascii())
+            _float(bad)  # raises, naming the line
+        vals = list(map(float, filter(None, map(str.strip, text.split("\n")))))
     except OSError as exc:
         raise ConfigError(f"cannot read input file {path}: {exc}") from exc
     except ValueError as exc:
@@ -216,8 +237,8 @@ def _cmd_solve(args) -> int:
 
 def _parse_signal(args) -> PiecewiseConstantSignal:
     try:
-        values = [float(v) for v in args.signal_values.split(",")]
-        lengths = [int(v) for v in args.signal_lengths.split(",")]
+        values = [_float(v) for v in args.signal_values.split(",")]
+        lengths = [_int(v) for v in args.signal_lengths.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad signal specification: {exc}") from exc
     return PiecewiseConstantSignal(values, lengths)
@@ -307,10 +328,15 @@ _EXPERIMENT_CSVS = {
 }
 
 
+def _refuse_constant(name: str):
+    """json's hook for NaN, Infinity and -Infinity, which JSON does not hold."""
+    raise ConfigError(f"config holds {name}, which is not a JSON value")
+
+
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -335,34 +361,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="fit the fused-lasso estimator to a CSV of values")
     ps.add_argument("--input", required=True, help="CSV, one value per line")
-    ps.add_argument("--lambda", dest="lam", type=float, required=True)
+    ps.add_argument("--lambda", dest="lam", type=_float, required=True)
     ps.add_argument("--loss", choices=("square", "quantile"), default="square")
-    ps.add_argument("--tau", type=float, default=None)
+    ps.add_argument("--tau", type=_float, default=None)
     ps.add_argument("--out-dir", default="out")
     ps.set_defaults(func=_cmd_solve)
 
     pb = sub.add_parser("bounds", help="evaluate the per-index error bounds for a signal")
     pb.add_argument("--signal-values", required=True, help="comma-separated segment values")
     pb.add_argument("--signal-lengths", required=True, help="comma-separated segment lengths")
-    pb.add_argument("--sigma", type=float, default=0.5)
-    pb.add_argument("--delta", type=float, required=True)
-    pb.add_argument("--lambda", dest="lam", type=float, required=True)
-    pb.add_argument("--growth-L", dest="growth_L", type=float, default=None)
+    pb.add_argument("--sigma", type=_float, default=0.5)
+    pb.add_argument("--delta", type=_float, required=True)
+    pb.add_argument("--lambda", dest="lam", type=_float, required=True)
+    pb.add_argument("--growth-L", dest="growth_L", type=_float, default=None)
     pb.add_argument("--out-dir", default="out")
     pb.set_defaults(func=_cmd_bounds)
 
     pl = sub.add_parser("lil", help="Monte Carlo check of the iterated-logarithm envelope")
-    pl.add_argument("--sigma", type=float, default=1.0)
-    pl.add_argument("--delta", type=float, required=True)
-    pl.add_argument("--horizon", type=int, default=10_000)
-    pl.add_argument("--paths", type=int, default=10_000)
-    pl.add_argument("--seed", type=int, required=True)
+    pl.add_argument("--sigma", type=_float, default=1.0)
+    pl.add_argument("--delta", type=_float, required=True)
+    pl.add_argument("--horizon", type=_int, default=10_000)
+    pl.add_argument("--paths", type=_int, default=10_000)
+    pl.add_argument("--seed", type=_int, required=True)
     pl.add_argument("--out-dir", default="out")
     pl.set_defaults(func=_cmd_lil)
 
     pm = sub.add_parser("simulate", help="run a configured experiment")
     pm.add_argument("--config", required=True, help="JSON experiment config")
-    pm.add_argument("--seed", type=int, default=None, help="override the config seed")
+    pm.add_argument("--seed", type=_int, default=None, help="override the config seed")
     pm.add_argument("--out-dir", default="out")
     pm.set_defaults(func=_cmd_simulate)
     return p

@@ -4,24 +4,16 @@ The objective is
 
     sum_i rho(y_i - theta_i) + lam * sum_i |theta_i - theta_{i+1}|.
 
-The algorithm is forward-backward message passing on the chain: the running
-message is a convex function of theta_i whose derivative is maintained
-explicitly.  Each step adds the data term and then "clips" the derivative to
-[-lam, +lam], which is exactly the infimal convolution with lam*|.|, and
-records the clip window.  Each loss has its own forward loop:
-
-- square loss (``square_forward`` in ``_kernels.c``): the derivative is
-  piecewise linear, its knots and per-interval coefficients kept relative to
-  a global affine offset in three arrays of length 2n that start in the
-  middle, so clipping pops and pushes at either end in O(1);
-- quantile loss (``quantile_forward``): the derivative is a step function,
-  its breakpoints and jumps kept in two sorted arrays that take each data
-  point by a binary search and a ``memmove``.
-
-Both keep only live knots or breakpoints: clipping deletes what it passes
-from the two ends, so nothing depends on how many entries were ever deleted.
-The shared backward pass clamps each theta_i to the clip window recorded at
-its step, picking the smallest optimal value wherever the optimum is a face.
+The algorithm is forward-backward message passing on the chain (Johnson,
+J. Comput. Graph. Statist. 22(2), 2013): the running message is a convex
+function of theta_i whose derivative is maintained explicitly.  Each step
+adds the data term and then "clips" the derivative to [-lam, +lam], which is
+exactly the infimal convolution with lam*|.|, and records the clip window.
+The derivative is piecewise linear for the square loss and a step function
+for the quantile loss; either keeps only its live knots or breakpoints.
+theta_n is where the last message's derivative crosses 0, and the backward
+pass clamps each theta_i to the clip window recorded at its step, picking
+the smallest optimal value wherever the optimum is a face.
 
 Every fit is certified by the dual of the generalized lasso (Tibshirani &
 Taylor, Ann. Statist. 39(3), 2011).  ``check_kkt`` runs two passes over the
@@ -40,20 +32,18 @@ quantile loss, whose sum is below n*max|y| <= 2^1020, and for the square loss
 only if 0.5*n*max|y|^2 >= 2^1021.  In that case ``solve`` computes the
 objective itself and rejects a fit whose objective overflows.
 
-The per-element loops (both forward passes, the backward clamp, and both
-passes of the certificate) are C functions in ``_kernels.c``, which
-``_kernels.py`` compiles at the first import and loads with ``ctypes``.  Each
-does the operations of its reference loop in ``tests/solver_reference.py``,
-in the same order: the same sums, products and quotients
-(``(0.0 - ic) / sl``, not ``-ic / sl``, so that a zero crossing is +0.0),
-every two-way ``max(a, b)`` as the comparison ``b if b > a else a`` that
-Python's builtin makes (``min`` likewise), ties and signed zeros included,
-and a search that is ``bisect_left``'s loop.  The file is compiled with
-``-ffp-contract=off`` and without ``-ffast-math`` or ``-march``, so the
-compiler may not fuse a multiply and an add into one rounding or reorder an
-operation: IEEE double arithmetic in a fixed order gives the same bits in C
-as in Python, and ``theta_hat``, ``kkt_residual`` and ``dual_z`` are bit for
-bit the reference's.
+The per-element loops (the DP and both passes of the certificate) are C
+functions in ``_kernels.c``, which ``_kernels.py`` compiles at the first
+import and loads with ``ctypes``.  Each does the operations of its
+reference in ``tests/solver_reference.py`` in the same order: the same sums,
+products and quotients, and every two-way ``max(a, b)`` as the comparison
+``b if b > a else a`` that Python's builtin makes (``min`` likewise), ties
+and signed zeros included.  The file is compiled with ``-ffp-contract=off``
+and without ``-ffast-math`` or ``-march``, so the compiler may not fuse a
+multiply and an add into one rounding or reorder an operation: IEEE double
+arithmetic in a fixed order gives the same bits in C as in Python, and
+``theta_hat``, ``kkt_residual`` and ``dual_z`` are bit for bit the
+reference's.
 Arrays cross the boundary as raw pointers to contiguous float64 ndarrays
 that the wrappers here make or allocate, every output and scratch buffer
 included, so the C code allocates nothing.  A fit allocates only what its
@@ -173,17 +163,13 @@ def _solve_path(y: np.ndarray, lam, loss) -> np.ndarray:
     if lam == 0.0:
         return y.copy()
     n = y.size
+    quantile = loss.kind != "square"
+    tau = float(loss.tau) if quantile else 0.0
     theta = np.empty(n)
-    if loss.kind == "square":
-        work = np.empty(8 * n)
-        status = _kernels.lib.gfl_square_path(
-            y.ctypes.data, n, float(lam), theta.ctypes.data, work.ctypes.data
-        )
-    else:
-        work = np.empty(4 * n)
-        status = _kernels.lib.gfl_quantile_path(
-            y.ctypes.data, n, float(lam), float(loss.tau), theta.ctypes.data, work.ctypes.data
-        )
+    work = np.empty((4 if quantile else 8) * n)  # the size gfl_path names
+    status = _kernels.lib.gfl_path(
+        y.ctypes.data, n, float(lam), quantile, tau, theta.ctypes.data, work.ctypes.data
+    )
     if status:
         raise GflError(_STATUS[status])
     return theta

@@ -146,6 +146,9 @@ class TestElementwise:
             compute_B(1, g, params(delta=0.5))
         with pytest.raises(PreconditionError):
             compute_B(1, g, params(delta=0.0))
+        for delta in (math.nan, math.inf, -math.inf):  # malformed, not out of range
+            with pytest.raises(ConfigError, match="delta must be a finite number"):
+                compute_B(1, g, params(delta=delta))
 
 
 class TestApplicability:

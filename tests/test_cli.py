@@ -81,10 +81,18 @@ class TestSolveCommand:
         meta = json.loads((out / "solution.json").read_text())
         assert meta["kkt_residual"] <= 1e-12
 
-    def test_bad_input_exit_2(self, tmp_path):
+    def test_bad_input_exit_2(self, tmp_path, capsys):
         inp = tmp_path / "y.csv"
-        inp.write_text("1.0\nnot-a-number\n")
-        assert main(["solve", "--input", str(inp), "--lambda", "1.0"]) == 2
+        # float alone would read "1_000" as 1000.0 and Arabic-Indic digits
+        # as 12.0, and strip a no-break space
+        for text in ("1.0\nnot-a-number\n", "1.0\n1_000\n", "\u0661\u0662\n", "1.0\u00a0\n"):
+            inp.write_text(text, encoding="utf-8")
+            assert main(["solve", "--input", str(inp), "--lambda", "1.0"]) == 2
+            assert "non-numeric line in" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(inp), "--lambda", "1_0"])
+        assert exc.value.code == 2
+        assert "argument --lambda: invalid float value: '1_0'" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "absent.csv"), "--lambda", "1"]) == 2
@@ -206,18 +214,38 @@ class TestBoundsCommand:
         )
         assert rc == 3
 
-    def test_bad_signal_exit_2(self, tmp_path):
-        rc = main(
-            [
-                "bounds",
-                "--signal-values", "0,zero",
-                "--signal-lengths", "8,8",
-                "--delta", "0.05",
-                "--lambda", "4.0",
-                "--out-dir", str(tmp_path / "b"),
-            ]
-        )
-        assert rc == 2
+    def test_bad_signal_exit_2(self, tmp_path, capsys):
+        for values, lengths in [
+            ("0,zero", "8,8"),
+            ("0,1_0", "8,8"),
+            ("0,\u0661", "8,8"),
+            ("0,1", "8,1_6"),
+            ("0,1", "8,\u0668"),
+        ]:
+            rc = main(
+                [
+                    "bounds",
+                    "--signal-values", values,
+                    "--signal-lengths", lengths,
+                    "--delta", "0.05",
+                    "--lambda", "4.0",
+                    "--out-dir", str(tmp_path / "b"),
+                ]
+            )
+            assert rc == 2
+            assert "bad signal specification" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["bounds", "lil"])
+    def test_non_finite_delta_exit_2(self, tmp_path, capsys, command, delta):
+        argv = {
+            "bounds": ["bounds", "--signal-values", "0,1", "--signal-lengths", "8,8",
+                       "--lambda", "4.0"],
+            "lil": ["lil", "--horizon", "16", "--paths", "4", "--seed", "3"],
+        }[command]
+        assert main(argv + [f"--delta={delta}", "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"delta must be a finite number; got {delta}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("L", ["inf", "0", "nan"])
@@ -336,6 +364,10 @@ class TestSimulateCommand:
             # a value the rule would ignore, yet would still enter config_hash
             {"lambda": {"rule": "sqrt_n_over_k", "value": 5}},
             {"monitor": []},
+            # json.dumps writes these as NaN and Infinity, which JSON lacks
+            {"delta": float("nan")},
+            {"delta": float("inf")},
+            {"signal": {"values": [0.0, float("-inf")], "lengths": [16, 16]}},
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):

@@ -1,6 +1,7 @@
 """The C kernels are built once per SHA-256 of their source and compile
 command, into the package's ``__pycache__``; later processes load that build
-without running the compiler, and a build that fails makes import fail."""
+without running the compiler, and a build that fails makes import fail.
+Each exported kernel writes only inside the buffers it is given."""
 
 import os
 import re
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gfl
 from gfl import _kernels
@@ -94,10 +96,72 @@ def test_failed_build_fails_import_with_command_and_output(tmp_path):
 
 
 def test_kernels_compile_clean_with_warnings_as_errors(tmp_path):
-    # an unused static or variable, or a signed/unsigned comparison, in
-    # _kernels.c fails here, not only as a build warning
+    # an unused static or variable, a signed/unsigned comparison, an
+    # implicit narrowing conversion, a shadowed name or a construct outside
+    # C99 in _kernels.c fails here, not only as a build warning
     out = tmp_path / "k.so"
-    cmd = [*_kernels.COMMAND, "-Wall", "-Wextra", "-Werror", "-o", str(out), str(_kernels.SOURCE)]
+    cmd = [
+        *_kernels.COMMAND, "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Wshadow",
+        "-Wconversion", "-Werror", "-o", str(out), str(_kernels.SOURCE),
+    ]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# A NaN with a payload no kernel computes, so a stray write shows in its bits.
+SENTINEL = np.array([0x7FF8_DEAD_0000_BEEF], dtype=np.uint64).view(np.float64)[0]
+GUARD = 64
+
+
+def guarded(size):
+    """A float64 buffer of ``size`` inside a larger array, between bands of
+    GUARD sentinels; returns (buffer, whole array).  The buffer starts as
+    -1.0, so a stray copy of an unwritten entry is no sentinel either."""
+    whole = np.full(size + 2 * GUARD, SENTINEL)
+    whole[GUARD:GUARD + size] = -1.0
+    return whole[GUARD:GUARD + size], whole
+
+
+def bands_intact(whole):
+    bits = whole.view(np.uint64)
+    want = SENTINEL.view(np.uint64)
+    return bool((bits[:GUARD] == want).all() and (bits[-GUARD:] == want).all())
+
+
+def shapes(n):
+    walk = np.cumsum(np.random.default_rng(n).standard_normal(n))
+    ramp = np.arange(n, dtype=float)
+    return {"up": ramp, "down": -ramp, "constant": np.full(n, 2.5), "walk": walk}
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=["square", "quantile"])
+@pytest.mark.parametrize("n", [1, 2, 4096])
+@pytest.mark.parametrize("shape", ["up", "down", "constant", "walk"])
+@pytest.mark.parametrize("clip", [True, False], ids=["clipped", "unclipped"])
+def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
+    # ramps push a square-loss knot at every step and the final crossing one
+    # more; a lambda above n*max(tau, 1 - tau) clips nothing, so every
+    # distinct value stays a live quantile breakpoint
+    lib = _kernels.lib
+    lam = 0.75 if clip else 2.0 * n
+    quantile = loss.kind != "square"
+    tau = loss.tau if quantile else 0.0
+    y, y_whole = guarded(n)
+    y[:] = shapes(n)[shape]
+    theta, theta_whole = guarded(n)
+    work, work_whole = guarded((4 if quantile else 8) * n)
+    state, state_whole = guarded(4 * n - 2)
+    z, z_whole = guarded(n - 1)
+
+    assert lib.gfl_path(y.ctypes.data, n, lam, quantile, tau,
+                        theta.ctypes.data, work.ctypes.data) == 0
+    resid = lib.gfl_kkt_bands(y.ctypes.data, theta.ctypes.data, n, quantile, tau,
+                              lam, -lam, state.ctypes.data)
+    lib.gfl_kkt_dual(state.ctypes.data, n, z.ctypes.data)
+
+    for whole in (y_whole, theta_whole, work_whole, state_whole, z_whole):
+        assert bands_intact(whole)
+    sol = solve(FusedLassoProblem(y=y.copy(), lam=lam, loss=loss))
+    assert theta.tobytes() == sol.theta_hat.tobytes()
+    assert resid == sol.kkt_residual and z.tobytes() == sol.dual_z.tobytes()

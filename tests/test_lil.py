@@ -48,6 +48,8 @@ class TestEnvelope:
             LilEnvelope(1.0, 0.3)
         with pytest.raises(PreconditionError):
             LilEnvelope(1.0, 0.0)
+        with pytest.raises(ConfigError, match="delta must be a finite number"):
+            LilEnvelope(1.0, math.nan)
         with pytest.raises(ConfigError):
             LilEnvelope(0.0, 0.1)
         with pytest.raises(ConfigError):
