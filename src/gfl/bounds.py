@@ -40,9 +40,25 @@ def _check_lambda(lam: float) -> None:
         raise ConfigError("lambda must be positive")
 
 
+def _check_sse_lambda(lam: float) -> None:
+    _check_lambda(lam)
+    if lam * lam == 0.0:  # the SSE bounds divide by lambda^2
+        raise ConfigError(f"lambda {lam!r} is beyond float64 scale: lambda^2 underflows to 0")
+
+
 def _check_growth_L(L: float) -> None:
     if not (np.isfinite(L) and L > 0):
         raise ConfigError("growth constant L must be positive and finite")
+    # the quantile bounds divide by L**4 and by (L * L)**2; a float power
+    # raises OverflowError where a product would give inf
+    try:
+        in_scale = L**4 > 0.0 and (L * L) ** 2 > 0.0
+    except OverflowError:
+        in_scale = False
+    if not in_scale:
+        raise ConfigError(
+            f"growth constant L {L!r} is beyond float64 scale: L^4 underflows to 0 or overflows"
+        )
 
 
 @dataclass(frozen=True)
@@ -208,7 +224,7 @@ def sse_bound_quantile(
     ``strict=False`` the formula is still evaluated and the failures are
     attached to the result (the probability guarantee then does not apply)."""
     _check_growth_L(L)
-    _check_lambda(lam)
+    _check_sse_lambda(lam)
     _check_delta(delta, upper=DELTA_MAX * DELTA_MAX)
     n, K, V = geometry.n, geometry.K, geometry.V
     m = geometry.segment_lengths
@@ -262,7 +278,7 @@ def sse_bound_mean(
     noise with parameter sigma, at level 1 - 4 * prob_const() * delta."""
     if not sigma > 0:
         raise ConfigError("sigma must be positive")
-    _check_lambda(lam)
+    _check_sse_lambda(lam)
     n, K = geometry.n, geometry.K
     _check_delta(delta, upper=n * DELTA_MAX * DELTA_MAX)
     m = geometry.segment_lengths

@@ -7,6 +7,7 @@ directions eta_k, monotone-run lengths m_left/m_right) is derived here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,11 +60,7 @@ class PiecewiseConstantSignal:
     @cached_property
     def change_points(self) -> tuple[int, ...]:
         """Segment start indices n_1..n_K plus the sentinel n_{K+1} = n+1 (1-based)."""
-        starts = [1]
-        for m in self.lengths[:-1]:
-            starts.append(starts[-1] + m)
-        starts.append(self.n + 1)
-        return tuple(starts)
+        return tuple(itertools.accumulate(self.lengths, initial=1))
 
     def expand(self) -> np.ndarray:
         """Full length-n vector with entry i equal to the value of its segment."""
@@ -117,55 +114,43 @@ def compute_geometry(signal: PiecewiseConstantSignal) -> SignalGeometry:
     m_right adds segments j > k while eta_{max(k-1, 1)} == ... == eta_{j-1}.
     A segment whose neighboring jumps reverse direction gets
     m_left = m_right = m_k; a single segment gets m_left = m_right = n.
+
+    With first[j]..last[j] the run of equal directions holding jump j and
+    S_k = m_1 + ... + m_k = n_{k+1} - 1, m_left(k) = S_k - S_{first[a]-1}
+    for a = min(k, K-1) and m_right(k) = S_{last[b]+1} - S_{k-1} for
+    b = max(k-1, 1).  One pass each way over eta finds the runs, so the work
+    is linear in n + K.
     """
-    K = signal.K
-    n = signal.n
-    m = signal.lengths
-    starts = signal.change_points  # n_1..n_{K+1}
+    K, m, values = signal.K, signal.lengths, signal.values
+    starts = signal.change_points  # n_1..n_{K+1}, at positions 0..K
 
-    k_of = np.repeat(np.arange(1, K + 1), m)
+    eta = [0, *(1 if b > a else -1 for a, b in zip(values, values[1:])), 0]
+    # first[0] and last[K] are read only when K = 1, where they make the
+    # empty run 1..0, so that the single segment spans the signal
+    first = [1, *range(1, K + 1)]
+    last = [*range(K), K - 1]
+    for j in range(2, K):
+        if eta[j] == eta[j - 1]:
+            first[j] = first[j - 1]
+    for j in range(K - 2, 0, -1):
+        if eta[j] == eta[j + 1]:
+            last[j] = last[j + 1]
+    m_left = [starts[k] - starts[first[min(k, K - 1)] - 1] for k in range(1, K + 1)]
+    m_right = [starts[last[max(k - 1, 1)] + 1] - starts[k - 1] for k in range(1, K + 1)]
 
-    d = np.empty(n, dtype=np.int64)
-    for k in range(1, K + 1):
-        lo, hi = starts[k - 1], starts[k]  # segment covers [lo, hi-1]
-        i = np.arange(lo, hi)
-        d[lo - 1 : hi - 1] = np.minimum(i + 1 - lo, hi - i)
-
-    eta = np.zeros(K + 1, dtype=np.int64)
-    for k in range(1, K):
-        eta[k] = 1 if signal.values[k] > signal.values[k - 1] else -1
-
-    ml_seg = np.empty(K, dtype=np.int64)
-    mr_seg = np.empty(K, dtype=np.int64)
-    for k in range(1, K + 1):
-        ml = m[k - 1]
-        if K > 1:
-            anchor = eta[min(k, K - 1)]
-            j = k - 1
-            while j >= 1 and eta[j] == anchor:
-                ml += m[j - 1]
-                j -= 1
-        ml_seg[k - 1] = ml
-
-        mr = m[k - 1]
-        if K > 1:
-            anchor = eta[max(k - 1, 1)]
-            j = k + 1
-            while j <= K and eta[j - 1] == anchor:
-                mr += m[j - 1]
-                j += 1
-        mr_seg[k - 1] = mr
-
+    # up = i + 1 - n_k counts up from each segment's start, and
+    # n_{k+1} - i = m_k + 1 - up
+    up = np.arange(2, signal.n + 2) - np.repeat(starts[:-1], m)
     return SignalGeometry(
-        n=n,
+        n=signal.n,
         K=K,
         change_points=starts,
         segment_lengths=m,
-        k_of=k_of,
-        d=d,
-        eta=eta,
-        m_left=np.repeat(ml_seg, m),
-        m_right=np.repeat(mr_seg, m),
+        k_of=np.repeat(np.arange(1, K + 1), m),
+        d=np.minimum(up, np.repeat([mk + 1 for mk in m], m) - up),
+        eta=np.array(eta, dtype=np.int64),
+        m_left=np.repeat(m_left, m),
+        m_right=np.repeat(m_right, m),
         V=signal.V,
         m_min=signal.m_min,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, PreconditionError
-from .losses import L_minus, L_plus, NoiseModel, _check_pairing, make_loss
+from .losses import L_plus, NoiseModel, _check_pairing, make_loss
 from .signal import PiecewiseConstantSignal
 from .solver import FusedLassoProblem, solve
 
@@ -251,13 +251,11 @@ def _provenance(spec: ExperimentSpec) -> dict:
     }
 
 
-def _setup(spec: ExperimentSpec, signal: PiecewiseConstantSignal | None = None):
-    """Geometry, truth theta* and the resolved lambda of ``signal`` (default:
-    the spec's signal)."""
-    signal = signal or spec.signal
-    geom = signal.geometry()
-    lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, geom.n, geom.K)
-    return geom, signal.expand(), lam
+def _setup(spec: ExperimentSpec):
+    """Geometry, truth theta* and the resolved lambda of the spec's signal."""
+    signal = spec.signal
+    lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, signal.n, signal.K)
+    return signal.geometry(), signal.expand(), lam
 
 
 def _fits(spec: ExperimentSpec, theta_star: np.ndarray, lams, offset: int = 0):
@@ -307,8 +305,10 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
     cross_check_ok = True
     for (theta,) in _fits(spec, theta_star, [lam]):
         err = theta[idx - 1] - theta_star[idx - 1]
-        ev_lo = L_plus(spec.loss, spec.noise, err) <= -B
-        ev_hi = L_minus(spec.loss, spec.noise, err) >= B
+        # one array for both events: L_minus is L_plus for every supported noise
+        L_err = L_plus(spec.loss, spec.noise, err)
+        ev_lo = L_err <= -B
+        ev_hi = L_err >= B
         lower_hits += ev_lo
         upper_hits += ev_hi
         abs_err_sum += np.abs(err)
@@ -493,14 +493,19 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
 
     if spec.n_sweep:
         jump = abs(spec.signal.values[-1] - spec.signal.values[0]) or 1.0
+        # size j draws replications stride * (j + 1) onward, past the
+        # d-sweep's 0..R-1 and every other size's streams
+        stride = max(1000, spec.replications)
         rows = []
         for j, n in enumerate(spec.n_sweep):
             half = n // 2
             sig = PiecewiseConstantSignal([0.0, jump], [half, n - half])
-            _, theta_star, lam = _setup(spec, sig)
+            lam = resolve_lambda(spec.lambda_rule, spec.lambda_value, sig.n, sig.K)
             cp_i = half  # last index of segment 1: d = 1
             int_i = half // 2  # deep interior: d = about n/4
-            med = _median_abs_err_at(spec, theta_star, lam, [cp_i, int_i], offset=1000 * (j + 1))
+            med = _median_abs_err_at(
+                spec, sig.expand(), lam, [cp_i, int_i], offset=stride * (j + 1)
+            )
             rows.append(
                 {
                     "n": int(n),

@@ -437,6 +437,38 @@ def test_unwritable_out_dir_exit_2(tmp_path, command, first_file, capsys):
     assert os.listdir(out) == [first_file]
 
 
+_QUANTILE_SSE = {"experiment": "sse", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN}
+
+
+@pytest.mark.parametrize(
+    "argv, over",
+    [
+        (["--growth-L", "1e-100"], None),
+        (["--growth-L", "1e100"], None),
+        (None, {"experiment": "sse", "lambda": {"rule": "fixed", "value": 1e-200}}),
+        (None, {"experiment": "lambda_sweep", "lambda_grid": [1e-200, 1.0]}),
+        (None, {**_QUANTILE_SSE, "growth_L": 1e-100}),
+        (None, {**_QUANTILE_SSE, "growth_L": 1e100}),
+    ],
+    ids=["bounds-L-tiny", "bounds-L-huge", "sse-lambda", "lambda-sweep", "sse-L-tiny", "sse-L-huge"],
+)
+def test_lambda_or_L_beyond_float64_scale_exit_2(tmp_path, capsys, monkeypatch, argv, over):
+    """A lambda whose square, or an L whose fourth power, leaves float64's
+    range is refused before any fit, not divided by."""
+    monkeypatch.setattr("gfl.simulate.solve", None)  # a fit would raise TypeError
+    if over is None:
+        argv = [
+            "bounds", "--signal-values", "0,1", "--signal-lengths", "8,8",
+            "--delta", "0.05", "--lambda", "4.0", *argv,
+        ]
+    else:
+        argv = ["simulate", "--config", write_config(tmp_path, small_config(**over))]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "is beyond float64 scale" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
 def test_output_mode_is_what_open_creates(tmp_path, umask):
     """Outputs get 0o666 less the umask, as a file open(path, "w") creates."""

@@ -25,6 +25,38 @@ def brute_d(signal):
     return np.array(out)
 
 
+def brute_runs(signal):
+    """eta and the per-index m_left/m_right by walking each segment's
+    monotone run outward one segment at a time, as the definition reads."""
+    K = signal.K
+    m = signal.lengths
+    eta = np.zeros(K + 1, dtype=np.int64)
+    for k in range(1, K):
+        eta[k] = 1 if signal.values[k] > signal.values[k - 1] else -1
+
+    ml_seg = np.empty(K, dtype=np.int64)
+    mr_seg = np.empty(K, dtype=np.int64)
+    for k in range(1, K + 1):
+        ml = m[k - 1]
+        if K > 1:
+            anchor = eta[min(k, K - 1)]
+            j = k - 1
+            while j >= 1 and eta[j] == anchor:
+                ml += m[j - 1]
+                j -= 1
+        ml_seg[k - 1] = ml
+
+        mr = m[k - 1]
+        if K > 1:
+            anchor = eta[max(k - 1, 1)]
+            j = k + 1
+            while j <= K and eta[j - 1] == anchor:
+                mr += m[j - 1]
+                j += 1
+        mr_seg[k - 1] = mr
+    return eta, np.repeat(ml_seg, m), np.repeat(mr_seg, m)
+
+
 class TestConstruction:
     def test_expand_single_segment(self):
         assert np.array_equal(sig([0], [5]).expand(), np.zeros(5))
@@ -136,6 +168,55 @@ def test_geometry_invariants(s):
         mk = g.segment_lengths[k - 1]
         seg = g.d[starts[k - 1] - 1 : starts[k] - 1]
         assert seg.max() <= mk // 2 + 1
+
+
+@st.composite
+def run_signals(draw, max_segments=40, max_len=5):
+    """Signals whose jump directions mostly repeat, so long monotone runs
+    occur next to short ones."""
+    K = draw(st.integers(1, max_segments))
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=K, max_size=K))
+    flips = draw(st.lists(st.integers(0, 4), min_size=K - 1, max_size=K - 1))
+    direction = draw(st.sampled_from([-1.0, 1.0]))
+    values = [0.0]
+    for f in flips:
+        if f == 0:
+            direction = -direction
+        values.append(values[-1] + direction * (1 + f % 2))
+    return PiecewiseConstantSignal(values, lengths)
+
+
+@given(st.one_of(signals(), run_signals()))
+@settings(max_examples=300, deadline=None)
+def test_geometry_equals_segment_walk(s):
+    g = compute_geometry(s)
+    eta, m_left, m_right = brute_runs(s)
+    starts = [1]
+    for m in s.lengths:
+        starts.append(starts[-1] + m)
+    k_of = [k for k, m in enumerate(s.lengths, start=1) for _ in range(m)]
+    assert g.change_points == tuple(starts)
+    for got, want in [
+        (g.k_of, np.array(k_of)),
+        (g.d, brute_d(s)),
+        (g.eta, eta),
+        (g.m_left, m_left),
+        (g.m_right, m_right),
+    ]:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_long_staircase_runs_span_the_signal():
+    # strictly increasing: every jump is +1, so each segment's left run
+    # reaches segment 1 and its right run reaches segment K
+    K = 50_000
+    lengths = [1 + k % 3 for k in range(K)]
+    g = compute_geometry(PiecewiseConstantSignal(range(K), lengths))
+    S = np.cumsum(lengths)
+    S_before = S - lengths
+    assert np.array_equal(g.m_left, np.repeat(S, lengths))
+    assert np.array_equal(g.m_right, np.repeat(g.n - S_before, lengths))
+    assert np.array_equal(g.eta, [0] + [1] * (K - 1) + [0])
 
 
 @given(signals())

@@ -199,6 +199,25 @@ class TestSeedMixing:
         seen = {derived_seed(123, i) for i in range(10_000)}
         assert len(seen) == 10_000
 
+    def test_rate_sweep_streams_disjoint_beyond_1000_replications(self, monkeypatch):
+        seeds = []
+
+        def recording(base_seed, index):
+            seeds.append(derived_seed(base_seed, index))
+            return seeds[-1]
+
+        monkeypatch.setattr("gfl.simulate.derived_seed", recording)
+        cfg = base_config(
+            experiment="rate_sweep",
+            signal={"values": [0.0, 2.0], "lengths": [8, 8]},
+            replications=1001,
+            d_grid=[2, 4],
+            n_sweep=[8, 16],
+        )
+        run_experiment(ExperimentSpec.from_config(cfg))
+        assert len(seeds) == 3 * 1001
+        assert len(set(seeds)) == len(seeds)
+
 
 class TestConfig:
     def test_roundtrip_and_hash_stability(self):
