@@ -109,7 +109,11 @@ static inline int quad_right(struct quad *m, double target, double *x)
 /* Quantile loss: _StepMessage.  The message derivative is a nondecreasing
  * step function: sorted breakpoints bp[0..nb) with positive jumps jm, value
  * c0 left of every breakpoint and clast right of every one.  Each data point
- * adds at most one breakpoint and a crossing only deletes, so nb <= n. */
+ * adds at most one breakpoint and a crossing only deletes, so nb <= n.  A
+ * left crossing deletes by advancing bp and jm past the deleted entries, so
+ * the window starts at an offset into its buffer of n; that offset plus nb
+ * grows only with an insertion, so it never exceeds the number of points
+ * inserted, which is at most n, and the window stays inside the buffer. */
 struct step {
     double *bp, *jm;
     ptrdiff_t nb;
@@ -160,11 +164,9 @@ static inline int step_left(struct step *m, double target, double *x)
         return GFL_BELOW;
     h -= 1; /* keep the crossing breakpoint with an adjusted jump */
     m->jm[h] = c - target;
-    if (h) {
-        m->nb -= h;
-        memmove(m->bp, m->bp + h, (size_t)m->nb * sizeof *m->bp);
-        memmove(m->jm, m->jm + h, (size_t)m->nb * sizeof *m->jm);
-    }
+    m->bp += h;
+    m->jm += h;
+    m->nb -= h;
     m->c0 = target;
     *x = m->bp[0];
     return GFL_OK;

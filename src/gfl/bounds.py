@@ -46,6 +46,13 @@ def _check_sse_lambda(lam: float) -> None:
         raise ConfigError(f"lambda {lam!r} is beyond float64 scale: lambda^2 underflows to 0")
 
 
+def _beyond_scale(bound: str, lam, name: str, value) -> str:
+    return (
+        f"the {bound} bound at lambda {float(lam)!r} and {name} {float(value)!r} is beyond"
+        " float64 scale: it overflows"
+    )
+
+
 def _check_growth_L(L: float) -> None:
     if not (np.isfinite(L) and L > 0):
         raise ConfigError("growth constant L must be positive and finite")
@@ -106,14 +113,17 @@ def _B(i, geometry: SignalGeometry, sigma, delta, lam, improved: bool):
     m = np.asarray(geometry.segment_lengths, dtype=float)[geometry.k_of[j] - 1]
     l1d = math.log(1.0 / delta)
     d3 = np.maximum(3.0, d)
-    t1 = 4.0 * sigma * (np.sqrt(_lnln(2.0 * d3) / d3) + np.sqrt(l1d / d))
-    t2 = 4.0 * sigma * sigma * (_lnln(2.0 * m) + l1d) / lam
-    if improved:
-        lam_part = 2.0 * (lam / geometry.m_left[j] + lam / geometry.m_right[j])
-    else:
-        lam_part = 2.0 * lam / m
-    t3 = 2.0 * np.sqrt(m * sigma * sigma * l1d) / m + lam_part
-    B = (t1 + t2) + t3
+    with np.errstate(over="ignore"):
+        t1 = 4.0 * sigma * (np.sqrt(_lnln(2.0 * d3) / d3) + np.sqrt(l1d / d))
+        t2 = 4.0 * sigma * sigma * (_lnln(2.0 * m) + l1d) / lam
+        if improved:
+            lam_part = 2.0 * (lam / geometry.m_left[j] + lam / geometry.m_right[j])
+        else:
+            lam_part = 2.0 * lam / m
+        t3 = 2.0 * np.sqrt(m * sigma * sigma * l1d) / m + lam_part
+        B = (t1 + t2) + t3
+    if not np.isfinite(B).all():
+        raise ConfigError(_beyond_scale("elementwise", lam, "sigma", sigma))
     return B[0] if idx.ndim == 0 else B.reshape(idx.shape)
 
 
@@ -155,7 +165,8 @@ def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
     Signal level: m_min >= (36/L^2) ln(1/delta) and
     6*(lnln(2 m_min) + ln(1/delta))/L <= lambda <= (L/12)*m_min.
     Per index: d_i >= max(3, 12^4/L^4, (12^2/L^2) ln(1/delta)).
-    Returns (signal_level_ok, per_index_ok, details).
+    Returns (signal_level_ok, per_index_ok, {"index_distance_threshold": that
+    floor on d_i}).
     """
     _check_growth_L(L)
     if not 0.0 < delta < 1.0:
@@ -165,19 +176,10 @@ def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
     mmin_floor = 36.0 / (L * L) * l1d
     lam_lo = 6.0 * (math.log(math.log(2.0 * m_min)) + l1d) / L
     lam_hi = L / 12.0 * m_min
-    checks = {
-        "m_min >= 36 ln(1/delta) / L^2": (m_min, mmin_floor, m_min >= mmin_floor),
-        "lambda >= 6 (lnln(2 m_min) + ln(1/delta)) / L": (lam, lam_lo, lam >= lam_lo),
-        "lambda <= L m_min / 12": (lam, lam_hi, lam <= lam_hi),
-    }
-    signal_ok = all(ok for (_, _, ok) in checks.values())
+    signal_ok = bool(m_min >= mmin_floor and lam_lo <= lam <= lam_hi)
     d_floor = max(3.0, 12.0**4 / L**4, 144.0 / (L * L) * l1d)
     per_index = geometry.d >= d_floor
-    details = {
-        "signal_conditions": {k: {"value": v, "threshold": t, "ok": ok} for k, (v, t, ok) in checks.items()},
-        "index_distance_threshold": d_floor,
-    }
-    return signal_ok, per_index, details
+    return signal_ok, per_index, {"index_distance_threshold": d_floor}
 
 
 def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> PointwiseBound:
@@ -253,18 +255,20 @@ def sse_bound_quantile(
 
     seg_log = K + sum(math.log(mk / 2.0) for mk in m)
     L2 = L * L
-    t1 = 24.0 / L2 * (2.0 * lln + lnd) * seg_log
-    t2 = 3.0 * n / L2 * 4.0 * (lln * lln + lnd * lnd) / (lam * lam)
-    t3 = 6.0 * K / L2 * lnd
-    if improved:
-        t4 = 144.0 * lam * lam / L2 * _improved_lambda_sum(geometry)
-    else:
-        t4 = 24.0 * lam * lam / L2 * sum(1.0 / mk for mk in m)
-    t5 = 2.0 * K * max(3.0, 12.0**4 / L2**2, 144.0 / (2.0 * L2) * lnd) * V * V
+    with np.errstate(over="ignore"):
+        t1 = 24.0 / L2 * (2.0 * lln + lnd) * seg_log
+        t2 = 3.0 * n / L2 * 4.0 * (lln * lln + lnd * lnd) / (lam * lam)
+        t3 = 6.0 * K / L2 * lnd
+        if improved:
+            t4 = 144.0 * lam * lam / L2 * _improved_lambda_sum(geometry)
+        else:
+            t4 = 24.0 * lam * lam / L2 * sum(1.0 / mk for mk in m)
+        t5 = 2.0 * K * max(3.0, 12.0**4 / L2**2, 144.0 / (2.0 * L2) * lnd) * V * V
+        bound = t1 + t2 + t3 + t4 + t5
+    if not math.isfinite(bound):
+        raise ConfigError(_beyond_scale("sum-of-squares", lam, "L", L))
     terms = {"lil": t1, "inv_lambda_sq": t2, "segment_count": t3, "lambda_sq": t4, "range": t5}
-    return SseBound(
-        bound=t1 + t2 + t3 + t4 + t5, terms=terms, precondition_failures=tuple(failures)
-    )
+    return SseBound(bound=bound, terms=terms, precondition_failures=tuple(failures))
 
 
 def sse_bound_mean(
@@ -284,17 +288,21 @@ def sse_bound_mean(
     m = geometry.segment_lengths
     lnd = math.log(n / delta)
     lln = math.log(math.log(2.0 * n))
-    s2 = sigma * sigma
     seg_log = K + sum(math.log(mk / 2.0) for mk in m)
-    t1 = 192.0 * s2 * (lln + 0.5 * lnd) * seg_log
-    t2 = 24.0 * n * s2 * s2 * (lln * lln + 0.25 * lnd * lnd) / (lam * lam)
-    t3 = 12.0 * K * s2 * lnd
-    if improved:
-        t4 = 144.0 * lam * lam * _improved_lambda_sum(geometry)
-    else:
-        t4 = 24.0 * lam * lam * sum(1.0 / mk for mk in m)
+    with np.errstate(over="ignore"):
+        s2 = sigma * sigma
+        t1 = 192.0 * s2 * (lln + 0.5 * lnd) * seg_log
+        t2 = 24.0 * n * s2 * s2 * (lln * lln + 0.25 * lnd * lnd) / (lam * lam)
+        t3 = 12.0 * K * s2 * lnd
+        if improved:
+            t4 = 144.0 * lam * lam * _improved_lambda_sum(geometry)
+        else:
+            t4 = 24.0 * lam * lam * sum(1.0 / mk for mk in m)
+        bound = t1 + t2 + t3 + t4
+    if not math.isfinite(bound):
+        raise ConfigError(_beyond_scale("sum-of-squares", lam, "sigma", sigma))
     terms = {"lil": t1, "inv_lambda_sq": t2, "segment_count": t3, "lambda_sq": t4}
-    return SseBound(bound=t1 + t2 + t3 + t4, terms=terms)
+    return SseBound(bound=bound, terms=terms)
 
 
 def iterative_sum_check(m_list) -> tuple[float, float]:

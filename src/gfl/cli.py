@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver
 from . import bounds as bnd
 from .errors import ConfigError, GflError, PreconditionError
 from .lil import LilEnvelope, verify_paths
@@ -138,13 +138,13 @@ def _dumps(obj, level: int = 0) -> str:
     return "[" + indent + ("," + indent).join(_dumps(v, level + 1) for v in obj) + close + "]"
 
 
-def _write_json(path: str, payload: dict, config_hash: str) -> None:
+def _json_text(path: str, payload: dict, config_hash: str) -> str:
+    """The text of the JSON file ``path``: the header fields, then ``payload``."""
     payload = {"version": __version__, "config_hash": config_hash} | payload
     try:
-        text = _dumps(payload)
+        return _dumps(payload) + "\n"
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise GflError(f"not writing {path}: {exc}") from exc
-    _atomic_write(path, text + "\n")
 
 
 def _cells(values):
@@ -159,22 +159,30 @@ def _cells(values):
     return map(repr, memoryview(a))
 
 
-def _write_csv(path: str, table: dict, config_hash: str) -> None:
-    """``table``, {column name: values}, as CSV; a column shorter than the
-    others ends in empty cells."""
+def _csv_text(table: dict, config_hash: str) -> str:
+    """``table``, {column name: values}, as CSV text; a column shorter than
+    the others ends in empty cells."""
     rows = itertools.zip_longest(*map(_cells, table.values()), fillvalue="")
     lines = [f"# version={__version__} config_hash={config_hash}", ",".join(table)]
     lines.extend(map(",".join, rows))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
     """Write ``files``, {file name: content}, into ``out_dir`` in their order:
-    a ``.json`` name through ``_write_json``, any other as a CSV table."""
-    _make_out_dir(out_dir)
+    a ``.json`` name through ``_json_text``, any other as a CSV table.  Every
+    file is encoded before the directory is made or a file written, so a
+    file that cannot be encoded leaves nothing behind."""
+    texts = {}
     for name, content in files.items():
-        write = _write_json if name.endswith(".json") else _write_csv
-        write(os.path.join(out_dir, name), content, config_hash)
+        path = os.path.join(out_dir, name)
+        if name.endswith(".json"):
+            texts[path] = _json_text(path, content, config_hash)
+        else:
+            texts[path] = _csv_text(content, config_hash)
+    _make_out_dir(out_dir)
+    for path, text in texts.items():
+        _atomic_write(path, text)
 
 
 def _strict(convert):
@@ -220,11 +228,13 @@ def _cmd_solve(args) -> int:
     cfg_hash = hash_config(
         {"cmd": "solve", "lambda": args.lam, "loss": args.loss, "tau": args.tau, "n": int(y.size)}
     )
-    sol = solve(FusedLassoProblem(y=y, lam=args.lam, loss=loss))
+    problem = FusedLassoProblem(y=y, lam=args.lam, loss=loss)
+    sol = solve(problem)
+    _, z = solver.check_kkt(problem, sol.theta_hat)
     # z has one value per edge, so the last row's z cell is empty
-    table = {"i": np.arange(1, y.size + 1), "y": y, "theta_hat": sol.theta_hat, "z": sol.dual_z}
+    table = {"i": np.arange(1, y.size + 1), "y": y, "theta_hat": sol.theta_hat, "z": z}
     payload = {
-        "objective": sol.objective_value,
+        "objective": solver.objective(y, args.lam, loss, sol.theta_hat),
         "kkt_residual": sol.kkt_residual,
         "lambda": args.lam,
         "loss": args.loss,

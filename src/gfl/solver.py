@@ -20,17 +20,10 @@ Taylor, Ann. Statist. 39(3), 2011).  ``check_kkt`` runs two passes over the
 elements: a forward pass (``_kkt_bands``) that computes the stationarity
 bounds -rho'_+(y_i - theta_i) and -rho'_-(y_i - theta_i) in C, propagates the
 feasible band of each dual variable and yields the residual, and a backward
-pass (``_kkt_dual``) that picks one dual vector z inside the bands.
-``solve`` calls the same forward pass and runs no other; it keeps the bounds
-and bands, and the backward pass runs on the first read of
-``FusedLassoSolution.dual_z``.
-
-``FusedLassoSolution.objective_value`` is likewise computed on its first
-read, by ``objective``.  The fit's objective is at most that of theta = 0,
-sum_i rho(y_i), so it can overflow only if that reaches 2^1021: never for the
-quantile loss, whose sum is below n*max|y| <= 2^1020, and for the square loss
-only if 0.5*n*max|y|^2 >= 2^1021.  In that case ``solve`` computes the
-objective itself and rejects a fit whose objective overflows.
+pass that picks one dual vector z inside the bands.  ``solve`` runs the DP
+and the forward pass only, and returns theta and the residual; z comes from
+``check_kkt`` and the objective from ``objective``, which refuses a value
+that overflows float64.
 
 The per-element loops (the DP and both passes of the certificate) are C
 functions in ``_kernels.c``, which ``_kernels.py`` compiles at the first
@@ -42,13 +35,11 @@ and signed zeros included.  The file is compiled with ``-ffp-contract=off``
 and without ``-ffast-math`` or ``-march``, so the compiler may not fuse a
 multiply and an add into one rounding or reorder an operation: IEEE double
 arithmetic in a fixed order gives the same bits in C as in Python, and
-``theta_hat``, ``kkt_residual`` and ``dual_z`` are bit for bit the
-reference's.
+``theta_hat``, ``kkt_residual`` and z are bit for bit the reference's.
 Arrays cross the boundary as raw pointers to contiguous float64 ndarrays
 that the wrappers here make or allocate, every output and scratch buffer
-included, so the C code allocates nothing.  A fit allocates only what its
-solution keeps (theta and the certificate's state) and the DP's scratch,
-which is freed when the DP returns.
+included, so the C code allocates nothing.  A fit keeps only theta; the
+DP's scratch and the certificate's state are freed when ``solve`` returns.
 
 The solver works in float64, so ``FusedLassoProblem`` rejects a problem whose
 scale lambda + n*max|y| exceeds 2^1020: the square DP's running offset is a
@@ -60,8 +51,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +62,6 @@ from .errors import ConfigError, GflError
 # a few times this, and float64 overflows at 2^1024.
 _MAX_SCALE = 2.0**1020
 _SCALE_HELP = ", the largest scale the float64 solver takes; rescale y and lambda"
-# solve computes the objective at once when sum_i rho(y_i) may reach this
-_OBJECTIVE_GUARD = 2.0**1021
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +69,6 @@ class FusedLassoProblem:
     y: np.ndarray
     lam: float
     loss: object
-    y_max: float = field(init=False, repr=False)  # max|y|, set by the checks below
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -91,7 +78,6 @@ class FusedLassoProblem:
         y_max = float(np.abs(y).max())
         if not math.isfinite(y_max):
             raise ConfigError("y contains non-finite values")
-        object.__setattr__(self, "y_max", y_max)
         lam = self.lam
         # an int is finite and compares exactly, however large: its float
         # conversion (for the sum below) could overflow, so compare it first;
@@ -113,35 +99,26 @@ class FusedLassoProblem:
 
 @dataclass(frozen=True, eq=False)
 class FusedLassoSolution:
-    """A fit and its optimality certificate.
-
-    ``dual_z`` (one multiplier per interior edge) is built by the
-    certificate's backward pass the first time it is read, from the forward
-    pass's state that ``solve`` keeps.  ``objective_value`` is computed from
-    the problem the first time it is read, unless ``solve`` computed it
-    already to rule out an overflow.
-    """
+    """A fit and the residual of its optimality certificate."""
 
     theta_hat: np.ndarray
     kkt_residual: float
-    _problem: FusedLassoProblem = field(repr=False)
-    _kkt_state: np.ndarray = field(repr=False)
-
-    @cached_property
-    def dual_z(self) -> np.ndarray:
-        return _kkt_dual(self._kkt_state)
-
-    @cached_property
-    def objective_value(self) -> float:
-        p = self._problem
-        return objective(p.y, p.lam, p.loss, self.theta_hat)
 
 
 def objective(y, lam, loss, theta) -> float:
+    """sum_i rho(y_i - theta_i) + lam * TV(theta); a value that overflows
+    float64 raises ``GflError``."""
     theta = np.asarray(theta, dtype=float)
-    fit = float(np.sum(loss.rho(y - theta)))
-    tv = float(np.sum(np.abs(np.diff(theta)))) if theta.size > 1 else 0.0
-    return fit + lam * tv
+    with np.errstate(over="ignore"):
+        fit = float(np.sum(loss.rho(y - theta)))
+        tv = float(np.sum(np.abs(np.diff(theta)))) if theta.size > 1 else 0.0
+    value = fit + lam * tv
+    if not math.isfinite(value):
+        raise GflError(
+            f"the objective at the fit overflows float64 (max {np.finfo(float).max:.4g});"
+            " rescale y and lambda"
+        )
+    return value
 
 
 # The kernels' status codes (``_kernels.c``), as the errors they stand for.
@@ -181,7 +158,7 @@ def _kkt_bands(y: np.ndarray, lam, loss, theta: np.ndarray):
     Returns ``(resid, state)``: ``state`` holds the stationarity bounds of
     each element and the feasible band of each interior edge's z (4n - 2
     values, laid out as ``gfl_kkt_bands`` in ``_kernels.c`` says), which is
-    all ``_kkt_dual`` reads.
+    all the backward pass reads.
     """
     n = y.size
     state = np.empty(4 * n - 2)
@@ -202,14 +179,6 @@ def _kkt_bands(y: np.ndarray, lam, loss, theta: np.ndarray):
     return resid, state
 
 
-def _kkt_dual(state: np.ndarray) -> np.ndarray:
-    """Backward pass of the certificate: one z per interior edge."""
-    n = (state.size + 2) // 4
-    z = np.empty(n - 1)
-    _kernels.lib.gfl_kkt_dual(state.ctypes.data, n, z.ctypes.data)
-    return z
-
-
 def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
     """Certify optimality of ``theta`` via the edge dual variables.
 
@@ -227,29 +196,16 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
         problem.loss,
         np.ascontiguousarray(theta, dtype=np.float64),
     )
-    return resid, _kkt_dual(state)
+    z = np.empty(theta.size - 1)
+    _kernels.lib.gfl_kkt_dual(state.ctypes.data, theta.size, z.ctypes.data)
+    return resid, z
 
 
 def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
     y, lam, loss = np.ascontiguousarray(problem.y, dtype=np.float64), problem.lam, problem.loss
     theta = _solve_path(y, lam, loss)
-    resid, state = _kkt_bands(y, lam, loss, theta)
-    sol = FusedLassoSolution(
-        theta_hat=theta, kkt_residual=resid, _problem=problem, _kkt_state=state
-    )
-    # the objective is at most sum_i rho(y_i): only a square loss with
-    # 0.5*n*max|y|^2 >= 2^1021 can make it overflow (see the module docstring)
-    y_max = problem.y_max
-    if loss.kind == "square" and 0.5 * y.size * y_max * y_max >= _OBJECTIVE_GUARD:
-        with np.errstate(over="ignore"):
-            obj = objective(problem.y, lam, loss, theta)
-        if not math.isfinite(obj):
-            raise GflError(
-                f"the objective at the fit overflows float64 (max {np.finfo(float).max:.4g});"
-                " rescale y and lambda"
-            )
-        sol.__dict__["objective_value"] = obj  # the cached_property's slot
-    return sol
+    resid, _ = _kkt_bands(y, lam, loss, theta)
+    return FusedLassoSolution(theta_hat=theta, kkt_residual=resid)
 
 
 __all__ = [

@@ -50,7 +50,7 @@ def test_01_solver_matches_grid_oracle():
         p = FusedLassoProblem(y=y, lam=lam, loss=loss)
         sol = solve(p)
         ref = oracle_solve(p, step=1e-3)
-        gap = sol.objective_value - objective(y, lam, loss, ref)
+        gap = objective(y, lam, loss, sol.theta_hat) - objective(y, lam, loss, ref)
         worst_gap = max(worst_gap, gap)
         if loss is SQ:
             worst_resid_sq = max(worst_resid_sq, sol.kkt_residual)

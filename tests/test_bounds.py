@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +334,27 @@ class TestSse:
             sse_bound_quantile(self.g, 1e-3, lam, 4.0, strict=False)
         with pytest.raises(ConfigError, match="lambda must be positive"):
             uniform_quantile_bound(self.g.n, 0.05, lam, 4.0)
+
+    @pytest.mark.parametrize(
+        "bound, lam, scale",
+        [
+            (sse_bound_mean, 1.0, 1e200),
+            (sse_bound_mean, 1e200, 1.0),
+            (sse_bound_mean, np.float64(1e-160), 1.0),
+            (sse_bound_quantile, 1e200, 4.0),
+            (sse_bound_quantile, np.float64(1e-160), 4.0),
+        ],
+    )
+    def test_overflow_is_refused_without_warning(self, bound, lam, scale):
+        """A bound beyond float64's range is refused, naming lambda and sigma
+        (or L), and numpy warns of nothing."""
+        name = "sigma" if bound is sse_bound_mean else "L"
+        kwargs = {} if bound is sse_bound_mean else {"strict": False}
+        want = f"lambda {float(lam)!r} and {name} {scale!r} is beyond float64 scale"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape(want)):
+                bound(self.g, 1e-3, lam, scale, **kwargs)
 
 
 class TestIterativeSum:

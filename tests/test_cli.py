@@ -1,14 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import stat
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfl import cli
-from gfl.cli import _write_json, build_parser, main
+from gfl.cli import _write_outputs, build_parser, main
 from gfl.errors import GflError
 from gfl.losses import QuantileLoss
 from gfl.simulate import ExperimentSpec
@@ -169,11 +174,13 @@ def test_objective_computed_only_by_solve_command(tmp_path, objective_calls, ove
     assert len(objective_calls) == 1
 
 def test_non_finite_json_is_not_written(tmp_path):
-    path = tmp_path / "x.json"
+    out = tmp_path / "out"
+    path = out / "x.json"
     for bad in (float("nan"), float("inf")):
         with pytest.raises(GflError, match="not writing"):
-            _write_json(str(path), {"value": bad}, "hash")
+            _write_outputs(str(out), {"a.csv": {"v": [1.0]}, "x.json": {"value": bad}}, "hash")
         assert not path.exists()
+        assert not out.exists()  # nor the CSV before it, nor the directory
 
 
 class TestBoundsCommand:
@@ -449,12 +456,19 @@ _QUANTILE_SSE = {"experiment": "sse", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN}
         (None, {"experiment": "lambda_sweep", "lambda_grid": [1e-200, 1.0]}),
         (None, {**_QUANTILE_SSE, "growth_L": 1e-100}),
         (None, {**_QUANTILE_SSE, "growth_L": 1e100}),
+        (["--lambda", "1e-320"], None),
+        (["--sigma", "1e200"], None),
+        (None, {"lambda": {"rule": "fixed", "value": 1e-320}}),
     ],
-    ids=["bounds-L-tiny", "bounds-L-huge", "sse-lambda", "lambda-sweep", "sse-L-tiny", "sse-L-huge"],
+    ids=[
+        "bounds-L-tiny", "bounds-L-huge", "sse-lambda", "lambda-sweep", "sse-L-tiny",
+        "sse-L-huge", "bounds-lambda-tiny", "bounds-sigma-huge", "pointwise-lambda-tiny",
+    ],
 )
 def test_lambda_or_L_beyond_float64_scale_exit_2(tmp_path, capsys, monkeypatch, argv, over):
     """A lambda whose square, or an L whose fourth power, leaves float64's
-    range is refused before any fit, not divided by."""
+    range, and a lambda or sigma that takes the elementwise bound beyond it,
+    is refused before any fit or file, and numpy warns of nothing."""
     monkeypatch.setattr("gfl.simulate.solve", None)  # a fit would raise TypeError
     if over is None:
         argv = [
@@ -464,7 +478,9 @@ def test_lambda_or_L_beyond_float64_scale_exit_2(tmp_path, capsys, monkeypatch, 
     else:
         argv = ["simulate", "--config", write_config(tmp_path, small_config(**over))]
     out = tmp_path / "out"
-    assert main(argv + ["--out-dir", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(out)]) == 2
     assert "is beyond float64 scale" in capsys.readouterr().err
     assert not out.exists() or os.listdir(out) == []
 
@@ -532,3 +548,41 @@ def test_parser_built_once_and_no_value_leaks(tmp_path, monkeypatch):
     build_parser()
     assert len(built) == 2 * one_build
     assert build_parser() is not build_parser()
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(lam=_POSITIVE, sigma=_POSITIVE)
+@settings(max_examples=60, deadline=None)
+def test_bounds_writes_both_files_or_none(lam, sigma):
+    """For any finite, positive lambda and sigma, gfl bounds either writes
+    both of its files or exits 2 and writes nothing, with no numpy warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = [
+            "bounds", "--signal-values", "0,1", "--signal-lengths", "8,8", "--delta", "0.05",
+            "--lambda", repr(lam), "--sigma", repr(sigma), "--out-dir", out,
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv)
+        if rc == 0:
+            assert sorted(os.listdir(out)) == ["bounds.csv", "bounds.json"]
+        else:
+            assert rc == 2 and not os.path.exists(out)
+
+
+def test_solve_refuses_an_overflowing_objective(tmp_path, capsys):
+    """The fit theta = 0 is certified, but its objective overflows float64:
+    gfl solve exits 2 before it writes a file."""
+    inp = tmp_path / "y.csv"
+    inp.write_text("1e200\n-1e200\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["solve", "--input", str(inp), "--lambda", "1e300", "--out-dir", str(out)]
+        assert main(argv) == 2
+    assert "the objective at the fit overflows float64" in capsys.readouterr().err
+    assert not out.exists()

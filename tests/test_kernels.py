@@ -16,7 +16,7 @@ import pytest
 import gfl
 from gfl import _kernels
 from gfl.losses import QuantileLoss, SquareLoss
-from gfl.solver import FusedLassoProblem, solve
+from gfl.solver import FusedLassoProblem, check_kkt, solve
 
 Y = np.cos(np.arange(200) * 0.37) * 3.0
 LOSSES = (SquareLoss(), QuantileLoss(0.3))
@@ -162,6 +162,8 @@ def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
 
     for whole in (y_whole, theta_whole, work_whole, state_whole, z_whole):
         assert bands_intact(whole)
-    sol = solve(FusedLassoProblem(y=y.copy(), lam=lam, loss=loss))
+    problem = FusedLassoProblem(y=y.copy(), lam=lam, loss=loss)
+    sol = solve(problem)
     assert theta.tobytes() == sol.theta_hat.tobytes()
-    assert resid == sol.kkt_residual and z.tobytes() == sol.dual_z.tobytes()
+    _, sol_z = check_kkt(problem, sol.theta_hat)
+    assert resid == sol.kkt_residual and z.tobytes() == sol_z.tobytes()

@@ -71,12 +71,15 @@ class TestFloat64Scale:
             solve(prob([1e307] * 100, 1.0))
 
     def test_objective_overflow_is_rejected(self):
-        # within scale, but the fit theta = 0 leaves residuals whose squares
-        # overflow
+        # within scale, and the fit theta = 0 is certified, but its residuals'
+        # squares overflow: objective refuses the value, solve does not
+        y = [1e200, -1e200]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            sol = solve(prob(y, 1e300))
+            assert sol.theta_hat.tolist() == [0.0, 0.0] and sol.kkt_residual == 0.0
             with pytest.raises(GflError, match="objective .* float64"):
-                solve(prob([1e200, -1e200], 1e300))
+                objective(y, 1e300, SQ, sol.theta_hat)
 
     def test_int_lambda_beyond_scale_is_rejected(self):
         # 2^1020 is a float64, but lambda + n*max|y| is beyond the scale
@@ -160,7 +163,7 @@ class TestKkt:
             lam = 1.5
             p = prob(y, lam, MED)
             sol = solve(p)
-            z = sol.dual_z  # one multiplier per interior edge
+            _, z = check_kkt(p, sol.theta_hat)  # one multiplier per interior edge
             assert z.size == y.size - 1
             assert np.all(np.abs(z) <= lam + 1e-12)
             jumps = np.diff(sol.theta_hat)
@@ -199,13 +202,18 @@ class TestOracleAgreement:
             p = prob(y, lam, loss)
             sol = solve(p)
             ref = oracle_solve(p)
-            assert sol.objective_value <= objective(y, lam, loss, ref) + 1e-4
+            assert objective(y, lam, loss, sol.theta_hat) <= objective(y, lam, loss, ref) + 1e-4
             assert sol.kkt_residual <= 1e-9
 
 
-def bits(sol):
-    """theta_hat, kkt_residual and dual_z of a fit, as bytes."""
-    return (sol.theta_hat.tobytes(), np.float64(sol.kkt_residual).tobytes(), sol.dual_z.tobytes())
+def bits(problem, sol):
+    """theta_hat, kkt_residual and the dual z of ``problem``'s fit ``sol``, as bytes."""
+    _, z = check_kkt(problem, sol.theta_hat)
+    return (sol.theta_hat.tobytes(), np.float64(sol.kkt_residual).tobytes(), z.tobytes())
+
+
+def fit_bits(problem):
+    return bits(problem, solve(problem))
 
 
 class TestRawPointerInputs:
@@ -220,8 +228,8 @@ class TestRawPointerInputs:
     )
     def test_strided_view_fits_as_contiguous_copy(self, y, loss):
         assert not y.flags.c_contiguous
-        want = bits(solve(FusedLassoProblem(np.ascontiguousarray(y), 1.5, loss)))
-        assert bits(solve(FusedLassoProblem(y, 1.5, loss))) == want
+        want = fit_bits(FusedLassoProblem(np.ascontiguousarray(y), 1.5, loss))
+        assert fit_bits(FusedLassoProblem(y, 1.5, loss)) == want
 
     @pytest.mark.parametrize("loss", [SQ, QuantileLoss(0.3)], ids=["square", "quantile"])
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
@@ -229,14 +237,14 @@ class TestRawPointerInputs:
         y64 = np.round(self.WAVE * 4.0)  # whole numbers, exact in every dtype here
         y = y64.astype(dtype)
         assert np.array_equal(y.astype(np.float64), y64)
-        want = bits(solve(FusedLassoProblem(y64, 1.5, loss)))
-        assert bits(solve(FusedLassoProblem(y, 1.5, loss))) == want
+        want = fit_bits(FusedLassoProblem(y64, 1.5, loss))
+        assert fit_bits(FusedLassoProblem(y, 1.5, loss)) == want
 
     def test_read_only_input(self):
         y = self.WAVE.copy()
-        want = bits(solve(prob(y, 0.8, MED)))
+        want = fit_bits(prob(y, 0.8, MED))
         y.flags.writeable = False
-        assert bits(solve(FusedLassoProblem(y, 0.8, MED))) == want
+        assert fit_bits(FusedLassoProblem(y, 0.8, MED)) == want
 
     def test_check_kkt_on_strided_and_float32_theta(self):
         p = FusedLassoProblem(self.WAVE[::2], 1.5, MED)
@@ -252,8 +260,8 @@ class TestRawPointerInputs:
     def test_no_buffer_is_shared_between_fits(self):
         a = prob(self.WAVE[:50], 1.5, SQ)
         first = solve(a)
-        want = bits(first)  # reads first.dual_z now
-        late = solve(a)  # its dual_z is read only after the other fits
+        want = bits(a, first)  # builds first's z now
+        late = solve(a)  # its z is built only after the other fits
         others = (
             prob(self.WAVE[10:60], 0.4, QuantileLoss(0.3)),  # same size, other loss
             prob(self.WAVE, 0.4, QuantileLoss(0.3)),
@@ -261,10 +269,11 @@ class TestRawPointerInputs:
         )
         for other in others:
             sol = solve(other)
-            sol.dual_z[:] = 7.0
+            _, z = check_kkt(other, sol.theta_hat)
+            z[:] = 7.0
             sol.theta_hat[:] = 7.0
-        assert bits(first) == want
-        assert bits(late) == want
+        assert bits(a, first) == want
+        assert bits(a, late) == want
 
     @pytest.mark.parametrize("where", [0, 5, -1])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -283,33 +292,12 @@ class TestRawPointerInputs:
                 check_kkt(p, theta)
 
 
-class TestLazyObjective:
-    @pytest.mark.parametrize("loss", [SQ, QuantileLoss(0.3)], ids=["square", "quantile"])
-    @pytest.mark.parametrize("lam", [0, 0.0, 0.7, 40.0])
-    def test_equals_objective_of_fit(self, loss, lam):
-        y = np.cos(np.arange(60) * 0.37) * 3.0
-        sol = solve(prob(y, lam, loss))
-        want = objective(y, lam, loss, sol.theta_hat)
-        assert np.float64(sol.objective_value).tobytes() == np.float64(want).tobytes()
-
-    def test_computed_only_when_read(self, objective_calls):
-        for loss in (SQ, MED):
-            sol = solve(prob([1e150, -1e150, 3e150], 1.0, loss))
-            assert objective_calls == []
-            first = sol.objective_value
-            assert sol.objective_value == first and len(objective_calls) == 1
-            objective_calls.clear()
-
-    def test_computed_in_solve_where_it_could_overflow(self, objective_calls):
-        # 0.5 * n * max|y|^2 >= 2^1021: solve computes and checks the
-        # objective, and a read returns that value
-        y = [1e154, -1e154, 5e153]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sol = solve(prob(y, 1e-3))
-        assert len(objective_calls) == 1
-        assert sol.objective_value == objective(y, 1e-3, SQ, sol.theta_hat)
-        assert len(objective_calls) == 1
+def test_solution_holds_only_the_fit_and_its_residual():
+    """A solution keeps theta_hat and kkt_residual; z and the objective come
+    from check_kkt and objective."""
+    for loss in (SQ, MED):
+        sol = solve(prob([1.0, -1.0, 2.0, 2.0], 0.7, loss))
+        assert set(vars(sol)) == {"theta_hat", "kkt_residual"}
 
 
 def test_array_holding_types_compare_by_identity():
@@ -360,10 +348,9 @@ class TestStructuralProperties:
 
     def test_objective_reported_correctly(self):
         y = np.array([1.0, -1.0, 2.0])
-        sol = solve(prob(y, 0.7, MED))
-        assert sol.objective_value == pytest.approx(
-            objective(y, 0.7, MED, sol.theta_hat), abs=1e-12
-        )
+        th = solve(prob(y, 0.7, MED)).theta_hat
+        by_hand = sum(0.5 * abs(r) for r in y - th) + 0.7 * sum(abs(np.diff(th)))
+        assert objective(y, 0.7, MED, th) == pytest.approx(by_hand, abs=1e-12)
 
 
 class TestIntervalScores:
