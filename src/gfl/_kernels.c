@@ -257,15 +257,13 @@ int gfl_path(const double *ys, ptrdiff_t n, double lam, int quantile, double tau
  * r > 0, for the quantile loss.  The pass then propagates the feasible band
  * of each dual variable z_i (lam on an upward jump of theta, -lam on a
  * downward one, free in [-lam, lam] on a flat edge; z_n = 0 closes the chain)
- * and returns the largest gap met, or -1.0 if some theta_i is not finite.
- * neg_lam is passed in, not computed, because it is the caller's -lam: +0.0
- * for an integer lam of 0. */
+ * and returns the largest gap met, or -1.0 if some theta_i is not finite. */
 double gfl_kkt_bands(const double *y, const double *theta, ptrdiff_t n, int quantile,
-                     double tau, double lam, double neg_lam, double *state)
+                     double tau, double lam, double *state)
 {
     double *g_lo = state, *g_hi = state + n;
     double *band_lo = state + 2 * n, *band_hi = band_lo + (n - 1);
-    double resid = 0.0, zlo = 0.0, zhi = 0.0, alo, ahi, gap, r;
+    double resid = 0.0, zlo = 0.0, zhi = 0.0, neg_lam = -lam, alo, ahi, gap, r;
     double g_pos = -tau, g_neg = -(tau - 1.0);
 
     for (ptrdiff_t i = 0; i < n; i++) {

@@ -9,10 +9,10 @@ half-written library.  If the compiler is missing or fails, importing this
 module raises ``ImportError`` with the command and the compiler's output.
 
 Every array crosses as a raw pointer (``c_void_p``), which ``ctypes`` does
-not check.  The wrappers in ``solver.py`` pass ``.ctypes.data`` only of
-arrays they have just allocated with ``np.empty`` or made with
-``np.ascontiguousarray(..., dtype=np.float64)``, so each is a contiguous
-float64 array, every output a fresh writable one; they size every array and
+not check.  The wrappers in ``solver.py`` pass ``.ctypes.data`` only of a
+problem's y, which ``FusedLassoProblem`` stores as a C-contiguous float64
+array, and of arrays they have just made the same way or allocated with
+``np.empty``, every output a fresh writable one; they size every array and
 hold a reference to each for the length of the call.
 """
 
@@ -81,7 +81,7 @@ _F = ctypes.c_double
 
 lib.gfl_path.argtypes = (_P, _N, _F, ctypes.c_int, _F, _P, _P)
 lib.gfl_path.restype = ctypes.c_int
-lib.gfl_kkt_bands.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _F, _P)
+lib.gfl_kkt_bands.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _P)
 lib.gfl_kkt_bands.restype = ctypes.c_double
 lib.gfl_kkt_dual.argtypes = (_P, _N, _P)
 lib.gfl_kkt_dual.restype = None

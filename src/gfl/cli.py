@@ -30,13 +30,6 @@ from .simulate import ExperimentSpec, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
 
 
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     try:
@@ -180,7 +173,10 @@ def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
             texts[path] = _json_text(path, content, config_hash)
         else:
             texts[path] = _csv_text(content, config_hash)
-    _make_out_dir(out_dir)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     for path, text in texts.items():
         _atomic_write(path, text)
 
@@ -356,7 +352,6 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("config must be a JSON object")
         cfg["seed"] = args.seed
     spec = ExperimentSpec.from_config(cfg)
-    _make_out_dir(args.out_dir)  # an unusable --out-dir fails before the run, not after
     result = run_experiment(spec)
     tables = _EXPERIMENT_CSVS[result["experiment"]](result)
     files = {"summary.json": result} | {name: t for name, t in tables.items() if t}

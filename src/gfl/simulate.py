@@ -56,11 +56,14 @@ _SCHEMA = {
         _REQUIRED,
     ),
     "loss": ({"kind": (str, _REQUIRED), "tau": (float, None)}, _REQUIRED),
-    "lambda": ({"rule": (str, "fixed"), "value": (float, None)}, {"rule": "sqrt_n_over_k"}),
+    "lambda": (
+        {"rule": (_LAMBDA_RULES, "fixed"), "value": (float, None)},
+        {"rule": "sqrt_n_over_k"},
+    ),
     "delta": (float, _REQUIRED),
     "replications": (int, 100),
     "seed": (int, _REQUIRED),
-    "monitor": ((str, [int]), "interior"),
+    "monitor": ((*_MONITOR_NAMES, [int]), "interior"),
     "growth_L": ((float, "auto"), None),
     "n_sweep": ([int], []),
     "d_grid": ([int], []),
@@ -158,8 +161,6 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.lambda_rule not in _LAMBDA_RULES:
-            raise ConfigError(f"unknown lambda rule {self.lambda_rule!r}")
         if self.lambda_rule == "fixed" and (
             self.lambda_value is None or not self.lambda_value >= 0
         ):
@@ -168,8 +169,6 @@ class ExperimentSpec:
             raise ConfigError(f"lambda rule {self.lambda_rule!r} takes no value")
         if self.monitor == ():
             raise ConfigError("monitor list is empty")
-        if isinstance(self.monitor, str) and self.monitor not in _MONITOR_NAMES:
-            raise ConfigError(f"unknown monitor set {self.monitor!r}")
         if self.d_grid and len(set(self.d_grid)) < 2:
             raise ConfigError("d_grid needs at least two distinct distances to fit a slope")
         if any(n < 4 for n in self.n_sweep):
@@ -361,8 +360,7 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
     R = spec.replications
     hits = np.zeros(idx.size, dtype=np.int64)
     for (theta,) in _fits(spec, theta_star, [lam]):
-        if idx.size:
-            hits += np.abs(theta[idx - 1] - theta_star[idx - 1]) > bound_vals
+        hits += np.abs(theta[idx - 1] - theta_star[idx - 1]) > bound_vals
     worst = float(hits.max() / R) if idx.size else 0.0
     return {
         "experiment": "elementwise_quantile",

@@ -36,10 +36,11 @@ and without ``-ffast-math`` or ``-march``, so the compiler may not fuse a
 multiply and an add into one rounding or reorder an operation: IEEE double
 arithmetic in a fixed order gives the same bits in C as in Python, and
 ``theta_hat``, ``kkt_residual`` and z are bit for bit the reference's.
-Arrays cross the boundary as raw pointers to contiguous float64 ndarrays
-that the wrappers here make or allocate, every output and scratch buffer
-included, so the C code allocates nothing.  A fit keeps only theta; the
-DP's scratch and the certificate's state are freed when ``solve`` returns.
+Arrays cross the boundary as raw pointers to contiguous float64 ndarrays:
+the y that ``FusedLassoProblem`` stores and the arrays the wrappers here
+make or allocate, every output and scratch buffer included, so the C code
+allocates nothing.  A fit keeps only theta; the DP's scratch and the
+certificate's state are freed when ``solve`` returns.
 
 The solver works in float64, so ``FusedLassoProblem`` rejects a problem whose
 scale lambda + n*max|y| exceeds 2^1020: the square DP's running offset is a
@@ -71,7 +72,7 @@ class FusedLassoProblem:
     loss: object
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = np.asarray(self.y, dtype=np.float64, order="C")
         object.__setattr__(self, "y", y)
         if y.ndim != 1 or y.size < 1:
             raise ConfigError("y must be a nonempty 1D vector")
@@ -80,8 +81,8 @@ class FusedLassoProblem:
             raise ConfigError("y contains non-finite values")
         lam = self.lam
         # an int is finite and compares exactly, however large: its float
-        # conversion (for the sum below) could overflow, so compare it first;
-        # a bool is an Integral but no lambda
+        # conversion (for the sum below and the lambda stored last) could
+        # overflow, so compare it first; a bool is an Integral but no lambda
         if isinstance(lam, bool) or not (
             isinstance(lam, numbers.Real)
             and (isinstance(lam, numbers.Integral) or math.isfinite(lam))
@@ -95,6 +96,7 @@ class FusedLassoProblem:
                 f"lambda + n*max|y| = {lam:g} + {y.size}*{y_max:g} exceeds 2^1020"
                 f" ({_MAX_SCALE:.4g}){_SCALE_HELP}"
             )
+        object.__setattr__(self, "lam", float(self.lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,49 +132,45 @@ _STATUS = {
 }
 
 # Each kernel takes raw pointers (``_kernels.py``): every array passed below
-# is a contiguous float64 array made here, and stays referenced by a local
-# name until the call returns.
+# is contiguous float64 and stays referenced by a name until the call returns.
 
 
-def _solve_path(y: np.ndarray, lam, loss) -> np.ndarray:
-    """Run the DP on contiguous float64 ``y``; returns theta (smallest-optimal
-    tie-breaking).  The DP's scratch is freed when this returns."""
+def _loss_args(loss) -> tuple[bool, float]:
+    """The kernels' loss arguments, (quantile, tau)."""
+    quantile = loss.kind != "square"
+    return quantile, float(loss.tau) if quantile else 0.0
+
+
+def _solve_path(problem: FusedLassoProblem) -> np.ndarray:
+    """Run the DP; returns theta (smallest-optimal tie-breaking).  The DP's
+    scratch is freed when this returns."""
+    y, lam = problem.y, problem.lam
     if lam == 0.0:
         return y.copy()
-    n = y.size
-    quantile = loss.kind != "square"
-    tau = float(loss.tau) if quantile else 0.0
-    theta = np.empty(n)
-    work = np.empty((4 if quantile else 8) * n)  # the size gfl_path names
+    quantile, tau = _loss_args(problem.loss)
+    theta = np.empty(y.size)
+    work = np.empty((4 if quantile else 8) * y.size)  # the size gfl_path names
     status = _kernels.lib.gfl_path(
-        y.ctypes.data, n, float(lam), quantile, tau, theta.ctypes.data, work.ctypes.data
+        y.ctypes.data, y.size, lam, quantile, tau, theta.ctypes.data, work.ctypes.data
     )
     if status:
         raise GflError(_STATUS[status])
     return theta
 
 
-def _kkt_bands(y: np.ndarray, lam, loss, theta: np.ndarray):
-    """Forward pass of the certificate on contiguous float64 ``y`` and ``theta``.
+def _kkt_bands(problem: FusedLassoProblem, theta: np.ndarray):
+    """Forward pass of the certificate on a contiguous float64 ``theta``.
 
     Returns ``(resid, state)``: ``state`` holds the stationarity bounds of
     each element and the feasible band of each interior edge's z (4n - 2
     values, laid out as ``gfl_kkt_bands`` in ``_kernels.c`` says), which is
     all the backward pass reads.
     """
-    n = y.size
-    state = np.empty(4 * n - 2)
-    quantile = loss.kind != "square"
-    # -lam is computed here, not in C: it is +0.0 for an integer lam of 0
+    y = problem.y
+    state = np.empty(4 * y.size - 2)
+    quantile, tau = _loss_args(problem.loss)
     resid = _kernels.lib.gfl_kkt_bands(
-        y.ctypes.data,
-        theta.ctypes.data,
-        n,
-        quantile,
-        float(loss.tau) if quantile else 0.0,
-        float(lam),
-        float(-lam),
-        state.ctypes.data,
+        y.ctypes.data, theta.ctypes.data, y.size, quantile, tau, problem.lam, state.ctypes.data
     )
     if resid < 0.0:
         raise ConfigError("theta must be a finite vector matching y")
@@ -187,24 +185,18 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
     propagation and reports the largest gap encountered; the gap is 0 iff a
     consistent certificate exists.  Returns (residual, z) with one z per edge.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta, dtype=np.float64, order="C")
     if theta.shape != problem.y.shape:
         raise ConfigError("theta must be a finite vector matching y")
-    resid, state = _kkt_bands(
-        np.ascontiguousarray(problem.y, dtype=np.float64),
-        problem.lam,
-        problem.loss,
-        np.ascontiguousarray(theta, dtype=np.float64),
-    )
+    resid, state = _kkt_bands(problem, theta)
     z = np.empty(theta.size - 1)
     _kernels.lib.gfl_kkt_dual(state.ctypes.data, theta.size, z.ctypes.data)
     return resid, z
 
 
 def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
-    y, lam, loss = np.ascontiguousarray(problem.y, dtype=np.float64), problem.lam, problem.loss
-    theta = _solve_path(y, lam, loss)
-    resid, _ = _kkt_bands(y, lam, loss, theta)
+    theta = _solve_path(problem)
+    resid, _ = _kkt_bands(problem, theta)
     return FusedLassoSolution(theta_hat=theta, kkt_residual=resid)
 
 

@@ -3,6 +3,7 @@ command, into the package's ``__pycache__``; later processes load that build
 without running the compiler, and a build that fails makes import fail.
 Each exported kernel writes only inside the buffers it is given."""
 
+import ctypes
 import os
 import re
 import shutil
@@ -109,6 +110,31 @@ def test_kernels_compile_clean_with_warnings_as_errors(tmp_path):
     assert out.exists()
 
 
+# A definition that starts a line and is not static is exported.
+DEFINITION = re.compile(r"^(?!static\b)(\w+) +(\w+)\(([^)]*)\)\s*\{", re.M)
+RESTYPES = {"int": ctypes.c_int, "double": ctypes.c_double, "void": None}
+
+
+def test_every_exported_kernel_matches_its_ctypes_prototype():
+    # on x86-64 doubles and pointers travel in separate registers, so a
+    # double added or dropped on one side only still returns the same bits
+    # for many calls: the parameter lists are compared here instead
+    lib = _kernels.lib
+    defined = {
+        name: (restype, params)
+        for restype, name, params in DEFINITION.findall(_kernels.SOURCE.read_text())
+    }
+    declared = {
+        name for name, f in vars(lib).items()
+        if isinstance(f, lib._FuncPtr) and f.argtypes is not None
+    }
+    assert set(defined) == declared and all(n.startswith("gfl_") for n in defined)
+    for name, (restype, params) in defined.items():
+        f = getattr(lib, name)
+        assert len(params.split(",")) == len(f.argtypes), name
+        assert f.restype is RESTYPES[restype], name
+
+
 # A NaN with a payload no kernel computes, so a stray write shows in its bits.
 SENTINEL = np.array([0x7FF8_DEAD_0000_BEEF], dtype=np.uint64).view(np.float64)[0]
 GUARD = 64
@@ -157,7 +183,7 @@ def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
     assert lib.gfl_path(y.ctypes.data, n, lam, quantile, tau,
                         theta.ctypes.data, work.ctypes.data) == 0
     resid = lib.gfl_kkt_bands(y.ctypes.data, theta.ctypes.data, n, quantile, tau,
-                              lam, -lam, state.ctypes.data)
+                              lam, state.ctypes.data)
     lib.gfl_kkt_dual(state.ctypes.data, n, z.ctypes.data)
 
     for whole in (y_whole, theta_whole, work_whole, state_whole, z_whole):

@@ -218,7 +218,7 @@ def fit_bits(problem):
 
 class TestRawPointerInputs:
     """The kernels take raw pointers, which check no dtype, contiguity or
-    writability; solve and check_kkt make every array they pass."""
+    writability; FusedLassoProblem and check_kkt make every array passed."""
 
     WAVE = np.cos(np.arange(80) * 0.37) * 3.0
 
@@ -239,6 +239,36 @@ class TestRawPointerInputs:
         assert np.array_equal(y.astype(np.float64), y64)
         want = fit_bits(FusedLassoProblem(y64, 1.5, loss))
         assert fit_bits(FusedLassoProblem(y, 1.5, loss)) == want
+
+    @pytest.mark.parametrize(
+        "y", [WAVE[::2], np.arange(5), np.arange(5, dtype=np.float32)],
+        ids=["strided", "int64", "float32"],
+    )
+    def test_problem_holds_contiguous_float64_y_and_float_lambda(self, y):
+        p = FusedLassoProblem(y, 1, SQ)
+        assert p.y.dtype == np.float64 and p.y.flags.c_contiguous
+        assert np.array_equal(p.y, y)
+        assert type(p.lam) is float
+
+    @pytest.mark.parametrize("y", [np.float64(1.0), [[1.0, 2.0]], []], ids=["0-d", "2-d", "empty"])
+    def test_y_that_is_no_nonempty_vector_is_rejected(self, y):
+        with pytest.raises(ConfigError, match="nonempty 1D vector"):
+            FusedLassoProblem(y, 1.0, SQ)
+
+    @pytest.mark.parametrize("loss", [SQ, QuantileLoss(0.3)], ids=["square", "quantile"])
+    @pytest.mark.parametrize(
+        "lams", [(0, 0.0, np.int64(0), np.float64(0)), (3, 3.0)], ids=["zero", "three"]
+    )
+    def test_lambda_type_changes_no_bit(self, lams, loss):
+        # at y = [1, 0], theta = [1, 1] and tau = 0.3 the flat edge's z is
+        # the sign of zero of -lam, so an int 0 and 0.0 must reach C alike
+        for y, theta in (([1.0, 0.0], [1.0, 1.0]), (self.WAVE, self.WAVE[::-1])):
+            got = set()
+            for lam in lams:
+                p = FusedLassoProblem(np.array(y), lam, loss)
+                resid, z = check_kkt(p, theta)
+                got.add((fit_bits(p), np.float64(resid).tobytes(), z.tobytes()))
+            assert len(got) == 1
 
     def test_read_only_input(self):
         y = self.WAVE.copy()
