@@ -2,7 +2,7 @@
 
 Each experiment goes through the CLI so the outputs (summary.json plus CSV
 plot data) land in their own subdirectory of --out-root.  The full suite
-takes about 8 s and --quick about 1.5 s (2-core Xeon, Python 3.11.7,
+takes about 6.5 s and --quick about 1 s (2-core Xeon, Python 3.11.7,
 numpy 2.4.6).
 
 Usage: python scripts/run_all_experiments.py [--out-root results] [--quick]

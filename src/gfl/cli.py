@@ -142,14 +142,19 @@ def _json_text(path: str, payload: dict, config_hash: str) -> str:
 
 def _cells(values):
     """A CSV column's cells: an int or float as ``repr`` writes the Python
-    number, a bool as 0/1, None as an empty cell."""
+    number, a bool as 0/1, None as an empty cell.  A numeric column formats
+    each distinct value once: the values are keyed by their bits, so -0.0
+    and 0.0 (and NaNs of different payloads) stay apart."""
     a = np.asarray(values)
     if a.dtype == bool:
         a = a.view(np.uint8)
     if a.dtype == object:  # a column holding None
         return ("" if v is None else repr(v) for v in a.tolist())
+    a = np.ascontiguousarray(a)
+    uniq, at = np.unique(a.view(f"u{a.itemsize}"), return_inverse=True)
     # a memoryview hands out Python numbers, not numpy scalars
-    return map(repr, memoryview(a))
+    cells = np.array(list(map(repr, memoryview(uniq.view(a.dtype)))), dtype=object)
+    return cells[at].tolist()
 
 
 def _csv_text(table: dict, config_hash: str) -> str:

@@ -42,6 +42,9 @@ def envelope(t, env: LilEnvelope):
     return 4.0 * env.sigma * np.sqrt(t * body)
 
 
+# sigma * horizon bound: with Gaussian steps |S_t| stays below 64 * sigma * t,
+# so every partial sum, envelope value and ratio is finite
+_MAX_SCALE = 2.0**1000
 # paths simulated at once, so a chunk holds _CHUNK * horizon draws
 _CHUNK = 64
 # quantile levels of the ratio table, by column name
@@ -57,11 +60,19 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
     power of 2 ``t`` up to ``horizon``, the 50, 90, 99 and 100% quantiles
     over paths of |S_t| / envelope(t).  Paths are processed in chunks to
     bound memory; the result is deterministic in (noise, horizon, paths, seed).
+    A sigma (of ``env`` or of ``noise``) with sigma * horizon above 2^1000 is
+    refused before the first draw.
     """
     if horizon < 1 or paths < 1:
         raise ConfigError("horizon and paths must be >= 1")
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
+    sigma = max(env.sigma, noise.scale)
+    if horizon > _MAX_SCALE / sigma:  # an int against a float: no product to overflow
+        raise ConfigError(
+            f"the partial sums at sigma {float(sigma)!r} are beyond float64 scale:"
+            f" sigma * horizon exceeds 2^1000 ({_MAX_SCALE:.4g}); rescale sigma"
+        )
     t = np.arange(1, horizon + 1)
     envlp = envelope(t, env)
     rng = np.random.default_rng(seed)
@@ -72,9 +83,11 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
     done = 0
     while done < paths:
         r = min(_CHUNK, paths - done)
-        x = noise.sample_rng(r * horizon, rng).reshape(r, horizon)
-        s = np.cumsum(x, axis=1)
-        ratio = np.abs(s) / envlp
+        # one buffer per chunk: the draws become |S_t| / envelope(t) in place
+        ratio = noise.sample_rng(r * horizon, rng).reshape(r, horizon)
+        np.cumsum(ratio, axis=1, out=ratio)
+        np.abs(ratio, out=ratio)
+        np.divide(ratio, envlp, out=ratio)
         path_max = ratio.max(axis=1)
         violations += int(np.count_nonzero(path_max > 1.0))
         max_ratio = max(max_ratio, float(path_max.max()))

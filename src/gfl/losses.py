@@ -147,16 +147,22 @@ class NoiseModel:
         return self._base_cdf(np.asarray(x, dtype=float) + self.shift)
 
     def sample_rng(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        s = self.scale
-        if self.kind == "gaussian":
-            x = rng.standard_normal(n) * s
-        elif self.kind == "uniform":
+        """n draws of eps = X_base - shift.  The unit-scale draws are scaled,
+        and all are shifted, in place; x * 1.0 and x - (+0.0) are x bit for
+        bit, so those passes are skipped, but x - (-0.0) turns a -0.0 draw
+        into +0.0, so that one is not."""
+        s, shift = self.scale, self.shift
+        if self.kind == "uniform":
             x = rng.uniform(-s, s, size=n)
         elif self.kind == "laplace":
             x = rng.laplace(0.0, s, size=n)
-        else:
-            x = rng.standard_cauchy(n) * s
-        return x - self.shift
+        else:  # gaussian and cauchy are drawn at unit scale
+            x = rng.standard_normal(n) if self.kind == "gaussian" else rng.standard_cauchy(n)
+            if s != 1.0:
+                x *= s
+        if shift != 0.0 or math.copysign(1.0, shift) < 0:
+            x -= shift
+        return x
 
     def sigma_for(self, loss) -> float:
         """Sub-Gaussian parameter of rho'_{+/-}(eps - t), uniform in t."""

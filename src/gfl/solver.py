@@ -93,7 +93,7 @@ class FusedLassoProblem:
             raise ConfigError(f"lambda exceeds 2^1020 ({_MAX_SCALE:.4g}){_SCALE_HELP}")
         if not lam + y.size * y_max <= _MAX_SCALE:
             raise ConfigError(
-                f"lambda + n*max|y| = {lam:g} + {y.size}*{y_max:g} exceeds 2^1020"
+                f"lambda + n*max|y| = {float(lam):g} + {y.size}*{y_max:g} exceeds 2^1020"
                 f" ({_MAX_SCALE:.4g}){_SCALE_HELP}"
             )
         object.__setattr__(self, "lam", float(self.lam))

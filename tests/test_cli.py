@@ -288,6 +288,18 @@ class TestLilCommand:
         assert len(lines) > 3
 
 
+    def test_sigma_beyond_float64_scale_exit_2(self, tmp_path, capsys):
+        """Draws this large overflow to NaN ratios: refused before any draw
+        or file, and numpy warns of nothing."""
+        out = tmp_path / "lil"
+        argv = ["lil", "--sigma", "1e308", "--delta", "0.1", "--horizon", "100", "--paths", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--seed", "1", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sigma 1e+308 are beyond float64 scale" in err and "2^1000" in err
+        assert not out.exists()
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         rc = main(
             [

@@ -4,10 +4,13 @@
 ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, which stays
 here as the oracle.  The ``summary.json`` of one small config per
 experiment, and every file of small ``simulate``, ``solve``, ``bounds`` and
-``lil`` runs, are pinned by their SHA-256.
+``lil`` runs, are pinned by their SHA-256.  The CSV writer, which formats
+each distinct value of a column once, must give the cells of the
+documented rule applied one cell at a time.
 """
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfl.cli import _dumps, main
+from gfl import __version__
+from gfl.cli import _csv_text, _dumps, main
 
 
 def oracle(obj) -> str:
@@ -283,3 +287,49 @@ def test_output_file_bytes_pinned(tmp_path, name):
         want["summary.json"] = _PINNED[name][1]
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert got == want
+
+
+# -- the CSV cell rule ---------------------------------------------------------
+
+
+def _reference_cell(v) -> str:
+    """The documented rule for one cell: a bool as 0/1, None as empty, any
+    other number as ``repr`` writes the Python number."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    return repr(v.item() if isinstance(v, np.generic) else v)
+
+
+def _reference_csv(table: dict, config_hash: str) -> str:
+    columns = [[_reference_cell(v) for v in values] for values in table.values()]
+    lines = [f"# version={__version__} config_hash={config_hash}", ",".join(table)]
+    lines += [",".join(row) for row in itertools.zip_longest(*columns, fillvalue="")]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_cells_follow_the_rule_cell_by_cell():
+    """Formatting each distinct value once keeps every cell: values are
+    keyed by their bits, so 0.0 and -0.0 are not merged."""
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    i64 = np.iinfo(np.int64)
+    base = np.array([0.1, 0.1, -0.0, 7.0, 0.0, 7.0, -0.0, 0.3, 0.1, 2.0, 0.0, -0.0])
+    table = {
+        "zeros": np.array([0.0, -0.0, 0.0, -0.0, 0.0, 1.0, -0.0, 0.0, -0.0]),
+        "special": np.array([0.1, nans[0], np.inf, -np.inf, 5e-324, nans[1], -0.0, 0.0, 0.1]),
+        "f32": np.array([0.1, -0.0, 0.1, 1e-45, 3.4e38, 0.0, 0.5, 0.1, -2.5], dtype=np.float32),
+        "int": np.array([i64.min, i64.max, 0, -1, i64.min, 1, 0, i64.max, -1]),
+        "flag": np.array([True, False, True, True, False, False, True, False, True]),
+        "strided": base[::2],
+        "none": [1.5, None, 2, None, -0.0, 0.0, None, 1.5, 3],
+        "short": [0.25, -0.0, 0.25],
+        "empty": np.empty(0),
+        "last": [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+    }
+    assert not table["strided"].flags.c_contiguous
+    assert _csv_text(table, "h") == _reference_csv(table, "h")
+    # the z column of an n = 1 solve is empty beside non-empty columns
+    table = {"i": np.arange(1, 2), "y": np.array([-0.0]), "z": np.empty(0)}
+    assert _csv_text(table, "h") == _reference_csv(table, "h")
+    assert _csv_text(table, "h").endswith("\n1,-0.0,\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,41 @@ class TestVerifyPaths:
         monkeypatch.setattr(lil, "_CHUNK", 7)
         c = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4)
         assert c == a
+
+    @pytest.mark.parametrize("horizon, paths", [(300, 150), (1, 3), (64, 65)])
+    def test_in_place_transform_matches_out_of_place(self, horizon, paths):
+        """At sigma 2.5 the draws are scaled: the in-place cumsum, abs and
+        divide give the out-of-place result, bit for bit."""
+        noise = NoiseModel(kind="gaussian", scale=2.5)
+        env = LilEnvelope(2.5, 0.1)
+        res = verify_paths(noise, horizon, paths, env, seed=6)
+        rng = np.random.default_rng(6)
+        x = (rng.standard_normal(paths * horizon) * 2.5 - 0.0).reshape(paths, horizon)
+        ratio = np.abs(np.cumsum(x, axis=1)) / envelope(np.arange(1, horizon + 1), env)
+        path_max = ratio.max(axis=1)
+        assert res["violations"] == int(np.count_nonzero(path_max > 1.0))
+        assert res["max_ratio"] == float(path_max.max())
+        t = res["ratio_quantiles"]["t"]
+        table = np.quantile(ratio[:, np.array(t) - 1], [0.5, 0.9, 0.99, 1.0], axis=0)
+        assert list(res["ratio_quantiles"].values())[1:] == table.tolist()
+
+    def test_sigma_times_horizon_bound(self):
+        """sigma * horizon up to 2^1000 runs with finite ratios and no numpy
+        warning; beyond it is refused before the first draw."""
+        env = LilEnvelope(2.0**990, 0.1)
+        noise = NoiseModel(kind="gaussian", scale=2.0**990)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = verify_paths(noise, 1024, 5, env, seed=1)
+        assert 0.0 < res["max_ratio"] < 1.5
+        for horizon in (1025, 10**400):
+            with pytest.raises(ConfigError, match="sigma 1.046.*e\\+298 are beyond float64 scale.*2\\^1000"):
+                verify_paths(noise, horizon, 5, env, seed=1)
+        # either sigma counts: the noise's scale or the envelope's
+        with pytest.raises(ConfigError, match="beyond float64 scale"):
+            verify_paths(NoiseModel("gaussian", 1.0), 1025, 5, env, seed=1)
+        with pytest.raises(ConfigError, match="beyond float64 scale"):
+            verify_paths(noise, 1025, 5, LilEnvelope(1.0, 0.1), seed=1)
 
     def test_ratio_quantiles_shape(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)

@@ -63,6 +63,41 @@ class TestNoiseModel:
         a = nm.sample_rng(100, np.random.default_rng(5))
         assert np.array_equal(a, nm.sample_rng(100, np.random.default_rng(5)))
 
+    @pytest.mark.parametrize("tau", [None, 0.25, 0.5])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform", "laplace", "cauchy"])
+    def test_sample_is_the_out_of_place_draw(self, kind, scale, tau):
+        """Scaling and shifting in place, and skipping a scale of 1.0 or a
+        shift of 0.0, changes no bit of the draws or of the generator."""
+        nm = NoiseModel(kind=kind, scale=scale, center_tau=tau)
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        x = nm.sample_rng(1000, rng)
+        if kind == "gaussian":
+            draw = ref_rng.standard_normal(1000) * scale
+        elif kind == "uniform":
+            draw = ref_rng.uniform(-scale, scale, size=1000)
+        elif kind == "laplace":
+            draw = ref_rng.laplace(0.0, scale, size=1000)
+        else:
+            draw = ref_rng.standard_cauchy(1000) * scale
+        ref = draw - nm.shift
+        assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_negative_zero_shift_is_still_subtracted(self):
+        """Laplace noise centred at its median has shift -0.0, and
+        -0.0 - (-0.0) is +0.0: that subtraction is not skipped."""
+
+        class Draws:
+            def laplace(self, loc, scale, size):
+                return np.array([-0.0, 0.0, 1.5])
+
+        nm = NoiseModel(kind="laplace", scale=1.0, center_tau=0.5)
+        assert nm.shift == 0.0 and math.copysign(1.0, nm.shift) < 0
+        x = nm.sample_rng(3, Draws())
+        assert x.tobytes() == (np.array([-0.0, 0.0, 1.5]) - nm.shift).tobytes()
+        assert math.copysign(1.0, x[0]) > 0
+
     def test_gaussian_sample_mean(self):
         x = NoiseModel(kind="gaussian", scale=1.0).sample_rng(10**6, np.random.default_rng(1))
         assert abs(x.mean()) <= 4.0 / math.sqrt(10**6)

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ class TestFloat64Scale:
         # 2^1020 is a float64, but lambda + n*max|y| is beyond the scale
         with pytest.raises(ConfigError, match="lambda \\+ n\\*max\\|y\\| .* float64"):
             prob([1e300] * 4, 2**1020)
+
+    def test_fraction_lambda_beyond_scale_is_rejected(self):
+        # a Fraction is a numbers.Real without format type "g": the message
+        # formats its float, which the 2^1020 check before it keeps finite
+        with pytest.raises(ConfigError, match="lambda \\+ n\\*max\\|y\\| = 0.333333 \\+ 4\\*1e\\+307"):
+            FusedLassoProblem(np.full(4, 1e307), Fraction(1, 3), SquareLoss())
 
     def test_int_lambda_beyond_float64_is_rejected(self):
         # 2^2000 has no float64 value; the scale bound rejects it as well
