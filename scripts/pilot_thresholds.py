@@ -15,6 +15,7 @@ import os
 import sys
 
 from gfl.simulate import ExperimentSpec, run_rate_sweep
+from run_all_experiments import RATE_SWEEP
 
 
 def main() -> int:
@@ -23,18 +24,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=20240811)
     args = ap.parse_args()
 
-    cfg = {
-        "experiment": "rate_sweep",
-        "signal": {"values": [0.0, 1.0], "lengths": [2048, 2048]},
-        "noise": {"kind": "gaussian", "scale": 1.0},
-        "loss": {"kind": "square"},
-        "lambda": {"rule": "sqrt_n_over_k"},
-        "delta": 0.05,
-        "replications": args.replications,
-        "seed": args.seed,
-        "d_grid": [4, 16, 64, 256, 1024],
-        "n_sweep": [1024, 4096, 16384],
-    }
+    cfg = RATE_SWEEP | {"replications": args.replications, "seed": args.seed}
     res = run_rate_sweep(ExperimentSpec.from_config(cfg))
     slope = res["d_sweep"]["slope"]
     cp_ratio = res["n_sweep"]["change_point_ratio"]

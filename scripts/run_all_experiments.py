@@ -17,6 +17,19 @@ import tempfile
 
 from gfl.cli import main as gfl_main
 
+# the rate diagnostics' config less replications and seed, which each run
+# adds; scripts/pilot_thresholds.py calibrates on it
+RATE_SWEEP = {
+    "experiment": "rate_sweep",
+    "signal": {"values": [0.0, 1.0], "lengths": [2048, 2048]},
+    "noise": {"kind": "gaussian", "scale": 1.0},
+    "loss": {"kind": "square"},
+    "lambda": {"rule": "sqrt_n_over_k"},
+    "delta": 0.05,
+    "d_grid": [4, 16, 64, 256, 1024],
+    "n_sweep": [1024, 4096, 16384],
+}
+
 
 def _simulate(cfg: dict, out_dir: str) -> None:
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
@@ -105,18 +118,7 @@ def main() -> int:
 
     # rate diagnostics
     _simulate(
-        {
-            "experiment": "rate_sweep",
-            "signal": {"values": [0.0, 1.0], "lengths": [2048, 2048]},
-            "noise": {"kind": "gaussian", "scale": 1.0},
-            "loss": {"kind": "square"},
-            "lambda": {"rule": "sqrt_n_over_k"},
-            "delta": 0.05,
-            "replications": 500 // scale,
-            "seed": seed + 4,
-            "d_grid": [4, 16, 64, 256, 1024],
-            "n_sweep": [1024, 4096, 16384],
-        },
+        RATE_SWEEP | {"replications": 500 // scale, "seed": seed + 4},
         os.path.join(root, "rate_sweep"),
     )
 

@@ -29,19 +29,16 @@ def _check_delta(delta: float, upper: float = DELTA_MAX) -> None:
     if not math.isfinite(delta):
         raise ConfigError(f"delta must be a finite number; got {delta}")
     if not (0.0 < delta < upper):
-        raise PreconditionError(
-            f"delta must lie in (0, {upper:.6g}); got {delta}",
-            failures=[{"condition": f"0 < delta < {upper:.6g}", "value": delta}],
-        )
+        raise PreconditionError(f"delta must lie in (0, {upper:.6g}); got {delta}")
 
 
-def _check_lambda(lam: float) -> None:
-    if not (np.isfinite(lam) and lam > 0):
-        raise ConfigError("lambda must be positive")
+def _check_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite")
 
 
 def _check_sse_lambda(lam: float) -> None:
-    _check_lambda(lam)
+    _check_positive("lambda", lam)
     if lam * lam == 0.0:  # the SSE bounds divide by lambda^2
         raise ConfigError(f"lambda {lam!r} is beyond float64 scale: lambda^2 underflows to 0")
 
@@ -54,8 +51,7 @@ def _beyond_scale(bound: str, lam, name: str, value) -> str:
 
 
 def _check_growth_L(L: float) -> None:
-    if not (np.isfinite(L) and L > 0):
-        raise ConfigError("growth constant L must be positive and finite")
+    _check_positive("growth constant L", L)
     # the quantile bounds divide by L**4 and by (L * L)**2; a float power
     # raises OverflowError where a product would give inf
     try:
@@ -76,9 +72,8 @@ class BoundParams:
     growth_L: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError("sigma must be positive")
-        _check_lambda(self.lam)
+        _check_positive("sigma", self.sigma)
+        _check_positive("lambda", self.lam)
         _check_delta(self.delta)
         if self.growth_L is not None:
             _check_growth_L(self.growth_L)
@@ -169,6 +164,7 @@ def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
     floor on d_i}).
     """
     _check_growth_L(L)
+    _check_positive("lambda", lam)
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
     l1d = math.log(1.0 / delta)
@@ -187,7 +183,7 @@ def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> Pointw
     + sqrt(ln(1/delta)/n); when B_uniform <= L every fitted value lies within
     B_uniform/L of the truth's range, at level 1 - 2 * prob_const() * delta^2."""
     _check_growth_L(L)
-    _check_lambda(lam)
+    _check_positive("lambda", lam)
     _check_delta(delta)
     l1d = math.log(1.0 / delta)
     B = (math.log(math.log(2.0 * n)) + l1d) / lam + math.sqrt(l1d / n)
@@ -218,13 +214,12 @@ def sse_bound_quantile(
     lam: float,
     L: float,
     improved: bool = False,
-    strict: bool = True,
 ) -> SseBound:
     """Sum-of-squared-errors bound for quantile regression, at level
-    1 - 4 * prob_const() * delta.  Raises PreconditionError with a structured
-    diagnosis when the m_min / lambda window does not hold; with
-    ``strict=False`` the formula is still evaluated and the failures are
-    attached to the result (the probability guarantee then does not apply)."""
+    1 - 4 * prob_const() * delta when the m_min / lambda window holds.  The
+    formula is evaluated either way; each window condition that fails is
+    listed in ``precondition_failures`` with its value and threshold, and
+    the probability guarantee then does not apply."""
     _check_growth_L(L)
     _check_sse_lambda(lam)
     _check_delta(delta, upper=DELTA_MAX * DELTA_MAX)
@@ -250,8 +245,6 @@ def sse_bound_quantile(
         failures.append(
             {"condition": "lambda <= L m_min / 12", "value": lam, "threshold": lam_hi}
         )
-    if failures and strict:
-        raise PreconditionError("sum-of-squares bound preconditions failed", failures)
 
     seg_log = K + sum(math.log(mk / 2.0) for mk in m)
     L2 = L * L
@@ -280,8 +273,7 @@ def sse_bound_mean(
 ) -> SseBound:
     """Sum-of-squared-errors bound for mean regression under sub-Gaussian
     noise with parameter sigma, at level 1 - 4 * prob_const() * delta."""
-    if not sigma > 0:
-        raise ConfigError("sigma must be positive")
+    _check_positive("sigma", sigma)
     _check_sse_lambda(lam)
     n, K = geometry.n, geometry.K
     _check_delta(delta, upper=n * DELTA_MAX * DELTA_MAX)

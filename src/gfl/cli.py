@@ -416,8 +416,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
-        for f in exc.failures:
-            print(f"  {f}", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,14 +13,12 @@ class ConfigError(GflError):
 
 
 class PreconditionError(GflError):
-    """A mathematical precondition failed (delta range, admissibility window).
+    """An input outside a theorem's domain: a delta outside a bound's range.
 
-    Carries a structured diagnosis: which inequality failed and by how much.
+    This is the only precondition that raises.  Every other failed condition
+    (an m_min / lambda window, B <= L) is evaluated anyway and listed in the
+    bound's result.
     """
-
-    def __init__(self, message, failures=None):
-        super().__init__(message)
-        self.failures = list(failures) if failures else []
 
 
 class UnsupportedModelError(GflError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DELTA_MAX, _check_delta
+from .bounds import DELTA_MAX, _check_delta, _check_positive
 from .errors import ConfigError
 from .losses import NoiseModel
 
@@ -24,8 +24,7 @@ class LilEnvelope:
     delta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError("sigma must be positive")
+        _check_positive("sigma", self.sigma)
         _check_delta(self.delta, upper=DELTA_MAX)
 
     def violation_probability(self) -> float:
@@ -45,6 +44,9 @@ def envelope(t, env: LilEnvelope):
 # sigma * horizon bound: with Gaussian steps |S_t| stays below 64 * sigma * t,
 # so every partial sum, envelope value and ratio is finite
 _MAX_SCALE = 2.0**1000
+# sigma floor: below it the scaled draws and the envelope can be subnormal,
+# and their rounding changes the ratios, which are scale-free in exact arithmetic
+_MIN_SCALE = 2.0**-1000
 # paths simulated at once, so a chunk holds _CHUNK * horizon draws
 _CHUNK = 64
 # quantile levels of the ratio table, by column name
@@ -60,8 +62,8 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
     power of 2 ``t`` up to ``horizon``, the 50, 90, 99 and 100% quantiles
     over paths of |S_t| / envelope(t).  Paths are processed in chunks to
     bound memory; the result is deterministic in (noise, horizon, paths, seed).
-    A sigma (of ``env`` or of ``noise``) with sigma * horizon above 2^1000 is
-    refused before the first draw.
+    A sigma (of ``env`` or of ``noise``) with sigma * horizon above 2^1000,
+    or below 2^-1000, is refused before the first draw.
     """
     if horizon < 1 or paths < 1:
         raise ConfigError("horizon and paths must be >= 1")
@@ -72,6 +74,12 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
         raise ConfigError(
             f"the partial sums at sigma {float(sigma)!r} are beyond float64 scale:"
             f" sigma * horizon exceeds 2^1000 ({_MAX_SCALE:.4g}); rescale sigma"
+        )
+    sigma = min(env.sigma, noise.scale)
+    if sigma < _MIN_SCALE:
+        raise ConfigError(
+            f"the partial sums at sigma {float(sigma)!r} are beyond float64 scale:"
+            f" sigma is below 2^-1000 ({_MIN_SCALE:.4g}); rescale sigma"
         )
     t = np.arange(1, horizon + 1)
     envlp = envelope(t, env)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bnd
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError
 from .losses import L_plus, NoiseModel, _check_pairing, make_loss
 from .signal import PiecewiseConstantSignal
 from .solver import FusedLassoProblem, solve
@@ -379,14 +379,12 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
     } | _verdict(2.0 * bnd.prob_const() * spec.delta**2, worst, R)
 
 
-def _sse_bound(spec: ExperimentSpec, geom, lam: float, improved: bool, strict: bool = True):
+def _sse_bound(spec: ExperimentSpec, geom, lam: float, improved: bool):
     """The sum-of-squares bound for the spec's loss: the quantile bound with
-    growth_L (``strict`` as in sse_bound_quantile), or the mean bound with the
-    noise's sub-Gaussian parameter, which has no preconditions to relax."""
+    growth_L, or the mean bound with the noise's sub-Gaussian parameter,
+    which has no window preconditions."""
     if spec.loss.kind == "quantile":
-        return bnd.sse_bound_quantile(
-            geom, spec.delta, lam, spec.growth_L, improved=improved, strict=strict
-        )
+        return bnd.sse_bound_quantile(geom, spec.delta, lam, spec.growth_L, improved=improved)
     sigma = spec.noise.sigma_for(spec.loss)
     return bnd.sse_bound_mean(geom, spec.delta, lam, sigma, improved=improved)
 
@@ -398,10 +396,8 @@ def run_sse(spec: ExperimentSpec) -> dict:
     every fitted value within B_uniform/L of the truth's range.
     """
     geom, theta_star, lam = _setup(spec)
-    # strict=False: evaluate the formula even when the lambda window fails,
-    # and surface the failures in the result instead of refusing
-    sse_orig = _sse_bound(spec, geom, lam, improved=False, strict=False)
-    sse_impr = _sse_bound(spec, geom, lam, improved=True, strict=False)
+    sse_orig = _sse_bound(spec, geom, lam, improved=False)
+    sse_impr = _sse_bound(spec, geom, lam, improved=True)
     uni = None
     if spec.loss.kind == "quantile":
         uni = bnd.uniform_quantile_bound(geom.n, math.sqrt(spec.delta), lam, spec.growth_L)
@@ -536,10 +532,8 @@ def run_lambda_sweep(spec: ExperimentSpec) -> dict:
 
     bound_vals = []
     for lam in grid:
-        try:
-            bound_vals.append(_sse_bound(spec, geom, lam, spec.improved).bound)
-        except PreconditionError:
-            bound_vals.append(None)
+        b = _sse_bound(spec, geom, lam, spec.improved)
+        bound_vals.append(None if b.precondition_failures else b.bound)
 
     sse = [
         [float(np.sum((theta - theta_star) ** 2)) for theta in thetas]

@@ -336,7 +336,7 @@ def test_09_formula_fidelity(oracle):
         worst = max(
             worst,
             rel(
-                bnd.sse_bound_quantile(g, sse_delta, lam, L, strict=False).bound,
+                bnd.sse_bound_quantile(g, sse_delta, lam, L).bound,
                 oracle.oracle_sse_quantile(
                     list(g.segment_lengths), list(g.eta), sse_delta, lam, L, g.V
                 ),

@@ -206,6 +206,33 @@ class TestApplicability:
                 assert uniform_quantile_bound(n, delta, lam, L).applicable
 
 
+_G = geom([0, 1], [64, 64])
+# each public bound with lambda or sigma free (test_growth_L_must_be_positive_and_finite
+# covers L); BoundParams stands for compute_B and compute_B_improved
+_SCALE_INPUTS = {
+    "BoundParams-sigma": ("sigma", lambda v: BoundParams(sigma=v, delta=0.1, lam=5.0)),
+    "BoundParams-lambda": ("lambda", lambda v: BoundParams(sigma=1.0, delta=0.1, lam=v)),
+    "compute_B_quantile-lambda": ("lambda", lambda v: compute_B_quantile(1, _G, 0.1, v)),
+    "elementwise-lambda": ("lambda", lambda v: elementwise_quantile_bound(1, _G, 0.1, v, 1.0)),
+    "admissibility-lambda": ("lambda", lambda v: admissibility(_G, 0.1, v, 1.0)),
+    "uniform-lambda": ("lambda", lambda v: uniform_quantile_bound(_G.n, 0.1, v, 1.0)),
+    "sse_quantile-lambda": ("lambda", lambda v: sse_bound_quantile(_G, 1e-3, v, 1.0)),
+    "sse_mean-lambda": ("lambda", lambda v: sse_bound_mean(_G, 1e-3, v, 1.0)),
+    "sse_mean-sigma": ("sigma", lambda v: sse_bound_mean(_G, 1e-3, 5.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("case", sorted(_SCALE_INPUTS))
+def test_scale_inputs_must_be_positive_and_finite(case, value):
+    """Every public bound refuses a lambda or sigma that is not positive and
+    finite, naming it; sigma = inf used to reach the SSE mean bound's
+    overflow message, and lambda = nan to make admissibility report False."""
+    name, call = _SCALE_INPUTS[case]
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+        call(value)
+
+
 @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
 def test_growth_L_must_be_positive_and_finite(L):
     # an infinite L used to pass and report every bound / L as 0, applicable
@@ -220,7 +247,7 @@ def test_growth_L_must_be_positive_and_finite(L):
     with pytest.raises(ConfigError, match=msg):
         uniform_quantile_bound(g.n, 0.1, 5.0, L)
     with pytest.raises(ConfigError, match=msg):
-        sse_bound_quantile(g, 1e-3, 5.0, L, strict=False)
+        sse_bound_quantile(g, 1e-3, 5.0, L)
 
 
 class TestSse:
@@ -250,20 +277,14 @@ class TestSse:
             )
             assert b.bound == pytest.approx(ref, rel=1e-12)
 
-    def test_strict_raises_with_structure(self):
+    def test_window_failures_listed_and_bound_evaluated(self):
         # tiny segments cannot satisfy m_min >= 18 ln(n/delta) / L^2
         g = geom([0, 1], [5, 5])
-        with pytest.raises(PreconditionError) as ei:
-            sse_bound_quantile(g, 1e-3, 3.0, 0.5)
-        conds = [f["condition"] for f in ei.value.failures]
+        b = sse_bound_quantile(g, 1e-3, 3.0, 0.5)
+        conds = [f["condition"] for f in b.precondition_failures]
         assert any("m_min" in c for c in conds)
-        for f in ei.value.failures:
+        for f in b.precondition_failures:
             assert {"condition", "value", "threshold"} <= set(f)
-
-    def test_non_strict_evaluates_anyway(self):
-        g = geom([0, 1], [5, 5])
-        b = sse_bound_quantile(g, 1e-3, 3.0, 0.5, strict=False)
-        assert b.precondition_failures
         assert math.isfinite(b.bound) and b.bound > 0
 
     def test_improved_lambda_term_within_6x(self):
@@ -331,7 +352,7 @@ class TestSse:
         with pytest.raises(ConfigError, match="lambda must be positive"):
             sse_bound_mean(self.g, 1e-3, lam, 1.0)
         with pytest.raises(ConfigError, match="lambda must be positive"):
-            sse_bound_quantile(self.g, 1e-3, lam, 4.0, strict=False)
+            sse_bound_quantile(self.g, 1e-3, lam, 4.0)
         with pytest.raises(ConfigError, match="lambda must be positive"):
             uniform_quantile_bound(self.g.n, 0.05, lam, 4.0)
 
@@ -349,12 +370,11 @@ class TestSse:
         """A bound beyond float64's range is refused, naming lambda and sigma
         (or L), and numpy warns of nothing."""
         name = "sigma" if bound is sse_bound_mean else "L"
-        kwargs = {} if bound is sse_bound_mean else {"strict": False}
         want = f"lambda {float(lam)!r} and {name} {scale!r} is beyond float64 scale"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=re.escape(want)):
-                bound(self.g, 1e-3, lam, scale, **kwargs)
+                bound(self.g, 1e-3, lam, scale)
 
 
 class TestIterativeSum:

@@ -28,6 +28,7 @@ def write_config(tmp_path, cfg):
 
 _MEDIAN = {"kind": "quantile", "tau": 0.5}
 _UNIFORM_MEDIAN = {"kind": "uniform", "scale": 1.0, "center_tau": 0.5}
+_QUANTILE = {"noise": _UNIFORM_MEDIAN, "loss": _MEDIAN, "growth_L": "auto"}
 
 
 def small_config(**over):
@@ -300,6 +301,16 @@ class TestLilCommand:
         assert "sigma 1e+308 are beyond float64 scale" in err and "2^1000" in err
         assert not out.exists()
 
+    def test_sigma_below_float64_scale_exit_2(self, tmp_path, capsys):
+        """Subnormal draws round the scale-free ratios: refused before any
+        draw or file."""
+        out = tmp_path / "lil"
+        argv = ["lil", "--sigma", "1e-320", "--delta", "0.1", "--horizon", "100", "--paths", "10"]
+        assert main(argv + ["--seed", "1", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sigma 1e-320 are beyond float64 scale" in err and "2^-1000" in err
+        assert not out.exists()
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         rc = main(
             [
@@ -406,9 +417,35 @@ class TestSimulateCommand:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "x")]) == 2
 
-    def test_delta_out_of_range_exit_3(self, tmp_path):
-        cfg = write_config(tmp_path, small_config(delta=0.5))
-        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 3
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"delta": 0.5},
+            {"experiment": "elementwise_quantile", **_QUANTILE, "delta": 0.5},
+            {"experiment": "sse", **_QUANTILE, "delta": 0.1},
+            {"experiment": "lambda_sweep", **_QUANTILE, "delta": 0.1},
+        ],
+        ids=["pointwise", "elementwise_quantile", "sse", "lambda_sweep"],
+    )
+    def test_delta_out_of_range_exit_3(self, tmp_path, capsys, over):
+        """A delta outside a bound's range refuses the run, in every
+        experiment that evaluates the bound; the quantile SSE bound's range
+        ends at 0.065, and a lambda sweep used to write a null bound instead."""
+        cfg = write_config(tmp_path, small_config(**over))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 3
+        assert "precondition failed: delta must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quantile_lambda_sweep_overflowing_bound_exit_2(self, tmp_path, capsys):
+        """A lambda whose SSE bound overflows is refused before any fit, as
+        in sse, although the bound's lambda window fails there too."""
+        over = {"experiment": "lambda_sweep", **_QUANTILE, "lambda_grid": [1e-155, 1.0]}
+        cfg = write_config(tmp_path, small_config(**over))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "is beyond float64 scale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_temp_files_left(self, tmp_path):
         cfg = write_config(tmp_path, small_config())

@@ -1,6 +1,7 @@
 """What a fresh ``import gfl.cli`` loads, and the names perfbench's tracer
 patches (perfbench/tracing.py, read here without being changed)."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -28,6 +29,27 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(path: Path) -> list:
+    """The names a module imports but neither reads nor lists in __all__."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    found = {p.name: _unused_imports(p) for p in sorted((_ROOT / "src" / "gfl").glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def _tracing():

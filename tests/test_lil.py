@@ -127,6 +127,19 @@ class TestVerifyPaths:
         with pytest.raises(ConfigError, match="beyond float64 scale"):
             verify_paths(noise, 1025, 5, LilEnvelope(1.0, 0.1), seed=1)
 
+    def test_sigma_floor(self):
+        """At sigma 2^-1000 the ratios are those at sigma 1, bit for bit;
+        below it either sigma is refused before the first draw."""
+        env, noise = LilEnvelope(2.0**-1000, 0.1), NoiseModel("gaussian", 2.0**-1000)
+        res = verify_paths(noise, 100, 10, env, seed=1)
+        ref = verify_paths(NoiseModel("gaussian", 1.0), 100, 10, LilEnvelope(1.0, 0.1), seed=1)
+        assert res["ratio_quantiles"] == ref["ratio_quantiles"]
+        assert res["max_ratio"] == ref["max_ratio"]
+        tiny = 2.0**-1001
+        for n, e in [(tiny, 1.0), (1.0, tiny), (tiny, tiny)]:
+            with pytest.raises(ConfigError, match="beyond float64 scale.*2\\^-1000"):
+                verify_paths(NoiseModel("gaussian", n), 100, 10, LilEnvelope(e, 0.1), seed=1)
+
     def test_ratio_quantiles_shape(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)
         res = verify_paths(noise, 64, 50, LilEnvelope(1.0, 0.1), seed=5)
