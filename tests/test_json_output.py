@@ -237,6 +237,13 @@ def _cli_argv(tmp_path, name) -> list:
             "bounds", "--signal-values", "0,1.5,0", "--signal-lengths", "8,5,7",
             "--delta", "0.05", "--lambda", "4.0", "--growth-L", "12",
         ]
+    if name == "lil_chunks":
+        # two full chunks of 64 paths, a partial one, and a horizon that is
+        # not a power of 2
+        return [
+            "lil", "--sigma", "2.5", "--delta", "0.1", "--horizon", "1025",
+            "--paths", "130", "--seed", "3",
+        ]
     return ["lil", "--delta", "0.1", "--horizon", "100", "--paths", "20", "--seed", "3"]
 
 
@@ -260,6 +267,10 @@ _PINNED_FILES = {
     "lil": {
         "lil.csv": "bac16f791b9d403a5071b9b5abfc0f1efdafd019fe699c58a89ff33b2ac3f6e1",
         "lil.json": "faefa8e924f3f97af4ba8d5c3fe2b91368f75b772d1bb14e3f6e963a66ed2c6d",
+    },
+    "lil_chunks": {
+        "lil.csv": "50a6e50012daa2e1a24b849dffaaa4df1e4bc6ead02953c92cda5c9730f2faaf",
+        "lil.json": "4248580b598fa945f8d3e6533f431c1f9bd0014617d254ad96ab5b4bdee37d11",
     },
     "pointwise": {
         "per_index.csv": "1edfbff7fbfe0a369b88477b7133df95c49aad2c0b3bd7087c50d7b359d1c629",
