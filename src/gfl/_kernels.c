@@ -1,16 +1,20 @@
-/* Per-element loops of the fused-lasso solver and its certificate.
+/* Per-element loops of gfl: the fused-lasso solver and its certificate
+ * (called from solver.py), and the reduction of each chunk of
+ * partial-sum paths in the iterated-logarithm check (called from lil.py).
  *
  * Each function does the arithmetic of the loop it stands for in the same
  * operations and the same order, so its results are bit for bit those of
- * the class-based reference in tests/solver_reference.py: every max/min is
- * the comparison Python's builtin makes (``b if b > a else a``), ties and
- * signed zeros included.  The file must be compiled with
- * -ffp-contract=off and without -ffast-math, so that no a*b + c is fused
- * into one rounding and no operation is reordered.
+ * the reference each names: for the solver, the class-based reference in
+ * tests/solver_reference.py, every max/min being the comparison Python's
+ * builtin makes (``b if b > a else a``), ties and signed zeros included;
+ * for the paths, numpy's cumsum, abs, divide and max.  The file must be
+ * compiled with -ffp-contract=off and without -ffast-math, so that no
+ * a*b + c is fused into one rounding and no operation is reordered.
  *
  * The caller owns every buffer; nothing here allocates.  Sizes are those
- * the Python wrappers in solver.py pass: n >= 1 elements, and the work or
- * state block each exported function names.
+ * the Python wrappers in solver.py and lil.py pass: n >= 1 elements (r >= 1
+ * paths of h >= 1 steps), and the work, state or output block each
+ * exported function names.
  */
 
 #include <math.h>
@@ -329,5 +333,42 @@ void gfl_kkt_dual(const double *state, ptrdiff_t n, double *z)
         if (shi < cur)
             cur = shi;
         z[i - 1] = cur;
+    }
+}
+
+/* One chunk of the iterated-logarithm check: r paths of h steps each, x
+ * holding path i's steps in x[i*h .. i*h + h).  Each path's partial sums
+ * are formed in numpy's cumsum order (s = x[0], then s + x[t]) and its
+ * ratios |s| / env[t] as np.abs and np.divide form them.  path_max[i] gets
+ * the path's largest ratio, or NaN if a ratio is NaN, as ndarray.max gives
+ * it, and grid[i*g .. i*g + g) its ratios at t = 1, 2, 4, ..., 2^(g-1),
+ * where g is the bit length of h.  x and env are only read.  The NaN test
+ * is kept out of the running maximum, so that each step's comparison
+ * does not wait for the previous one. */
+void gfl_lil_chunk(const double *x, ptrdiff_t r, ptrdiff_t h, const double *env,
+                   double *path_max, double *grid)
+{
+    ptrdiff_t g = 0, i, t, k, next;
+    double s, v, m;
+    int nan;
+
+    for (t = h; t > 0; t >>= 1)
+        g++;
+    for (i = 0; i < r; i++, x += h, grid += g) {
+        s = x[0];
+        m = grid[0] = fabs(s) / env[0];
+        nan = m != m;
+        /* the grid steps t = 2^k sit at indices next = 2^k - 1 */
+        for (t = 1, k = 1, next = 1; t < h; t++) {
+            s = s + x[t];
+            v = fabs(s) / env[t];
+            m = v > m ? v : m;
+            nan |= v != v;
+            if (t == next) {
+                grid[k++] = v;
+                next = 2 * next + 1;
+            }
+        }
+        path_max[i] = nan ? NAN : m;
     }
 }

@@ -1,4 +1,5 @@
-"""Build and load the solver's C kernels (``_kernels.c``).
+"""Build and load gfl's C kernels (``_kernels.c``): the solver's and the
+iterated-logarithm check's.
 
 The library is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into this package's ``__pycache__``, once per SHA-256
@@ -9,11 +10,13 @@ half-written library.  If the compiler is missing or fails, importing this
 module raises ``ImportError`` with the command and the compiler's output.
 
 Every array crosses as a raw pointer (``c_void_p``), which ``ctypes`` does
-not check.  The wrappers in ``solver.py`` pass ``.ctypes.data`` only of a
-problem's y, which ``FusedLassoProblem`` stores as a C-contiguous float64
-array, and of arrays they have just made the same way or allocated with
-``np.empty``, every output a fresh writable one; they size every array and
-hold a reference to each for the length of the call.
+not check.  The callers in ``solver.py`` and ``lil.py`` pass ``.ctypes.data``
+only of a problem's y, which ``FusedLassoProblem`` stores as a C-contiguous
+float64 array, of arrays they have just made the same way (with
+``np.asarray(..., dtype=np.float64, order="C")``) or allocated with
+``np.empty``, and of C-contiguous rows of such an array, every output a
+writable one; they size every array and hold a reference to each for the
+length of the call.
 """
 
 from __future__ import annotations
@@ -85,3 +88,5 @@ lib.gfl_kkt_bands.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _P)
 lib.gfl_kkt_bands.restype = ctypes.c_double
 lib.gfl_kkt_dual.argtypes = (_P, _N, _P)
 lib.gfl_kkt_dual.restype = None
+lib.gfl_lil_chunk.argtypes = (_P, _N, _N, _P, _P, _P)
+lib.gfl_lil_chunk.restype = None

@@ -1,7 +1,7 @@
 """Command-line entry point: solve, bounds, lil, simulate.
 
-Exit codes: 0 success, 2 config/input error, 3 mathematical precondition
-failure.  All outputs are written atomically (temp file + rename) and carry
+Exit codes: 0 success, 2 config/input error (an input too large to
+allocate included), 3 mathematical precondition failure.  All outputs are written atomically (temp file + rename) and carry
 the package version and a config hash in their header.  The JSON files hold
 the bytes ``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by
 json's C encoder.
@@ -422,6 +422,9 @@ def main(argv=None) -> int:
         return 2
     except GflError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the array's size
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

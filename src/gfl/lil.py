@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .bounds import DELTA_MAX, _check_delta, _check_positive
 from .errors import ConfigError
 from .losses import NoiseModel
@@ -82,25 +83,21 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
             f" sigma is below 2^-1000 ({_MIN_SCALE:.4g}); rescale sigma"
         )
     t = np.arange(1, horizon + 1)
-    envlp = envelope(t, env)
+    envlp = np.asarray(envelope(t, env), dtype=np.float64, order="C")
     rng = np.random.default_rng(seed)
     t_grid = 2 ** np.arange(int(horizon).bit_length())  # the powers of 2 up to horizon
+    # each path's largest |S_t| / envelope(t) and its ratios at t_grid
+    path_max = np.empty(paths)
     grid_ratios = np.empty((paths, t_grid.size))
-    violations = 0
-    max_ratio = 0.0
-    done = 0
-    while done < paths:
+    for done in range(0, paths, _CHUNK):
         r = min(_CHUNK, paths - done)
-        # one buffer per chunk: the draws become |S_t| / envelope(t) in place
-        ratio = noise.sample_rng(r * horizon, rng).reshape(r, horizon)
-        np.cumsum(ratio, axis=1, out=ratio)
-        np.abs(ratio, out=ratio)
-        np.divide(ratio, envlp, out=ratio)
-        path_max = ratio.max(axis=1)
-        violations += int(np.count_nonzero(path_max > 1.0))
-        max_ratio = max(max_ratio, float(path_max.max()))
-        grid_ratios[done : done + r] = ratio[:, t_grid - 1]
-        done += r
+        x = np.asarray(noise.sample_rng(r * horizon, rng), dtype=np.float64, order="C")
+        _kernels.lib.gfl_lil_chunk(
+            x.ctypes.data, r, horizon, envlp.ctypes.data,
+            path_max[done:].ctypes.data, grid_ratios[done:].ctypes.data,
+        )
+    violations = int(np.count_nonzero(path_max > 1.0))
+    max_ratio = float(path_max.max())
     freq = violations / paths
     bound = env.violation_probability()
     slack = 3.0 * math.sqrt(freq * (1.0 - freq) / paths)

@@ -493,6 +493,34 @@ def test_unwritable_out_dir_exit_2(tmp_path, command, first_file, capsys):
     assert os.listdir(out) == [first_file]
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("gfl.cli.verify_paths", ["lil", "--delta", "0.1", "--horizon", "16", "--seed", "1"]),
+        (
+            "gfl.bounds.bound_report",
+            ["bounds", "--signal-values", "0,1", "--signal-lengths", "8,8",
+             "--delta", "0.05", "--lambda", "1"],
+        ),
+    ],
+    ids=["lil", "bounds"],
+)
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, target, argv, message):
+    """An input too large to allocate (such as gfl lil --horizon 10^12) is
+    one line on stderr and exit 2, with no traceback and no directory."""
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, allocate)
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: {message or 'allocation failed'}\n"
+    assert not out.exists()
+
+
 _QUANTILE_SSE = {"experiment": "sse", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN}
 
 

@@ -1,7 +1,8 @@
 """The C kernels are built once per SHA-256 of their source and compile
 command, into the package's ``__pycache__``; later processes load that build
 without running the compiler, and a build that fails makes import fail.
-Each exported kernel writes only inside the buffers it is given."""
+Each exported kernel writes only inside the buffers it is given, and only
+into its outputs."""
 
 import ctypes
 import os
@@ -16,6 +17,7 @@ import pytest
 
 import gfl
 from gfl import _kernels
+from gfl.lil import LilEnvelope, envelope
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.solver import FusedLassoProblem, check_kkt, solve
 
@@ -193,3 +195,57 @@ def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
     assert theta.tobytes() == sol.theta_hat.tobytes()
     _, sol_z = check_kkt(problem, sol.theta_hat)
     assert resid == sol.kkt_residual and z.tobytes() == sol_z.tobytes()
+
+
+def lil_chunk(x, env, r, h):
+    """gfl_lil_chunk on guarded copies of x (r paths of h steps) and env:
+    (path_max, grid, whether x and env came back unchanged, whether every
+    guard band is intact)."""
+    xg, x_whole = guarded(r * h)
+    xg[:] = x.ravel()
+    eg, env_whole = guarded(h)
+    eg[:] = env
+    g = h.bit_length()
+    path_max, pm_whole = guarded(r)
+    grid, grid_whole = guarded(r * g)
+    _kernels.lib.gfl_lil_chunk(xg.ctypes.data, r, h, eg.ctypes.data,
+                               path_max.ctypes.data, grid.ctypes.data)
+    inputs_kept = xg.tobytes() == x.tobytes() and eg.tobytes() == env.tobytes()
+    intact = all(map(bands_intact, (x_whole, env_whole, pm_whole, grid_whole)))
+    return path_max, grid.reshape(r, g), inputs_kept, intact
+
+
+def numpy_chunk(x, env):
+    """The out-of-place numpy form of one chunk: each path's largest
+    |S_t| / env(t) and its ratios at t = 1, 2, 4, ...."""
+    ratio = np.abs(np.cumsum(x, axis=1)) / env
+    return ratio.max(axis=1), ratio[:, 2 ** np.arange(x.shape[1].bit_length()) - 1]
+
+
+@pytest.mark.parametrize("r", [1, 7, 64])
+@pytest.mark.parametrize("h", [1, 2, 3, 1024, 1025])
+def test_lil_chunk_writes_only_its_outputs(r, h):
+    # the ratios are nonnegative, so an unwritten entry would still read -1.0
+    x = np.random.default_rng(r * h).standard_normal((r, h)) * 2.5
+    env = envelope(np.arange(1, h + 1), LilEnvelope(2.5, 0.1))
+    path_max, grid, inputs_kept, intact = lil_chunk(x, env, r, h)
+    assert inputs_kept and intact
+    assert (path_max >= 0.0).all() and (grid >= 0.0).all()
+    want_max, want_grid = numpy_chunk(x, env)
+    assert path_max.tobytes() == want_max.tobytes() and grid.tobytes() == want_grid.tobytes()
+
+
+def test_lil_chunk_maximum_propagates_nan_as_numpy_does():
+    # path 1 sums inf and -inf, so its ratios are NaN from t = 2; path 2 ends
+    # in a NaN step; path 3's last ratio is inf
+    x = np.random.default_rng(0).standard_normal((4, 5))
+    x[1, :2] = np.inf, -np.inf
+    x[2, 4] = np.nan
+    x[3, 4] = np.inf
+    env = envelope(np.arange(1, 6), LilEnvelope(1.0, 0.1))
+    path_max, grid, inputs_kept, intact = lil_chunk(x, env, 4, 5)
+    assert inputs_kept and intact
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        want_max, want_grid = numpy_chunk(x, env)
+    assert np.isnan(want_max[1:3]).all() and want_max[3] == np.inf
+    assert path_max.tobytes() == want_max.tobytes() and grid.tobytes() == want_grid.tobytes()

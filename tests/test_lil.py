@@ -109,6 +109,35 @@ class TestVerifyPaths:
         table = np.quantile(ratio[:, np.array(t) - 1], [0.5, 0.9, 0.99, 1.0], axis=0)
         assert list(res["ratio_quantiles"].values())[1:] == table.tolist()
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel("gaussian", 2.5),
+            NoiseModel("uniform", 1.0),
+            NoiseModel("laplace", 1.0, center_tau=0.5),  # its shift is -0.0
+            NoiseModel("cauchy", 1.0, center_tau=0.5),
+        ],
+        ids=["gaussian", "uniform", "laplace", "cauchy"],
+    )
+    @pytest.mark.parametrize("horizon", [1, 2, 1024, 1025])
+    @pytest.mark.parametrize("paths", [1, 64, 65])
+    def test_matches_out_of_place_numpy(self, noise, horizon, paths):
+        """Each noise kind, drawn in one piece and transformed out of place
+        by numpy, gives the violations, the largest ratio and the quantile
+        table bit for bit."""
+        env = LilEnvelope(noise.scale, 0.1)
+        res = verify_paths(noise, horizon, paths, env, seed=9)
+        x = noise.sample_rng(paths * horizon, np.random.default_rng(9)).reshape(paths, horizon)
+        ratio = np.abs(np.cumsum(x, axis=1)) / envelope(np.arange(1, horizon + 1), env)
+        path_max = ratio.max(axis=1)
+        assert res["violations"] == int(np.count_nonzero(path_max > 1.0))
+        assert res["max_ratio"] == float(path_max.max())
+        t = 2 ** np.arange(horizon.bit_length())
+        table = np.quantile(ratio[:, t - 1], [0.5, 0.9, 0.99, 1.0], axis=0)
+        assert res["ratio_quantiles"]["t"] == t.tolist()
+        got = np.array(list(res["ratio_quantiles"].values())[1:])
+        assert got.tobytes() == table.tobytes()
+
     def test_sigma_times_horizon_bound(self):
         """sigma * horizon up to 2^1000 runs with finite ratios and no numpy
         warning; beyond it is refused before the first draw."""
