@@ -1,10 +1,11 @@
 """Command-line entry point: solve, bounds, lil, simulate.
 
 Exit codes: 0 success, 2 config/input error (an input too large to
-allocate included), 3 mathematical precondition failure.  All outputs are written atomically (temp file + rename) and carry
-the package version and a config hash in their header.  The JSON files hold
-the bytes ``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by
-json's C encoder.
+allocate included), 3 mathematical precondition failure.  All outputs are
+written atomically (temp file + rename) and carry the package version and a
+config hash in their header.  The JSON files hold the bytes
+``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by json's C
+encoder.
 """
 
 from __future__ import annotations
