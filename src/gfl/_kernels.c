@@ -111,21 +111,30 @@ static inline int quad_right(struct quad *m, double target, double *x)
 }
 
 /* Quantile loss: _StepMessage.  The message derivative is a nondecreasing
- * step function: sorted breakpoints bp[0..nb) with positive jumps jm, value
- * c0 left of every breakpoint and clast right of every one.  Each data point
- * adds at most one breakpoint and a crossing only deletes, so nb <= n.  A
- * left crossing deletes by advancing bp and jm past the deleted entries, so
- * the window starts at an offset into its buffer of n; that offset plus nb
- * grows only with an insertion, so it never exceeds the number of points
- * inserted, which is at most n, and the window stays inside the buffer. */
+ * step function: breakpoints in sorted order, each with its positive jump,
+ * value c0 left of every breakpoint and clast right of every one.  The nb
+ * live (breakpoint, jump) pairs are the window w[0..nb), which lies inside
+ * a region of 2n pairs and starts at its middle, pair n.  Each data point
+ * adds at most one breakpoint; an insertion makes room by moving the
+ * shorter side of the window, so it either lowers the window's start or
+ * raises its end by one, and a crossing only deletes, raising the start
+ * (left) or lowering the end (right).  The start thus falls only on an
+ * insertion and the end rises only on one; with at most n insertions the
+ * start stays at pair 0 or above and the end at pair 2n or below. */
+struct bj {
+    double bp, jm;
+};
+
 struct step {
-    double *bp, *jm;
+    struct bj *w;
     ptrdiff_t nb;
     double c0, clast, tau;
 };
 
 /* _StepMessage.add_data: a unit jump at y, inserted in sorted order where
- * bisect_left puts it (memmove, as list.insert does). */
+ * bisect_left puts it.  list.insert moves every pair right of the
+ * insertion point up one slot; moving the pairs left of it down one slot
+ * instead, when they are fewer, leaves the same ordered sequence. */
 static inline void step_add(struct step *m, double y)
 {
     ptrdiff_t lo = 0, hi = m->nb, mid;
@@ -134,18 +143,24 @@ static inline void step_add(struct step *m, double y)
     m->clast -= m->tau;
     while (lo < hi) {
         mid = (lo + hi) / 2;
-        if (m->bp[mid] < y)
+        if (m->w[mid].bp < y)
             lo = mid + 1;
         else
             hi = mid;
     }
-    if (lo < m->nb && m->bp[lo] == y) {
-        m->jm[lo] += 1.0;
+    if (lo < m->nb && m->w[lo].bp == y) {
+        m->w[lo].jm += 1.0;
     } else {
-        memmove(m->bp + lo + 1, m->bp + lo, (size_t)(m->nb - lo) * sizeof *m->bp);
-        memmove(m->jm + lo + 1, m->jm + lo, (size_t)(m->nb - lo) * sizeof *m->jm);
-        m->bp[lo] = y;
-        m->jm[lo] = 1.0;
+        /* a memmove call costs as much as a step that moves nothing */
+        if (lo < m->nb - lo) {
+            m->w -= 1;
+            if (lo > 0)
+                memmove(m->w, m->w + 1, (size_t)lo * sizeof *m->w);
+        } else if (lo < m->nb) {
+            memmove(m->w + lo + 1, m->w + lo, (size_t)(m->nb - lo) * sizeof *m->w);
+        }
+        m->w[lo].bp = y;
+        m->w[lo].jm = 1.0;
         m->nb += 1;
     }
     m->clast += 1.0;
@@ -163,16 +178,15 @@ static inline int step_left(struct step *m, double target, double *x)
         return GFL_OK;
     }
     while (h < m->nb && c < target)
-        c += m->jm[h++];
+        c += m->w[h++].jm;
     if (c < target)
         return GFL_BELOW;
     h -= 1; /* keep the crossing breakpoint with an adjusted jump */
-    m->jm[h] = c - target;
-    m->bp += h;
-    m->jm += h;
+    m->w[h].jm = c - target;
+    m->w += h;
     m->nb -= h;
     m->c0 = target;
-    *x = m->bp[0];
+    *x = m->w[0].bp;
     return GFL_OK;
 }
 
@@ -188,17 +202,17 @@ static inline int step_right(struct step *m, double target, double *x)
         *x = INFINITY;
         return GFL_OK;
     }
-    while (k > 0 && c - m->jm[k] >= target) {
-        c -= m->jm[k];
+    while (k > 0 && c - m->w[k].jm >= target) {
+        c -= m->w[k].jm;
         k -= 1;
     }
-    /* the piece left of bp[k] is below target (or k == 0): crossing at bp[k] */
-    m->jm[k] = target - (c - m->jm[k]);
-    if (m->jm[k] < 0.0)
+    /* the piece left of breakpoint k is below target (or k == 0): crossing there */
+    m->w[k].jm = target - (c - m->w[k].jm);
+    if (m->w[k].jm < 0.0)
         return GFL_INCONSISTENT;
     m->nb = k + 1;
     m->clast = target;
-    *x = m->bp[k];
+    *x = m->w[k].bp;
     return GFL_OK;
 }
 
@@ -207,7 +221,8 @@ static inline int step_right(struct step *m, double target, double *x)
  * is the left crossing of 0.0, and each theta_i is then clamped to its
  * step's window, from theta_n down.  work holds lo and hi (n each, the last
  * entry unused), then xs, ca and cb (2n each) for the square loss, 8n in
- * all, or bp and jm (n each) for the quantile loss, 4n in all. */
+ * all, or the region of 2n (breakpoint, jump) pairs for the quantile loss,
+ * 6n in all. */
 int gfl_path(const double *ys, ptrdiff_t n, double lam, int quantile, double tau,
              double *theta, double *work)
 {
@@ -216,7 +231,7 @@ int gfl_path(const double *ys, ptrdiff_t n, double lam, int quantile, double tau
     int status;
 
     if (quantile) {
-        struct step m = {work + 2 * n, work + 3 * n, 0, 0.0, 0.0, tau};
+        struct step m = {(struct bj *)(work + 2 * n) + n, 0, 0.0, 0.0, tau};
         for (i = 0; i < n - 1; i++) {
             step_add(&m, ys[i]);
             if ((status = step_left(&m, neg_lam, &lo[i])) || (status = step_right(&m, lam, &hi[i])))

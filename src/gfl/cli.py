@@ -253,7 +253,9 @@ def _parse_signal(args) -> PiecewiseConstantSignal:
         lengths = [_int(v) for v in args.signal_lengths.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad signal specification: {exc}") from exc
-    return PiecewiseConstantSignal(values, lengths)
+    signal = PiecewiseConstantSignal(values, lengths)
+    bnd._check_count("the sum of --signal-lengths", signal.n)
+    return signal
 
 
 def _cmd_bounds(args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bounds import DELTA_MAX, _check_delta, _check_positive
+from .bounds import DELTA_MAX, _check_count, _check_delta, _check_positive
 from .errors import ConfigError
 from .losses import NoiseModel
 
@@ -64,7 +64,8 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
     over paths of |S_t| / envelope(t).  Paths are processed in chunks to
     bound memory; the result is deterministic in (noise, horizon, paths, seed).
     A sigma (of ``env`` or of ``noise``) with sigma * horizon above 2^1000,
-    or below 2^-1000, is refused before the first draw.
+    or below 2^-1000, is refused before the first draw, and so is a horizon
+    or a path count beyond numpy's index range.
     """
     if horizon < 1 or paths < 1:
         raise ConfigError("horizon and paths must be >= 1")
@@ -82,6 +83,8 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
             f"the partial sums at sigma {float(sigma)!r} are beyond float64 scale:"
             f" sigma is below 2^-1000 ({_MIN_SCALE:.4g}); rescale sigma"
         )
+    _check_count("paths", paths)
+    _check_count("horizon", horizon, per=min(paths, _CHUNK))  # a chunk's draws
     t = np.arange(1, horizon + 1)
     envlp = np.asarray(envelope(t, env), dtype=np.float64, order="C")
     rng = np.random.default_rng(seed)

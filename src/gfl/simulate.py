@@ -171,9 +171,11 @@ class ExperimentSpec:
             raise ConfigError("monitor list is empty")
         if self.d_grid and len(set(self.d_grid)) < 2:
             raise ConfigError("d_grid needs at least two distinct distances to fit a slope")
+        bnd._check_count("the sum of signal.lengths", self.signal.n)
         if any(n < 4 for n in self.n_sweep):
             # the n-sweep's interior index is n // 4
             raise ConfigError("n_sweep entries must be >= 4")
+        bnd._check_count("the largest n_sweep entry", max(self.n_sweep, default=4))
         _check_pairing(self.loss, self.noise)
         quantile = self.loss.kind == "quantile"
         if self.experiment == "elementwise_quantile" and not quantile:

@@ -11,6 +11,11 @@ adds the data term and then "clips" the derivative to [-lam, +lam], which is
 exactly the infimal convolution with lam*|.|, and records the clip window.
 The derivative is piecewise linear for the square loss and a step function
 for the quantile loss; either keeps only its live knots or breakpoints.
+The step function's breakpoints sit, each with its jump, as sorted pairs in
+one window inside a region of 2n pairs that starts at its middle; an
+insertion moves whichever side of the window is shorter, so it moves at
+most half the live pairs.  ``_work_size`` is the one definition of the DP's
+scratch: 8n doubles for the square loss, 6n for the quantile loss.
 theta_n is where the last message's derivative crosses 0, and the backward
 pass clamps each theta_i to the clip window recorded at its step, picking
 the smallest optimal value wherever the optimum is a face.
@@ -141,6 +146,13 @@ def _loss_args(loss) -> tuple[bool, float]:
     return quantile, float(loss.tau) if quantile else 0.0
 
 
+def _work_size(n: int, quantile: bool) -> int:
+    """The doubles of scratch ``gfl_path`` takes for n elements: lo and hi,
+    then the square loss's knots and coefficients (6n) or the quantile
+    loss's region of 2n (breakpoint, jump) pairs (4n)."""
+    return (6 if quantile else 8) * n
+
+
 def _solve_path(problem: FusedLassoProblem) -> np.ndarray:
     """Run the DP; returns theta (smallest-optimal tie-breaking).  The DP's
     scratch is freed when this returns."""
@@ -149,7 +161,7 @@ def _solve_path(problem: FusedLassoProblem) -> np.ndarray:
         return y.copy()
     quantile, tau = _loss_args(problem.loss)
     theta = np.empty(y.size)
-    work = np.empty((4 if quantile else 8) * y.size)  # the size gfl_path names
+    work = np.empty(_work_size(y.size, quantile))
     status = _kernels.lib.gfl_path(
         y.ctypes.data, y.size, lam, quantile, tau, theta.ctypes.data, work.ctypes.data
     )

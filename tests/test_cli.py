@@ -521,6 +521,38 @@ def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, target, argv, messa
     assert not out.exists()
 
 
+_HUGE = "100000000000000000000"  # 10^20, past numpy's index range
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["lil", "--delta", "0.1", "--seed", "1", "--horizon", _HUGE, "--paths", "1"], "horizon"),
+        (["lil", "--delta", "0.1", "--seed", "1", "--horizon", "10", "--paths", _HUGE], "paths"),
+        (
+            ["bounds", "--signal-values", "0,1", "--signal-lengths", f"{_HUGE},1",
+             "--delta", "0.05", "--lambda", "1"],
+            "the sum of --signal-lengths",
+        ),
+        ({"signal": {"values": [0.0, 2.0], "lengths": [int(_HUGE), 16]}},
+         "the sum of signal.lengths"),
+        ({"experiment": "rate_sweep", "n_sweep": [8, int(_HUGE)]}, "the largest n_sweep entry"),
+    ],
+    ids=["lil-horizon", "lil-paths", "bounds-lengths", "simulate-lengths", "simulate-n-sweep"],
+)
+def test_count_beyond_numpy_index_range_exit_2(tmp_path, capsys, argv, named):
+    """A count that numpy cannot index is one stderr line naming its flag or
+    config key and exit 2, with no traceback and no directory."""
+    if isinstance(argv, dict):
+        argv = ["simulate", "--config", write_config(tmp_path, small_config(**argv))]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {named} is ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 _QUANTILE_SSE = {"experiment": "sse", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN}
 
 

@@ -5,6 +5,7 @@ Each exported kernel writes only inside the buffers it is given, and only
 into its outputs."""
 
 import ctypes
+import itertools
 import os
 import re
 import shutil
@@ -19,7 +20,7 @@ import gfl
 from gfl import _kernels
 from gfl.lil import LilEnvelope, envelope
 from gfl.losses import QuantileLoss, SquareLoss
-from gfl.solver import FusedLassoProblem, check_kkt, solve
+from gfl.solver import FusedLassoProblem, _work_size, check_kkt, solve
 
 Y = np.cos(np.arange(200) * 0.37) * 3.0
 LOSSES = (SquareLoss(), QuantileLoss(0.3))
@@ -163,22 +164,32 @@ def shapes(n):
     return {"up": ramp, "down": -ramp, "constant": np.full(n, 2.5), "walk": walk}
 
 
-@pytest.mark.parametrize("loss", LOSSES, ids=["square", "quantile"])
-@pytest.mark.parametrize("n", [1, 2, 4096])
-@pytest.mark.parametrize("shape", ["up", "down", "constant", "walk"])
-@pytest.mark.parametrize("clip", [True, False], ids=["clipped", "unclipped"])
-def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
+SIZES = (1, 2, 4096)
+SHAPES = ("up", "down", "constant", "walk")
+
+
+def guard_lam(n, clip):
     # ramps push a square-loss knot at every step and the final crossing one
     # more; a lambda above n*max(tau, 1 - tau) clips nothing, so every
-    # distinct value stays a live quantile breakpoint
+    # distinct value stays a live quantile breakpoint: an unclipped "up"
+    # ramp appends each one, taking the window of pairs to the end of its
+    # region, and "down" prepends all but the first, taking it to pair 1
+    return 0.75 if clip else 2.0 * n
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=["square", "quantile"])
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("clip", [True, False], ids=["clipped", "unclipped"])
+def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
     lib = _kernels.lib
-    lam = 0.75 if clip else 2.0 * n
+    lam = guard_lam(n, clip)
     quantile = loss.kind != "square"
     tau = loss.tau if quantile else 0.0
     y, y_whole = guarded(n)
     y[:] = shapes(n)[shape]
     theta, theta_whole = guarded(n)
-    work, work_whole = guarded((4 if quantile else 8) * n)
+    work, work_whole = guarded(_work_size(n, quantile))
     state, state_whole = guarded(4 * n - 2)
     z, z_whole = guarded(n - 1)
 
@@ -195,6 +206,55 @@ def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
     assert theta.tobytes() == sol.theta_hat.tobytes()
     _, sol_z = check_kkt(problem, sol.theta_hat)
     assert resid == sol.kkt_residual and z.tobytes() == sol_z.tobytes()
+
+
+DRIVER = Path(__file__).with_name("kernels_driver.c")
+# the library's own compile command, building an executable
+SANITIZE = (
+    *(arg for arg in _kernels.COMMAND if arg not in ("-shared", "-fPIC")),
+    "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+)
+
+
+def test_kernels_run_clean_under_sanitizers(tmp_path):
+    """gfl_path (both losses), gfl_kkt_bands and gfl_kkt_dual on the guard
+    test's inputs, built with AddressSanitizer and UBSan into a driver that
+    mallocs every buffer at exactly its documented size, so a read past a
+    buffer is caught as well as a write; the results are the library's."""
+    trivial = tmp_path / "trivial.c"
+    trivial.write_text("int main(void) { return 0; }\n")
+    probe = subprocess.run([*SANITIZE, "-o", str(tmp_path / "trivial"), str(trivial)],
+                           capture_output=True, text=True, timeout=300)
+    if probe.returncode != 0:
+        pytest.skip(f"the compiler cannot build a sanitized program: {probe.stderr.strip()}")
+    exe = tmp_path / "driver"
+    build = subprocess.run([*SANITIZE, "-o", str(exe), str(DRIVER), str(_kernels.SOURCE), "-lm"],
+                           capture_output=True, text=True, timeout=300)
+    assert build.returncode == 0, build.stderr
+
+    cases = [
+        (loss, guard_lam(n, clip), shapes(n)[shape])
+        for loss, n, shape, clip in itertools.product(LOSSES, SIZES, SHAPES, (True, False))
+    ]
+    with open(tmp_path / "cases", "wb") as fh:
+        for loss, lam, y in cases:
+            quantile = loss.kind != "square"
+            fh.write(np.array([y.size, quantile, _work_size(y.size, quantile)], np.int64).tobytes())
+            fh.write(np.array([lam, loss.tau if quantile else 0.0, *y]).tobytes())
+    env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1:halt_on_error=1",
+           "UBSAN_OPTIONS": "print_stacktrace=1:halt_on_error=1"}
+    proc = subprocess.run([str(exe), "cases", "results"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+    # the library's results, computed only now: a fault the driver caught
+    # could corrupt this process's heap
+    want = []
+    for loss, lam, y in cases:
+        problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
+        sol = solve(problem)
+        want += [sol.theta_hat, [sol.kkt_residual], check_kkt(problem, sol.theta_hat)[1]]
+    assert (tmp_path / "results").read_bytes() == np.concatenate(want).tobytes()
 
 
 def lil_chunk(x, env, r, h):

@@ -1,6 +1,7 @@
 """The solver's C kernels return the same bits as the class-based,
 numpy-scalar reference in ``solver_reference.py`` (signed zeros included)."""
 
+import hashlib
 import itertools
 import math
 
@@ -121,6 +122,41 @@ def test_step_message_window_matches_reference_bitwise(shape, n):
         theta = ref.solve_path(y, lam, loss)
         assert_same_bits(sol.theta_hat, theta)
         assert_same_bits(sol.kkt_residual, ref.check_kkt(problem, theta)[0])
+
+
+# SHA-256 of theta_hat's bytes and kkt_residual.hex() of quantile fits past
+# the sizes the reference runs at, as the DP computed them while it kept its
+# breakpoints and jumps in two sorted arrays, before the window of pairs
+# (inputs from draw_y, seed 20260126, lambda = sqrt(n)).
+LARGE_PINS = {
+    ("step", 18, 0.5): ("d0eb51409ff8ea904465ef6bd949293a098eba1bb61a64e47afaa671ffe1150c", "0x0.0p+0"),
+    ("step", 18, 0.3): ("59dcbc836a3e680b37b47693dc3b1f89051b4cc240bbb4b2612885c5ec6790cb", "0x1.0b38000000000p-30"),
+    ("ramp", 18, 0.5): ("f60c790c058f9c6ab33272e6c432c41005c33c64073642472139b2d57fd960dd", "0x0.0p+0"),
+    ("ramp", 18, 0.3): ("edae716ee524ae89294968159f9283180f3624da5aba9365206539c1bb13dcd9", "0x1.ddb2800000000p-36"),
+    ("walk", 18, 0.5): ("3d75e230d2c48d16c573d8704c8671a2fc139633aa493e27e7120d3fd10b9fd8", "0x0.0p+0"),
+    ("walk", 18, 0.3): ("9a0c0c3d5a70a099b9a022b5aaf98e0b47c2da67c53be8199098029787567333", "0x1.1680000000000p-35"),
+    ("step", 20, 0.5): ("2c831a397dad7351a9b16187bf2f9eb2ec7dd569d083b7bd5f56f519cab3ee8c", "0x0.0p+0"),
+    ("step", 20, 0.3): ("6e64d6a00c91c76141359cb3129c6b4dac3ff54a81ed5a58a4a72fa05751ee43", "0x0.0p+0"),
+    ("ramp", 20, 0.5): ("18e3dde86243254cb569c70ba9ad506efa453c9f511e9baa26e8ff1c99d5e3b3", "0x0.0p+0"),
+    ("ramp", 20, 0.3): ("73954a80734531ba56b8d29356f8cb389fd3f1c57e20ee8137235d33a41607d3", "0x0.0p+0"),
+    ("walk", 20, 0.5): ("6b0bf60f73c3b6ad7a314f12ea8cfd1feeaa62b490ec0d0ec01de68fbfd75712", "0x0.0p+0"),
+    ("walk", 20, 0.3): ("397c0333896e540d19eb6eff97474e32cfab6514ab5cf18eaca3db55cbd27384", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize(
+    ("shape", "log2_n"), [(s, e) for e in (18, 20) for s in ("step", "ramp", "walk")]
+)
+def test_quantile_fits_past_2_16_match_pinned_bits(shape, log2_n):
+    """The DP at 2^18 and 2^20, where the reference is too slow to run,
+    keeps the bits recorded before its breakpoints became a window of
+    pairs."""
+    n = 2**log2_n
+    y = draw_y(np.random.default_rng(20260126), shape, n)
+    for tau in (0.5, 0.3):
+        sol = solve(FusedLassoProblem(y=y, lam=math.sqrt(n), loss=QuantileLoss(tau)))
+        got = hashlib.sha256(sol.theta_hat.tobytes()).hexdigest(), sol.kkt_residual.hex()
+        assert got == LARGE_PINS[shape, log2_n, tau]
 
 
 def test_check_kkt_matches_reference_off_optimum():
