@@ -2,7 +2,8 @@
 command, into the package's ``__pycache__``; later processes load that build
 without running the compiler, and a build that fails makes import fail.
 Each exported kernel writes only inside the buffers it is given, and only
-into its outputs."""
+into its outputs; built with AddressSanitizer and UBSan, the solver's
+kernels also read only inside them."""
 
 import ctypes
 import itertools
@@ -247,8 +248,8 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
-    # the library's results, computed only now: a fault the driver caught
-    # could corrupt this process's heap
+    # the library's results, computed only after the driver ran: a kernel
+    # fault the driver reports could otherwise abort this process first
     want = []
     for loss, lam, y in cases:
         problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
