@@ -8,12 +8,36 @@ directions eta_k, monotone-run lengths m_left/m_right) is derived here.
 from __future__ import annotations
 
 import itertools
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+def _value(v) -> float:
+    """v as a float; a bool, a string or anything else that is not a real
+    number is refused rather than converted."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ConfigError(f"segment values must be real numbers, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError("segment values must be finite") from None
+
+
+def _length(m) -> int:
+    """m as an int; only integer types (Python's or numpy's, not bool) are
+    accepted, so 2.7 or "2" is refused rather than truncated or parsed."""
+    if not isinstance(m, bool):
+        try:
+            return operator.index(m)
+        except TypeError:
+            pass
+    raise ConfigError(f"segment lengths must be positive integers, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -24,8 +48,8 @@ class PiecewiseConstantSignal:
     lengths: tuple[int, ...]
 
     def __init__(self, values, lengths):
-        values = tuple(float(v) for v in values)
-        lengths = tuple(int(m) for m in lengths)
+        values = tuple(_value(v) for v in values)
+        lengths = tuple(_length(m) for m in lengths)
         if len(values) == 0 or len(values) != len(lengths):
             raise ConfigError("values and lengths must be nonempty and of equal length")
         if any(m < 1 for m in lengths):

@@ -10,7 +10,6 @@ import math
 import os
 
 import numpy as np
-import pytest
 
 from bounds_reference import seg_length
 from gfl import bounds as bnd

@@ -48,7 +48,8 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_no_unused_imports():
-    found = {p.name: _unused_imports(p) for p in sorted((_ROOT / "src" / "gfl").glob("*.py"))}
+    paths = [p for d in ("src/gfl", "scripts", "tests") for p in sorted((_ROOT / d).glob("*.py"))]
+    found = {p.relative_to(_ROOT).as_posix(): _unused_imports(p) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}
 
 

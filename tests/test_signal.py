@@ -86,6 +86,33 @@ class TestConstruction:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
             sig([0, math.inf], [2, 2])
+        with pytest.raises(ConfigError, match="finite"):
+            sig([0, 10**400], [2, 2])
+
+    @pytest.mark.parametrize(
+        "values, lengths, message",
+        [
+            ([0, 1], [2.7, 3], "lengths must be positive integers, got 2.7"),
+            ([0, 1], [2.0, 3], "lengths must be positive integers, got 2.0"),
+            ([0, 1], [True, 3], "lengths must be positive integers, got True"),
+            ([0, 1], ["2", 3], "lengths must be positive integers, got '2'"),
+            ([0, 1], [np.bool_(True), 3], "lengths must be positive integers"),
+            (["1e0", 2], [2, 3], "values must be real numbers, got '1e0'"),
+            ([0, True], [2, 3], "values must be real numbers, got True"),
+            ([0, None], [2, 3], "values must be real numbers, got None"),
+            ([0, 1j], [2, 3], "values must be real numbers, got 1j"),
+        ],
+        ids=["len-2.7", "len-2.0", "len-True", "len-str", "len-np.bool", "val-str", "val-True",
+             "val-None", "val-complex"],
+    )
+    def test_no_silent_coercion(self, values, lengths, message):
+        with pytest.raises(ConfigError, match=message):
+            sig(values, lengths)
+
+    def test_numpy_scalars_accepted(self):
+        s = sig([np.float32(0.5), np.int64(2)], [np.int32(2), np.uint8(3)])
+        assert s == sig([0.5, 2.0], [2, 3])
+        assert [type(v) for v in s.values + s.lengths] == [float, float, int, int]
 
     def test_record_roundtrip(self):
         s = sig([0, 1.5], [2, 3])

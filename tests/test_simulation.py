@@ -17,6 +17,7 @@ from gfl.simulate import (
     run_experiment,
     splitmix64,
 )
+from run_all_experiments import SEED, SUITE
 
 
 def base_config(**over):
@@ -35,99 +36,33 @@ def base_config(**over):
     return cfg
 
 
-_SCRIPT_SEED = 20240811  # the default --seed of scripts/run_all_experiments.py
-_K4 = {"values": [0.0, 1.0, 0.0, 1.0], "lengths": [1024] * 4}
 _CAUCHY_MEDIAN = {
     "noise": {"kind": "cauchy", "scale": 1.0, "center_tau": 0.5},
     "loss": {"kind": "quantile", "tau": 0.5},
+}
+
+# config_hash() of each experiment of scripts/run_all_experiments.py as it
+# runs at full scale and the default seed: experiment j on seed SEED + j.
+_SCRIPT_HASHES = {
+    "pointwise_mean": "6b506255ac9e3196b0f2965714c0760fb65b728df158a2bc0796c6dcad730f42",
+    "pointwise_quantile": "abffc60090dea31fb44dc1c9692a324bfb811a64edae96de5ff5f758dcc377fd",
+    "sse_mean": "1383183f5ac221abcd471d78229d627fd0b89d49ab6fbf7f6d48b5b9d380f3e6",
+    "sse_quantile": "e669e4b8bf606240841fdff9d16228d40c57ef5d4db59eb2e06a096dcf8f1b63",
+    "rate_sweep": "9ce800dd2f7b4418a79a79b05b6bdcb296e1a092fb0f57c204901afd8c592d89",
+    "lambda_sweep": "fc111682ca0c548b766285475b1a12ba37e17ee94c2732b769ee67ad0aa330b6",
 }
 
 # Literal config_hash() values.  Every output file carries the hash of its
 # config, so a change here changes the provenance of results written from an
 # unchanged config.
 _PINNED_HASHES = {
-    "script_pointwise_mean": (
-        {
-            "experiment": "pointwise",
-            "signal": {"values": [0.0, 2.0], "lengths": [1024, 1024]},
-            "noise": {"kind": "gaussian", "scale": 1.0},
-            "loss": {"kind": "square"},
-            "lambda": {"rule": "sqrt_n_over_k"},
-            "delta": 0.05,
-            "replications": 2000,
-            "seed": _SCRIPT_SEED,
-            "monitor": "interior",
-        },
-        "6b506255ac9e3196b0f2965714c0760fb65b728df158a2bc0796c6dcad730f42",
-    ),
-    "script_pointwise_quantile": (
-        {
-            "experiment": "pointwise",
-            "signal": {"values": [0.0, 2.0], "lengths": [1024, 1024]},
-            **_CAUCHY_MEDIAN,
-            "lambda": {"rule": "fixed", "value": 43.0},
-            "delta": 0.05,
-            "replications": 2000,
-            "seed": _SCRIPT_SEED + 1,
-            "monitor": "interior",
-        },
-        "abffc60090dea31fb44dc1c9692a324bfb811a64edae96de5ff5f758dcc377fd",
-    ),
-    "script_sse_mean": (
-        {
-            "experiment": "sse",
-            "signal": _K4,
-            "noise": {"kind": "gaussian", "scale": 1.0},
-            "loss": {"kind": "square"},
-            "lambda": {"rule": "log_sqrt_n_over_k"},
-            "delta": 1e-3,
-            "replications": 500,
-            "seed": _SCRIPT_SEED + 2,
-        },
-        "1383183f5ac221abcd471d78229d627fd0b89d49ab6fbf7f6d48b5b9d380f3e6",
-    ),
-    "script_sse_quantile": (
-        {
-            "experiment": "sse",
-            "signal": _K4,
-            "noise": {"kind": "uniform", "scale": 1.0, "center_tau": 0.5},
-            "loss": {"kind": "quantile", "tau": 0.5},
-            "lambda": {"rule": "fixed", "value": math.log(4096) * math.sqrt(4096 / 4)},
-            "delta": 1e-3,
-            "replications": 500,
-            "seed": _SCRIPT_SEED + 3,
-            "growth_L": "auto",
-        },
-        "e669e4b8bf606240841fdff9d16228d40c57ef5d4db59eb2e06a096dcf8f1b63",
-    ),
-    "script_rate_sweep": (
-        {
-            "experiment": "rate_sweep",
-            "signal": {"values": [0.0, 1.0], "lengths": [2048, 2048]},
-            "noise": {"kind": "gaussian", "scale": 1.0},
-            "loss": {"kind": "square"},
-            "lambda": {"rule": "sqrt_n_over_k"},
-            "delta": 0.05,
-            "replications": 500,
-            "seed": _SCRIPT_SEED + 4,
-            "d_grid": [4, 16, 64, 256, 1024],
-            "n_sweep": [1024, 4096, 16384],
-        },
-        "9ce800dd2f7b4418a79a79b05b6bdcb296e1a092fb0f57c204901afd8c592d89",
-    ),
-    "script_lambda_sweep": (
-        {
-            "experiment": "lambda_sweep",
-            "signal": {"values": [0.0, 1.0, 0.0, 1.0], "lengths": [256] * 4},
-            "noise": {"kind": "gaussian", "scale": 1.0},
-            "loss": {"kind": "square"},
-            "lambda": {"rule": "sqrt_n_over_k"},
-            "delta": 1e-3,
-            "replications": 200,
-            "seed": _SCRIPT_SEED + 5,
-        },
-        "fc111682ca0c548b766285475b1a12ba37e17ee94c2732b769ee67ad0aa330b6",
-    ),
+    **{
+        f"script_{name}": (
+            cfg | {"replications": replications, "seed": SEED + j},
+            _SCRIPT_HASHES[name],
+        )
+        for j, (name, (cfg, replications)) in enumerate(SUITE.items())
+    },
     "rule_sqrt_n_over_k": (
         base_config(),
         "5cb651958a7d14a2c9b2a1bf4a35928da8c18f6f254425914ce41e0a2f5b1bfe",
@@ -230,6 +165,9 @@ class TestConfig:
     def test_config_hash_pinned(self, name):
         cfg, expected = _PINNED_HASHES[name]
         assert ExperimentSpec.from_config(cfg).config_hash() == expected
+
+    def test_every_script_experiment_pinned(self):
+        assert SUITE.keys() == _SCRIPT_HASHES.keys()
 
     def test_integer_spelled_number_hashes_as_float(self):
         # every number is stored as a float, so 43 and 43.0 are one experiment
