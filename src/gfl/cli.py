@@ -75,12 +75,32 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def _table(rows, level: int) -> str | None:
+def _numbers(col) -> np.ndarray | None:
+    """``col`` as a float64 array if its cells are all exactly ``float`` and
+    finite, or as an int64 array if they are all exactly ``int`` within int64;
+    None for any other column, which the C encoder writes (and refuses)."""
+    types = set(map(type, col))
+    if types == {float}:
+        a = np.array(col, dtype=np.float64)
+        return a if np.isfinite(a).all() else None
+    if types == {int}:
+        try:
+            return np.array(col, dtype=np.int64)
+        except OverflowError:
+            return None
+    return None
+
+
+def _table(rows, level: int, memo: dict | None = None) -> str | None:
     """``rows`` encoded a column at a time, if they are non-empty flat dicts
     (plain ``dict``s) sharing one set of str keys; None otherwise.
 
-    Each column is one C-encoder call with a NUL item separator (JSON text
-    never holds a raw NUL), and one ``%`` template lays out every row.
+    A column of finite floats or of int64-range ints is a number column:
+    json writes each such cell as ``repr``, so ``_cells`` formats its
+    distinct values once each, and ``memo`` hands its cells to a CSV of the
+    same column.  Every other column is one C-encoder call with a NUL item
+    separator (JSON text never holds a raw NUL).  One ``%`` template lays
+    out every row.
     """
     if set(map(type, rows)) != {dict} or len(set(map(len, rows))) != 1:
         return None
@@ -91,9 +111,13 @@ def _table(rows, level: int) -> str | None:
         cols = [list(map(itemgetter(k), rows)) for k in keys]
     except KeyError:  # rows of one size share their keys unless one is missing
         return None
-    if not all(map(_flat, cols)):
+    numbers = list(map(_numbers, cols))
+    if not all(a is not None or _flat(col) for a, col in zip(numbers, cols)):
         return None
-    cells = [_c_encoder("\0")(col)[1:-1].split("\0") for col in cols]
+    cells = [
+        _c_encoder("\0")(col)[1:-1].split("\0") if a is None else _cells(a, memo)
+        for a, col in zip(numbers, cols)
+    ]
     row_indent, field_indent = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
     template = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
@@ -101,14 +125,15 @@ def _table(rows, level: int) -> str | None:
     return "[" + row_indent + body + "\n" + "  " * level + "]"
 
 
-def _dumps(obj, level: int = 0) -> str:
+def _dumps(obj, level: int = 0, memo: dict | None = None) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
 
     With ``indent`` set, json runs its pure-Python encoder, one generator step
     per element.  Here json's C encoder does the work: a container with no
     non-empty container inside is one call whose item separator carries the
     newline and indent of its level, a table (``_table``) is one call per
-    column, and only what remains recurses here, a container at a time.
+    column or one ``repr`` per distinct number, and only what remains
+    recurses here, a container at a time.  ``memo`` is ``_cells``'.
     """
     if isinstance(obj, dict):
         values = obj.values()
@@ -124,33 +149,43 @@ def _dumps(obj, level: int = 0) -> str:
         text = _c_encoder("," + indent)(obj)
         return text[0] + indent + text[1:-1] + close + text[-1]
     if isinstance(obj, dict):
-        parts = [f"{_key(k)}: {_dumps(v, level + 1)}" for k, v in sorted(obj.items())]
+        parts = [f"{_key(k)}: {_dumps(v, level + 1, memo)}" for k, v in sorted(obj.items())]
         return "{" + indent + ("," + indent).join(parts) + close + "}"
-    table = _table(obj, level)
+    table = _table(obj, level, memo)
     if table is not None:
         return table
-    return "[" + indent + ("," + indent).join(_dumps(v, level + 1) for v in obj) + close + "]"
+    items = (_dumps(v, level + 1, memo) for v in obj)
+    return "[" + indent + ("," + indent).join(items) + close + "]"
 
 
-def _json_text(path: str, payload: dict, config_hash: str) -> str:
+def _json_text(path: str, payload: dict, config_hash: str, memo: dict | None = None) -> str:
     """The text of the JSON file ``path``: the header fields, then ``payload``."""
     payload = {"version": __version__, "config_hash": config_hash} | payload
     try:
-        return _dumps(payload) + "\n"
+        return _dumps(payload, memo=memo) + "\n"
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise GflError(f"not writing {path}: {exc}") from exc
 
 
-def _cells(values):
+def _cells(values, memo: dict | None = None):
     """A CSV column's cells: an int or float as ``repr`` writes the Python
     number, a bool as 0/1, None as an empty cell.  A numeric column formats
     each distinct value once: the values are keyed by their bits, so -0.0
-    and 0.0 (and NaNs of different payloads) stay apart."""
+    and 0.0 (and NaNs of different payloads) stay apart.  ``memo``, if
+    given, maps a numeric column's dtype and bytes to its cells, so a column
+    that two files write (a JSON row table and its CSV) is formatted once;
+    an int and a float column of the same bytes have different keys, as 1
+    and 1.0 have different cells."""
     a = np.asarray(values)
     if a.dtype == bool:
         a = a.view(np.uint8)
     if a.dtype == object:  # a column holding None
         return ("" if v is None else repr(v) for v in a.tolist())
+    if memo is not None:
+        key = (a.dtype.str, a.tobytes())
+        if key not in memo:
+            memo[key] = _cells(a)
+        return memo[key]
     a = np.ascontiguousarray(a)
     uniq, at = np.unique(a.view(f"u{a.itemsize}"), return_inverse=True)
     # a memoryview hands out Python numbers, not numpy scalars
@@ -158,10 +193,11 @@ def _cells(values):
     return cells[at].tolist()
 
 
-def _csv_text(table: dict, config_hash: str) -> str:
+def _csv_text(table: dict, config_hash: str, memo: dict | None = None) -> str:
     """``table``, {column name: values}, as CSV text; a column shorter than
-    the others ends in empty cells."""
-    rows = itertools.zip_longest(*map(_cells, table.values()), fillvalue="")
+    the others ends in empty cells.  ``memo`` is ``_cells``'."""
+    columns = [_cells(values, memo) for values in table.values()]
+    rows = itertools.zip_longest(*columns, fillvalue="")
     lines = [f"# version={__version__} config_hash={config_hash}", ",".join(table)]
     lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"
@@ -171,14 +207,17 @@ def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
     """Write ``files``, {file name: content}, into ``out_dir`` in their order:
     a ``.json`` name through ``_json_text``, any other as a CSV table.  Every
     file is encoded before the directory is made or a file written, so a
-    file that cannot be encoded leaves nothing behind."""
-    texts = {}
+    file that cannot be encoded leaves nothing behind.  A JSON file's
+    tables put their number columns in a memo, in which a later CSV looks
+    its columns up, so a table that ``summary.json`` and a CSV both hold is
+    formatted once; with no such table, no CSV column is keyed."""
+    texts, memo = {}, {}
     for name, content in files.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".json"):
-            texts[path] = _json_text(path, content, config_hash)
+            texts[path] = _json_text(path, content, config_hash, memo)
         else:
-            texts[path] = _csv_text(content, config_hash)
+            texts[path] = _csv_text(content, config_hash, memo or None)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -317,7 +356,7 @@ def _cmd_lil(args) -> int:
 
 def _columns(rows) -> dict:
     """Rows, dicts sharing their keys, as {column name: values}; {} for no rows."""
-    return {c: [r[c] for r in rows] for c in rows[0]} if rows else {}
+    return {c: list(map(itemgetter(c), rows)) for c in rows[0]} if rows else {}
 
 
 # The CSV tables of each experiment's result, {file name: table}; an empty
@@ -353,7 +392,7 @@ def _cmd_simulate(args) -> int:
             cfg = json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if args.seed is not None:
         if not isinstance(cfg, dict):

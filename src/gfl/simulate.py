@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,11 @@ def _describe(kind) -> str:
     return _TYPE_NAMES.get(kind, repr(kind))
 
 
+class _BeyondFloat64(ConfigError):
+    """A JSON integer beyond float64's range for a number key: the right
+    type, so no other alternative of the key's type is tried."""
+
+
 def _parse(kind, value, what: str):
     """Check ``value`` against the schema type ``kind`` and return it as
     stored: numbers as floats, lists as tuples, tables with defaults filled."""
@@ -92,6 +98,8 @@ def _parse(kind, value, what: str):
         for alternative in kind:
             try:
                 return _parse(alternative, value, what)
+            except _BeyondFloat64:
+                raise
             except ConfigError:
                 pass
     elif isinstance(kind, dict):
@@ -115,7 +123,14 @@ def _parse(kind, value, what: str):
             return value
     # bool is an int subclass, and float("0.05") or int(1.5) would coerce
     elif isinstance(value, bool) == (kind is bool) and isinstance(value, _JSON_TYPES[kind]):
-        return float(value) if kind is float else value
+        if kind is not float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            raise _BeyondFloat64(
+                f"{what} is beyond float64's range (max {sys.float_info.max:.4g})"
+            ) from None
     raise ConfigError(f"{what} must be {_describe(kind)}, got {value!r}")
 
 
@@ -305,18 +320,20 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
     upper_hits = np.zeros(idx.size, dtype=np.int64)
     abs_err_sum = np.zeros(idx.size)
     cross_check_ok = True
+    at, neg_B = idx - 1, -B
+    star = theta_star[at]
     for (theta,) in _fits(spec, theta_star, [lam]):
-        err = theta[idx - 1] - theta_star[idx - 1]
+        err = theta[at] - star
         # one array for both events: L_minus is L_plus for every supported noise
         L_err = L_plus(spec.loss, spec.noise, err)
-        ev_lo = L_err <= -B
+        ev_lo = L_err <= neg_B
         ev_hi = L_err >= B
         lower_hits += ev_lo
         upper_hits += ev_hi
         abs_err_sum += np.abs(err)
         if spec.loss.kind == "square":
             # for the square loss L(t) = -t, so the event is just err >= B
-            if not (np.array_equal(ev_lo, err >= B) and np.array_equal(ev_hi, err <= -B)):
+            if not (np.array_equal(ev_lo, err >= B) and np.array_equal(ev_hi, err <= neg_B)):
                 cross_check_ok = False
 
     p_bound = bnd.prob_const() * spec.delta**2
@@ -328,8 +345,8 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
         {"i": i, "k": k, "d": d, "B": b, "freq_lower": lo, "freq_upper": hi, "mean_abs_err": e}
         for i, k, d, b, lo, hi, e in zip(
             idx.tolist(),
-            geom.k_of[idx - 1].tolist(),
-            geom.d[idx - 1].tolist(),
+            geom.k_of[at].tolist(),
+            geom.d[at].tolist(),
             B.tolist(),
             f_lo,
             f_hi,
@@ -362,8 +379,10 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
 
     R = spec.replications
     hits = np.zeros(idx.size, dtype=np.int64)
+    at = idx - 1
+    star = theta_star[at]
     for (theta,) in _fits(spec, theta_star, [lam]):
-        hits += np.abs(theta[idx - 1] - theta_star[idx - 1]) > bound_vals
+        hits += np.abs(theta[at] - star) > bound_vals
     worst = float(hits.max() / R) if idx.size else 0.0
     return {
         "experiment": "elementwise_quantile",
@@ -449,11 +468,9 @@ def run_sse(spec: ExperimentSpec) -> dict:
 
 
 def _median_abs_err_at(spec, theta_star, lam, indices, offset=0) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
-    errs = [
-        np.abs(theta[idx - 1] - theta_star[idx - 1])
-        for (theta,) in _fits(spec, theta_star, [lam], offset)
-    ]
+    at = np.asarray(indices, dtype=np.int64) - 1
+    star = theta_star[at]
+    errs = [np.abs(theta[at] - star) for (theta,) in _fits(spec, theta_star, [lam], offset)]
     return np.median(errs, axis=0)
 
 

@@ -44,8 +44,9 @@ arithmetic in a fixed order gives the same bits in C as in Python, and
 Arrays cross the boundary as raw pointers to contiguous float64 ndarrays:
 the y that ``FusedLassoProblem`` stores and the arrays the wrappers here
 make or allocate, every output and scratch buffer included, so the C code
-allocates nothing.  A fit keeps only theta; the DP's scratch and the
-certificate's state are freed when ``solve`` returns.
+allocates nothing.  A fit keeps only theta: the certificate's state is
+written into the DP's workspace, which the DP is done with by then, and
+that workspace is freed when ``solve`` returns.
 
 The solver works in float64, so ``FusedLassoProblem`` rejects a problem whose
 scale lambda + n*max|y| exceeds 2^1020: the square DP's running offset is a
@@ -85,17 +86,20 @@ class FusedLassoProblem:
         if not math.isfinite(y_max):
             raise ConfigError("y contains non-finite values")
         lam = self.lam
-        # an int is finite and compares exactly, however large: its float
-        # conversion (for the sum below and the lambda stored last) could
-        # overflow, so compare it first; a bool is an Integral but no lambda
-        if isinstance(lam, bool) or not (
-            isinstance(lam, numbers.Real)
-            and (isinstance(lam, numbers.Integral) or math.isfinite(lam))
-            and lam >= 0
-        ):
-            raise ConfigError("lambda must be a finite, nonnegative real number")
-        if not lam <= _MAX_SCALE:
-            raise ConfigError(f"lambda exceeds 2^1020 ({_MAX_SCALE:.4g}){_SCALE_HELP}")
+        # a float in [0, 2^1020] would pass both checks, so only other
+        # lambdas take them.  An int is finite and compares exactly, however
+        # large: its float conversion (for the sum below and the lambda stored
+        # last) could overflow, so compare it first; a bool is an Integral
+        # but no lambda
+        if type(lam) is not float or not 0.0 <= lam <= _MAX_SCALE:
+            if isinstance(lam, bool) or not (
+                isinstance(lam, numbers.Real)
+                and (isinstance(lam, numbers.Integral) or math.isfinite(lam))
+                and lam >= 0
+            ):
+                raise ConfigError("lambda must be a finite, nonnegative real number")
+            if not lam <= _MAX_SCALE:
+                raise ConfigError(f"lambda exceeds 2^1020 ({_MAX_SCALE:.4g}){_SCALE_HELP}")
         if not lam + y.size * y_max <= _MAX_SCALE:
             raise ConfigError(
                 f"lambda + n*max|y| = {float(lam):g} + {y.size}*{y_max:g} exceeds 2^1020"
@@ -149,25 +153,9 @@ def _loss_args(loss) -> tuple[bool, float]:
 def _work_size(n: int, quantile: bool) -> int:
     """The doubles of scratch ``gfl_path`` takes for n elements: lo and hi,
     then the square loss's knots and coefficients (6n) or the quantile
-    loss's region of 2n (breakpoint, jump) pairs (4n)."""
+    loss's region of 2n (breakpoint, jump) pairs (4n).  ``solve`` then
+    reuses it as the certificate's state, whose 4n - 2 values fit in 6n."""
     return (6 if quantile else 8) * n
-
-
-def _solve_path(problem: FusedLassoProblem) -> np.ndarray:
-    """Run the DP; returns theta (smallest-optimal tie-breaking).  The DP's
-    scratch is freed when this returns."""
-    y, lam = problem.y, problem.lam
-    if lam == 0.0:
-        return y.copy()
-    quantile, tau = _loss_args(problem.loss)
-    theta = np.empty(y.size)
-    work = np.empty(_work_size(y.size, quantile))
-    status = _kernels.lib.gfl_path(
-        y.ctypes.data, y.size, lam, quantile, tau, theta.ctypes.data, work.ctypes.data
-    )
-    if status:
-        raise GflError(_STATUS[status])
-    return theta
 
 
 def _kkt_bands(problem: FusedLassoProblem, theta: np.ndarray):
@@ -207,8 +195,25 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
 
 
 def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
-    theta = _solve_path(problem)
-    resid, _ = _kkt_bands(problem, theta)
+    """Fit ``problem`` (smallest-optimal tie-breaking) and certify the fit.
+
+    Two kernel calls: the DP (skipped at lambda = 0, where theta = y) and the
+    certificate's forward pass, which writes its 4n - 2 values into the DP's
+    workspace once the DP is done with it.  Each buffer's address is read
+    once.
+    """
+    y, lam, n = problem.y, problem.lam, problem.y.size
+    quantile, tau = _loss_args(problem.loss)
+    work = np.empty(_work_size(n, quantile))
+    theta = y.copy() if lam == 0.0 else np.empty(n)
+    y_p, theta_p, work_p = y.ctypes.data, theta.ctypes.data, work.ctypes.data
+    if lam != 0.0:
+        status = _kernels.lib.gfl_path(y_p, n, lam, quantile, tau, theta_p, work_p)
+        if status:
+            raise GflError(_STATUS[status])
+    resid = _kernels.lib.gfl_kkt_bands(y_p, theta_p, n, quantile, tau, lam, work_p)
+    if resid < 0.0:
+        raise ConfigError("theta must be a finite vector matching y")
     return FusedLassoSolution(theta_hat=theta, kkt_residual=resid)
 
 

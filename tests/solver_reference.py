@@ -1,7 +1,7 @@
 """Reference solvers and certificates for the tests.
 
-``solve_path`` and ``check_kkt`` are the bodies of ``gfl.solver._solve_path``
-and ``gfl.solver.check_kkt`` as they were before their loops moved to Python
+``solve_path`` and ``check_kkt`` are the bodies of ``gfl.solver``'s DP and
+of ``gfl.solver.check_kkt`` as they were before their loops moved to Python
 floats: the same arithmetic in the same order, but every element is read from
 an ndarray (so every operation is a ``np.float64`` one) and every per-step
 output is written into one.  ``solve_path`` drives the message classes

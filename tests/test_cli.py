@@ -558,6 +558,43 @@ def test_count_beyond_numpy_index_range_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+@pytest.mark.parametrize(
+    "key, over",
+    [
+        ("signal.values entry", lambda v: {"signal": {"values": [0, v], "lengths": [16, 16]}}),
+        ("delta", lambda v: {"delta": v}),
+        ("noise.scale", lambda v: {"noise": {"kind": "gaussian", "scale": v}}),
+        ("lambda.value", lambda v: {"lambda": {"rule": "fixed", "value": v}}),
+        ("lambda_grid entry", lambda v: {"experiment": "lambda_sweep", "lambda_grid": [1.0, v]}),
+        ("growth_L", lambda v: {"growth_L": v}),
+    ],
+    ids=["signal.values", "delta", "noise.scale", "lambda.value", "lambda_grid", "growth_L"],
+)
+def test_config_integer_beyond_float64_exit_2(tmp_path, capsys, key, over, sign):
+    """A JSON integer with no float64 value, in a key that takes a number,
+    is one stderr line naming the key and exit 2, with no directory."""
+    cfg = write_config(tmp_path, small_config(**over(sign * 10**400)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {key} is beyond float64's range (max 1.798e+308)\n"
+    assert not out.exists()
+
+
+def test_config_integer_of_too_many_digits_exit_2(tmp_path, capsys):
+    """Python refuses to parse an integer of more than 4300 digits: one line
+    and exit 2, as for any other config that does not parse."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config()).replace('"delta": 0.05', '"delta": 1' + "0" * 5000))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 _QUANTILE_SSE = {"experiment": "sse", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN}
 
 

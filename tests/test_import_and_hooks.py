@@ -3,11 +3,14 @@ patches (perfbench/tracing.py, read here without being changed)."""
 
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
+
+import pytest
 
 import gfl.bounds
 import gfl.cli
@@ -96,3 +99,59 @@ def test_tracer_installs_and_restores(tmp_path):
     assert tracer.counts["bounds.calls"] == 1
     spans = {s[0] for s in tracer.spans}
     assert {"lil.verify", "losses.sample", "bounds", "signal.geometry"} <= spans
+
+
+_SQUARE = {"noise": {"kind": "gaussian", "scale": 1.0}, "loss": {"kind": "square"}}
+_MEDIAN = {
+    "noise": {"kind": "uniform", "scale": 1.0, "center_tau": 0.5},
+    "loss": {"kind": "quantile", "tau": 0.5},
+    "growth_L": "auto",
+}
+# one small config per experiment, with the fits it makes per replication
+_FIT_CONFIGS = [
+    ({"experiment": "pointwise", **_SQUARE}, 1),
+    ({"experiment": "elementwise_quantile", **_MEDIAN, "delta": 0.01}, 1),
+    ({"experiment": "sse", **_MEDIAN, "delta": 1e-3}, 1),
+    ({"experiment": "rate_sweep", **_SQUARE, "d_grid": [2, 4, 8], "n_sweep": [16, 32]}, 3),
+    ({"experiment": "lambda_sweep", **_SQUARE, "delta": 1e-3, "lambda_grid": [0.5, 1.0, 4.0]}, 3),
+]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_tracer_sees_every_fit(tmp_path, traced):
+    """The benchmark counts fits by patching ``solve`` in the modules that
+    call it (perfbench/tracing.py, loaded unchanged): each experiment's
+    replications times its lambdas, and one per ``gfl solve``, each
+    certified.  A caller that bound ``solve`` early would hide its fits."""
+    tracing = _tracing()
+    g = SimpleNamespace(
+        cli=gfl.cli, solver=gfl.solver, simulate=gfl.simulate, losses=gfl.losses,
+        signal=gfl.signal, bounds=gfl.bounds, lil=gfl.lil,
+    )
+    log = tracing.FitLog()
+    patches = tracing.install(g, log, tracing.Tracer() if traced else None)
+    try:
+        for j, (over, fits_per_rep) in enumerate(_FIT_CONFIGS):
+            cfg = {
+                "signal": {"values": [0.0, 2.0], "lengths": [16, 16]},
+                "lambda": {"rule": "sqrt_n_over_k"},
+                "delta": 0.05,
+                "replications": 3,
+                "seed": 5,
+            } | over
+            path = tmp_path / f"config{j}.json"
+            path.write_text(json.dumps(cfg))
+            argv = ["simulate", "--config", str(path), "--out-dir", str(tmp_path / f"out{j}")]
+            assert g.cli.main(argv) == 0
+            fits = log.drain()
+            assert len(fits) == cfg["replications"] * fits_per_rep, cfg["experiment"]
+            assert all(rel <= tracing.REL_TOL for _, _, rel in fits)
+        values = tmp_path / "y.txt"
+        values.write_text("\n".join(map(str, [0.5, 2.0, -1.0, 3.0, 3.5])) + "\n")
+        argv = ["solve", "--input", str(values), "--lambda", "0.7"]
+        assert g.cli.main(argv + ["--out-dir", str(tmp_path / "s")]) == 0
+        fits = log.drain()
+        assert [(kind, n) for kind, n, _ in fits] == [("square", 5)]
+        assert fits[0][2] <= tracing.REL_TOL
+    finally:
+        patches.restore()

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfl import __version__
-from gfl.cli import _csv_text, _dumps, main
+from gfl.cli import _csv_text, _dumps, _json_text, _write_outputs, main
 
 
 def oracle(obj) -> str:
@@ -138,6 +138,78 @@ def test_unencodable_raises_type_error():
     for obj in ([np.int64(3)], {"a": [1, {"b": object()}]}, [{"a": 1}, {"a": {1, 2}}]):
         with pytest.raises(TypeError):
             _dumps(obj)
+
+
+def _repeats_table(rows: int = 1200) -> list:
+    """A table of ``rows`` rows with few distinct values per column: the
+    float and int64 columns are formatted once per distinct value, the rest
+    by the C encoder."""
+    return [
+        {
+            "zeros": -0.0 if r % 2 else 0.0,
+            "floats": (0.1, 1e16, 5e-324, -2.5, 1e308)[r % 5],
+            "ints": (r % 7) - 3,
+            "int64": (-(2**63), 2**63 - 1, 0)[r % 3],
+            # the bits of 1.0 as an int: number columns are keyed by type and bits
+            "bits_of_one": 4607182418800017408,
+            "one": 1.0,
+            "mixed": 1 if r % 3 else 1.0,
+            "beyond_int64": 2**63 if r % 2 else -(2**63) - 1,
+            "flag": r % 4 == 1,
+            "none": None if r % 3 else 0.5,
+            "np": np.float64(r % 3),
+        }
+        for r in range(rows)
+    ]
+
+
+def _assert_same(got: str, want: str) -> None:
+    """``got == want``, failing with the first difference: pytest's own diff
+    of two texts this long takes minutes."""
+    if got != want:
+        pairs = enumerate(zip(got, want))
+        at = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at}: {got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+
+
+def test_tables_with_repeats_match_json_dumps():
+    rows = _repeats_table()
+    _assert_same(_dumps(rows), oracle(rows))
+    # through a memo, which keys a column by its dtype and bits
+    _assert_same(_dumps(rows, memo={}), oracle(rows))
+    _assert_same(_dumps({"per_index": rows, "n": 1}), oracle({"per_index": rows, "n": 1}))
+
+
+@pytest.mark.parametrize(
+    "column, bad, error",
+    [
+        ("floats", math.nan, ValueError),
+        ("floats", math.inf, ValueError),
+        ("zeros", -math.inf, ValueError),
+        ("ints", np.int64(3), TypeError),
+        ("int64", np.int64(3), TypeError),
+    ],
+    ids=["nan", "inf", "-inf", "np.int64", "np.int64-at-edges"],
+)
+def test_tables_with_repeats_still_refuse(column, bad, error):
+    rows = _repeats_table()
+    rows[900][column] = bad
+    with pytest.raises(error):
+        oracle(rows)
+    with pytest.raises(error):
+        _dumps({"per_index": rows})
+
+
+def test_a_table_in_json_and_csv_is_written_as_each_alone(tmp_path):
+    """``_write_outputs`` formats a table that both files hold once; each
+    file keeps the bytes it has when encoded on its own."""
+    rows = _repeats_table(60)
+    table = {c: [r[c] for r in rows] for c in rows[0]}
+    files = {"summary.json": {"per_index": rows}, "per_index.csv": table}
+    _write_outputs(str(tmp_path), files, "h")
+    alone = _json_text("x", {"per_index": rows}, "h")
+    _assert_same((tmp_path / "summary.json").read_text(), alone)
+    _assert_same((tmp_path / "per_index.csv").read_text(), _csv_text(table, "h"))
 
 
 # -- pinned summary.json bytes -----------------------------------------------

@@ -329,6 +329,54 @@ class TestRawPointerInputs:
                 check_kkt(p, theta)
 
 
+class TestLeanSolve:
+    """``solve`` writes the certificate's state into the DP's workspace, and
+    ``FusedLassoProblem`` takes a float lambda in [0, 2^1020] without its
+    other checks: the residual and every refusal and stored lambda stay."""
+
+    @pytest.mark.parametrize("loss", [SQ, MED], ids=["square", "quantile"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**12])
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 20.0])
+    def test_residual_is_check_kkt_bit_for_bit(self, loss, n, lam):
+        rng = np.random.default_rng(n)
+        y = np.repeat([0.0, 2.0], [n // 2, n - n // 2]) + rng.standard_cauchy(n)
+        p = FusedLassoProblem(y, lam, loss)
+        sol = solve(p)
+        resid, _ = check_kkt(p, sol.theta_hat)
+        assert np.float64(sol.kkt_residual).tobytes() == np.float64(resid).tobytes()
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            (float("nan"), "lambda must be a finite, nonnegative real number"),
+            (float("inf"), "lambda must be a finite, nonnegative real number"),
+            (float("-inf"), "lambda must be a finite, nonnegative real number"),
+            (-1.0, "lambda must be a finite, nonnegative real number"),
+            (True, "lambda must be a finite, nonnegative real number"),
+            (
+                2.0**1021,
+                "lambda exceeds 2^1020 (1.124e+307), the largest scale the float64 solver"
+                " takes; rescale y and lambda",
+            ),
+        ],
+        ids=["nan", "inf", "-inf", "negative", "bool", "beyond-scale"],
+    )
+    def test_refusals_keep_their_messages(self, lam, message):
+        with pytest.raises(ConfigError) as info:
+            prob([0.0, 1.0], lam)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "lam, want",
+        [(-0.0, -0.0), (0.0, 0.0), (np.float64(2.5), 2.5), (3, 3.0), (2.0**1020, 2.0**1020)],
+        ids=["-0.0", "0.0", "np.float64", "int", "2^1020"],
+    )
+    def test_lambda_stored_as_the_same_float(self, lam, want):
+        p = prob([0.0], lam)
+        assert type(p.lam) is float
+        assert np.float64(p.lam).tobytes() == np.float64(want).tobytes()
+
+
 def test_solution_holds_only_the_fit_and_its_residual():
     """A solution keeps theta_hat and kkt_residual; z and the objective come
     from check_kkt and objective."""
