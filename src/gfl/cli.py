@@ -196,8 +196,7 @@ def _cells(values, memo: dict | None = None):
 def _csv_text(table: dict, config_hash: str, memo: dict | None = None) -> str:
     """``table``, {column name: values}, as CSV text; a column shorter than
     the others ends in empty cells.  ``memo`` is ``_cells``'."""
-    columns = [_cells(values, memo) for values in table.values()]
-    rows = itertools.zip_longest(*columns, fillvalue="")
+    rows = itertools.zip_longest(*(_cells(v, memo) for v in table.values()), fillvalue="")
     lines = [f"# version={__version__} config_hash={config_hash}", ",".join(table)]
     lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"
