@@ -6,8 +6,10 @@ The library is compiled with the C compiler Python was built with
 of the C source and the compile command; every later import loads the file
 that is there.  A build is written to a temporary file and published with
 ``os.replace``, so a process that starts while another builds never loads a
-half-written library.  If the compiler is missing or fails, importing this
-module raises ``ImportError`` with the command and the compiler's output.
+half-written library; the build then deletes every other ``_kernels-*.so``
+there (a process that has one loaded keeps it mapped).  If the compiler is
+missing or fails, importing this module raises ``ImportError`` with the
+command and the compiler's output.
 
 Every array crosses as a raw pointer (``c_void_p``), which ``ctypes`` does
 not check.  The callers in ``solver.py`` and ``lil.py`` pass ``.ctypes.data``
@@ -73,6 +75,12 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in path.parent.glob("_kernels-*.so"):
+        if old != path:
+            try:
+                old.unlink()
+            except OSError:
+                pass
     return path
 
 

@@ -9,10 +9,10 @@ growth constant L (quantile regression).  Logarithms are natural throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, Value
 from .errors import ConfigError, PreconditionError
 from .signal import SignalGeometry
 
@@ -79,14 +79,13 @@ def _check_growth_L(L: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Value):
     sigma: float
     delta: float
     lam: float
     growth_L: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         _check_positive("sigma", self.sigma)
         _check_positive("lambda", self.lam)
         _check_delta(self.delta)
@@ -150,8 +149,7 @@ def compute_B_quantile(i, geometry: SignalGeometry, delta: float, lam: float):
     return compute_B(i, geometry, BoundParams(sigma=0.5, delta=delta, lam=lam))
 
 
-@dataclass(frozen=True)
-class PointwiseBound:
+class PointwiseBound(Record):
     value: float | np.ndarray
     applicable: bool | np.ndarray
 
@@ -205,8 +203,7 @@ def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> Pointw
     return PointwiseBound(value=B / L, applicable=B <= L)
 
 
-@dataclass(frozen=True)
-class SseBound:
+class SseBound(Record):
     bound: float
     terms: dict
     precondition_failures: tuple = ()
@@ -325,8 +322,7 @@ def iterative_sum_check(m_list) -> tuple[float, float]:
     return lhs, 3.0 / m[-1]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Per-index bound values for a signal.
 
     ``pointwise_probability_raw`` is the closed-form guarantee level and

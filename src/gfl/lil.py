@@ -9,22 +9,21 @@ provided delta < log(2)/e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._record import Value
 from .bounds import DELTA_MAX, _check_count, _check_delta, _check_positive
 from .errors import ConfigError
 from .losses import NoiseModel
 
 
-@dataclass(frozen=True)
-class LilEnvelope:
+class LilEnvelope(Value):
     sigma: float
     delta: float
 
-    def __post_init__(self):
+    def _check(self):
         _check_positive("sigma", self.sigma)
         _check_delta(self.delta, upper=DELTA_MAX)
 

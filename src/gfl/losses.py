@@ -9,17 +9,16 @@ F(0) = tau, both equal tau - F(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Value
 from .errors import ConfigError, UnsupportedModelError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class SquareLoss:
+class SquareLoss(Value):
     """rho(x) = x^2 / 2, so rho'_+(x) = rho'_-(x) = x."""
 
     kind: str = "square"
@@ -34,14 +33,13 @@ class SquareLoss:
         return np.asarray(x, dtype=float) + 0.0
 
 
-@dataclass(frozen=True)
-class QuantileLoss:
+class QuantileLoss(Value):
     """The tau-th check loss: rho(x) = tau*x for x >= 0, (tau-1)*x for x < 0."""
 
     tau: float
     kind: str = "quantile"
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("quantile level tau must lie in (0, 1)")
 
@@ -74,8 +72,7 @@ def make_loss(kind: str, tau: float | None = None):
 _KINDS = ("gaussian", "uniform", "laplace", "cauchy")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Value):
     """An error distribution plus the centering convention.
 
     With ``center_tau`` unset the distribution is symmetric about 0 (mean
@@ -88,7 +85,7 @@ class NoiseModel:
     scale: float
     center_tau: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if not (np.isfinite(self.scale) and self.scale > 0):

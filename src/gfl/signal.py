@@ -10,11 +10,11 @@ from __future__ import annotations
 import itertools
 import numbers
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record, Value
 from .errors import ConfigError
 
 
@@ -40,8 +40,7 @@ def _length(m) -> int:
     raise ConfigError(f"segment lengths must be positive integers, got {m!r}")
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantSignal:
+class PiecewiseConstantSignal(Value):
     """Segment values and positive integer lengths; adjacent values must differ."""
 
     values: tuple[float, ...]
@@ -61,8 +60,9 @@ class PiecewiseConstantSignal:
                 raise ConfigError(
                     "adjacent segments with equal values must be merged by the caller"
                 )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "lengths", lengths)
+        fields = self.__dict__
+        fields["values"] = values
+        fields["lengths"] = lengths
 
     @property
     def K(self) -> int:
@@ -104,8 +104,7 @@ class PiecewiseConstantSignal:
             raise ConfigError(f"bad signal record: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class SignalGeometry:
+class SignalGeometry(Record):
     """Per-index structure of a piecewise-constant signal.
 
     Arrays are length n and aligned so that position j holds the quantity for

@@ -12,11 +12,11 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bnd
+from ._record import Value
 from .errors import ConfigError
 from .losses import L_plus, NoiseModel, _check_pairing, make_loss
 from .signal import PiecewiseConstantSignal
@@ -150,8 +150,7 @@ def _unparse(kind, value):
     }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Value):
     """A checked config: one field per _SCHEMA key, with signal, noise and
     loss built into their models and lambda split into rule and value."""
 
@@ -171,7 +170,7 @@ class ExperimentSpec:
     lambda_grid: tuple
     improved: bool
 
-    def __post_init__(self):
+    def _check(self):
         if self.experiment not in _RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.replications < 1:

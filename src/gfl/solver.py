@@ -58,11 +58,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._record import Record
 from .errors import ConfigError, GflError
 
 # lambda + n*max|y| bound: the DP's and the certificate's sums stay below
@@ -71,21 +71,18 @@ _MAX_SCALE = 2.0**1020
 _SCALE_HELP = ", the largest scale the float64 solver takes; rescale y and lambda"
 
 
-@dataclass(frozen=True, eq=False)
-class FusedLassoProblem:
+class FusedLassoProblem(Record):
     y: np.ndarray
     lam: float
     loss: object
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64, order="C")
-        object.__setattr__(self, "y", y)
+    def __init__(self, y, lam, loss):
+        y = np.asarray(y, dtype=np.float64, order="C")
         if y.ndim != 1 or y.size < 1:
             raise ConfigError("y must be a nonempty 1D vector")
         y_max = float(np.abs(y).max())
         if not math.isfinite(y_max):
             raise ConfigError("y contains non-finite values")
-        lam = self.lam
         # a float in [0, 2^1020] would pass both checks, so only other
         # lambdas take them.  An int is finite and compares exactly, however
         # large: its float conversion (for the sum below and the lambda stored
@@ -105,15 +102,22 @@ class FusedLassoProblem:
                 f"lambda + n*max|y| = {float(lam):g} + {y.size}*{y_max:g} exceeds 2^1020"
                 f" ({_MAX_SCALE:.4g}){_SCALE_HELP}"
             )
-        object.__setattr__(self, "lam", float(self.lam))
+        fields = self.__dict__
+        fields["y"] = y
+        fields["lam"] = float(lam)
+        fields["loss"] = loss
 
 
-@dataclass(frozen=True, eq=False)
-class FusedLassoSolution:
+class FusedLassoSolution(Record):
     """A fit and the residual of its optimality certificate."""
 
     theta_hat: np.ndarray
     kkt_residual: float
+
+    def __init__(self, theta_hat, kkt_residual):
+        fields = self.__dict__
+        fields["theta_hat"] = theta_hat
+        fields["kkt_residual"] = kkt_residual
 
 
 def objective(y, lam, loss, theta) -> float:

@@ -34,6 +34,18 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_dataclasses_unloaded():
+    # gfl's records take their methods from gfl._record, so defining them
+    # generates no code; numpy, argparse, json and ctypes do not load
+    # dataclasses either, so this pins gfl's own imports
+    code = "import sys, gfl.cli, gfl.simulate, gfl.bounds, gfl.lil; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def _unused_imports(path: Path) -> list:
     """The names a module imports but neither reads nor lists in __all__."""
     tree = ast.parse(path.read_text())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfl.bounds import BoundParams, bound_report, elementwise_quantile_bound, sse_bound_mean
 from gfl.errors import ConfigError, GflError
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.signal import PiecewiseConstantSignal
@@ -386,10 +387,22 @@ def test_solution_holds_only_the_fit_and_its_residual():
 
 
 def test_array_holding_types_compare_by_identity():
-    """== and hash() on the types that hold arrays return without raising."""
+    """== and hash() on the types that hold arrays (or a dict) return
+    without raising."""
     p = prob([0.0, 1.0, 5.0], 1.0)
     signal = PiecewiseConstantSignal([0.0, 1.0], [4, 4])
-    for make in (lambda: p, lambda: solve(p), signal.geometry):
+    geometry = signal.geometry()
+    params = BoundParams(sigma=1.0, delta=0.1, lam=2.0, growth_L=1.0)
+    idx = np.arange(1, 9)
+    makers = (
+        lambda: p,
+        lambda: solve(p),
+        signal.geometry,
+        lambda: elementwise_quantile_bound(idx, geometry, 0.1, 2.0, 1.0),
+        lambda: bound_report(geometry, params),
+        lambda: sse_bound_mean(geometry, 0.01, 2.0, 1.0),
+    )
+    for make in makers:
         a, b = make(), make()
         assert a == a and hash(a) == hash(a)
         assert (a == b) == (a is b)
