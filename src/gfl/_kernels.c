@@ -268,25 +268,32 @@ int gfl_path(const double *ys, ptrdiff_t n, double lam, int quantile, double tau
     return GFL_OK;
 }
 
-/* Forward pass of the certificate.  state holds 4n - 2 doubles: the
- * stationarity bounds g_lo and g_hi of each element (n each), then the bands
- * band_lo and band_hi of the n - 1 interior edges.  The bounds are
- * -rho'_+(r) and -rho'_-(r) at the residual r = y_i - theta_i, in the
- * operations of the losses' numpy forms: -(r + 0.0) for the square loss (so
- * r = -0.0 gives -0.0), and -tau or -(tau - 1.0), chosen by r >= 0 and by
- * r > 0, for the quantile loss.  The pass then propagates the feasible band
- * of each dual variable z_i (lam on an upward jump of theta, -lam on a
- * downward one, free in [-lam, lam] on a flat edge; z_n = 0 closes the chain)
- * and returns the largest gap met, or -1.0 if some theta_i is not finite. */
-double gfl_kkt_bands(const double *y, const double *theta, ptrdiff_t n, int quantile,
-                     double tau, double lam, double *state)
+/* The certificate.  state holds 4n - 2 doubles: the stationarity bounds
+ * g_lo and g_hi of each element (n each), then the bands band_lo and
+ * band_hi of the n - 1 interior edges.
+ *
+ * The forward pass writes state.  The bounds are -rho'_+(r) and -rho'_-(r)
+ * at the residual r = y_i - theta_i, in the operations of the losses' numpy
+ * forms: -(r + 0.0) for the square loss (so r = -0.0 gives -0.0), and -tau
+ * or -(tau - 1.0), chosen by r >= 0 and by r > 0, for the quantile loss.
+ * It then propagates the feasible band of each dual variable z_i (lam on an
+ * upward jump of theta, -lam on a downward one, free in [-lam, lam] on a
+ * flat edge; z_n = 0 closes the chain), and the largest gap met is the
+ * residual returned, or -1.0 if some theta_i is not finite.
+ *
+ * If z is not NULL, the backward pass then picks one z per interior edge
+ * from state: it runs from z_n = 0, pairing element i's bounds with band
+ * i - 1, and writes z from z_{n-1} down to z_1. */
+double gfl_kkt(const double *y, const double *theta, ptrdiff_t n, int quantile, double tau,
+               double lam, double *state, double *z)
 {
     double *g_lo = state, *g_hi = state + n;
     double *band_lo = state + 2 * n, *band_hi = band_lo + (n - 1);
     double resid = 0.0, zlo = 0.0, zhi = 0.0, neg_lam = -lam, alo, ahi, gap, r;
-    double g_pos = -tau, g_neg = -(tau - 1.0);
+    double g_pos = -tau, g_neg = -(tau - 1.0), cur = 0.0, wlo, whi, slo, shi, blo, bhi;
+    ptrdiff_t i;
 
-    for (ptrdiff_t i = 0; i < n; i++) {
+    for (i = 0; i < n; i++) {
         if (!isfinite(theta[i]))
             return -1.0;
         r = y[i] - theta[i];
@@ -320,19 +327,9 @@ double gfl_kkt_bands(const double *y, const double *theta, ptrdiff_t n, int quan
             band_hi[i] = zhi;
         }
     }
-    return resid;
-}
-
-/* Backward pass of the certificate: one z per interior edge, from the state
- * the forward pass wrote.  Runs from z_n = 0, pairing element i's bounds
- * with band i - 1; z is written from z_{n-1} down to z_1. */
-void gfl_kkt_dual(const double *state, ptrdiff_t n, double *z)
-{
-    const double *g_lo = state, *g_hi = state + n;
-    const double *band_lo = state + 2 * n, *band_hi = band_lo + (n - 1);
-    double cur = 0.0, wlo, whi, slo, shi, blo, bhi;
-
-    for (ptrdiff_t i = n - 1; i > 0; i--) {
+    if (z == NULL)
+        return resid;
+    for (i = n - 1; i > 0; i--) {
         blo = band_lo[i - 1];
         bhi = band_hi[i - 1];
         wlo = cur - g_hi[i];
@@ -350,6 +347,7 @@ void gfl_kkt_dual(const double *state, ptrdiff_t n, double *z)
             cur = shi;
         z[i - 1] = cur;
     }
+    return resid;
 }
 
 /* One chunk of the iterated-logarithm check: r paths of h steps each, x

@@ -17,8 +17,8 @@ only of a problem's y, which ``FusedLassoProblem`` stores as a C-contiguous
 float64 array, of arrays they have just made the same way (with
 ``np.asarray(..., dtype=np.float64, order="C")``) or allocated with
 ``np.empty``, and of C-contiguous rows of such an array, every output a
-writable one; they size every array and hold a reference to each for the
-length of the call.
+writable one, or ``None`` (NULL) for an output a kernel may skip; they size
+every array and hold a reference to each for the length of the call.
 """
 
 from __future__ import annotations
@@ -92,9 +92,7 @@ _F = ctypes.c_double
 
 lib.gfl_path.argtypes = (_P, _N, _F, ctypes.c_int, _F, _P, _P)
 lib.gfl_path.restype = ctypes.c_int
-lib.gfl_kkt_bands.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _P)
-lib.gfl_kkt_bands.restype = ctypes.c_double
-lib.gfl_kkt_dual.argtypes = (_P, _N, _P)
-lib.gfl_kkt_dual.restype = None
+lib.gfl_kkt.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _P, _P)
+lib.gfl_kkt.restype = ctypes.c_double
 lib.gfl_lil_chunk.argtypes = (_P, _N, _N, _P, _P, _P)
 lib.gfl_lil_chunk.restype = None

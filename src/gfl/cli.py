@@ -78,7 +78,7 @@ def _key(k) -> str:
 def _numbers(col) -> np.ndarray | None:
     """``col`` as a float64 array if its cells are all exactly ``float`` and
     finite, or as an int64 array if they are all exactly ``int`` within int64;
-    None for any other column, which the C encoder writes (and refuses)."""
+    None for any other column."""
     types = set(map(type, col))
     if types == {float}:
         a = np.array(col, dtype=np.float64)
@@ -92,15 +92,13 @@ def _numbers(col) -> np.ndarray | None:
 
 
 def _table(rows, level: int, memo: dict | None = None) -> str | None:
-    """``rows`` encoded a column at a time, if they are non-empty flat dicts
-    (plain ``dict``s) sharing one set of str keys; None otherwise.
+    """``rows`` encoded a column at a time, if they are non-empty dicts
+    (plain ``dict``s) sharing one set of str keys and every column is a
+    number column, of finite floats or of int64-range ints; None otherwise.
 
-    A column of finite floats or of int64-range ints is a number column:
-    json writes each such cell as ``repr``, so ``_cells`` formats its
-    distinct values once each, and ``memo`` hands its cells to a CSV of the
-    same column.  Every other column is one C-encoder call with a NUL item
-    separator (JSON text never holds a raw NUL).  One ``%`` template lays
-    out every row.
+    json writes each number cell as ``repr``, so ``_cells`` formats a
+    column's distinct values once each, and ``memo`` hands its cells to a
+    CSV of the same column.  One ``%`` template lays out every row.
     """
     if set(map(type, rows)) != {dict} or len(set(map(len, rows))) != 1:
         return None
@@ -112,12 +110,9 @@ def _table(rows, level: int, memo: dict | None = None) -> str | None:
     except KeyError:  # rows of one size share their keys unless one is missing
         return None
     numbers = list(map(_numbers, cols))
-    if not all(a is not None or _flat(col) for a, col in zip(numbers, cols)):
+    if any(a is None for a in numbers):
         return None
-    cells = [
-        _c_encoder("\0")(col)[1:-1].split("\0") if a is None else _cells(a, memo)
-        for a, col in zip(numbers, cols)
-    ]
+    cells = [_cells(a, memo) for a in numbers]
     row_indent, field_indent = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
     template = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
@@ -131,18 +126,13 @@ def _dumps(obj, level: int = 0, memo: dict | None = None) -> str:
     With ``indent`` set, json runs its pure-Python encoder, one generator step
     per element.  Here json's C encoder does the work: a container with no
     non-empty container inside is one call whose item separator carries the
-    newline and indent of its level, a table (``_table``) is one call per
-    column or one ``repr`` per distinct number, and only what remains
-    recurses here, a container at a time.  ``memo`` is ``_cells``'.
+    newline and indent of its level, a table (``_table``) is one ``repr`` per
+    distinct number, and only what remains recurses here, a container at a
+    time.  ``memo`` is ``_cells``'.
     """
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    else:
+    if not isinstance(obj, _CONTAINERS) or not obj:
         return _c_encoder(",")(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
+    values = obj.values() if isinstance(obj, dict) else obj
     indent = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
     if _flat(values):

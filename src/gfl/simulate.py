@@ -175,6 +175,8 @@ class ExperimentSpec(Value):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if not 0 <= self.seed <= _MASK:
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.lambda_rule == "fixed" and (
             self.lambda_value is None or not self.lambda_value >= 0
         ):
@@ -183,6 +185,8 @@ class ExperimentSpec(Value):
             raise ConfigError(f"lambda rule {self.lambda_rule!r} takes no value")
         if self.monitor == ():
             raise ConfigError("monitor list is empty")
+        if self.experiment == "rate_sweep" and not (self.d_grid or self.n_sweep):
+            raise ConfigError("rate_sweep needs a d_grid, an n_sweep or both")
         if self.d_grid and len(set(self.d_grid)) < 2:
             raise ConfigError("d_grid needs at least two distinct distances to fit a slope")
         bnd._check_count("the sum of signal.lengths", self.signal.n)

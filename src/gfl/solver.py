@@ -21,17 +21,17 @@ pass clamps each theta_i to the clip window recorded at its step, picking
 the smallest optimal value wherever the optimum is a face.
 
 Every fit is certified by the dual of the generalized lasso (Tibshirani &
-Taylor, Ann. Statist. 39(3), 2011).  ``check_kkt`` runs two passes over the
-elements: a forward pass (``_kkt_bands``) that computes the stationarity
-bounds -rho'_+(y_i - theta_i) and -rho'_-(y_i - theta_i) in C, propagates the
-feasible band of each dual variable and yields the residual, and a backward
-pass that picks one dual vector z inside the bands.  ``solve`` runs the DP
-and the forward pass only, and returns theta and the residual; z comes from
-``check_kkt`` and the objective from ``objective``, which refuses a value
-that overflows float64.
+Taylor, Ann. Statist. 39(3), 2011), one C function of two passes over the
+elements: a forward pass that computes the stationarity bounds
+-rho'_+(y_i - theta_i) and -rho'_-(y_i - theta_i), propagates the feasible
+band of each dual variable and yields the residual, and, if it is given a z
+to fill, a backward pass that picks one dual vector z inside the bands.
+``solve`` runs the DP and the forward pass only, and returns theta and the
+residual; ``check_kkt`` runs both passes for z, and ``objective`` gives the
+objective, refusing a value that overflows float64.
 
-The per-element loops (the DP and both passes of the certificate) are C
-functions in ``_kernels.c``, which ``_kernels.py`` compiles at the first
+The per-element loops (the DP and the certificate) are C functions in
+``_kernels.c``, which ``_kernels.py`` compiles at the first
 import and loads with ``ctypes``.  Each does the operations of its
 reference in ``tests/solver_reference.py`` in the same order: the same sums,
 products and quotients, and every two-way ``max(a, b)`` as the comparison
@@ -41,12 +41,9 @@ and without ``-ffast-math`` or ``-march``, so the compiler may not fuse a
 multiply and an add into one rounding or reorder an operation: IEEE double
 arithmetic in a fixed order gives the same bits in C as in Python, and
 ``theta_hat``, ``kkt_residual`` and z are bit for bit the reference's.
-Arrays cross the boundary as raw pointers to contiguous float64 ndarrays:
-the y that ``FusedLassoProblem`` stores and the arrays the wrappers here
-make or allocate, every output and scratch buffer included, so the C code
-allocates nothing.  A fit keeps only theta: the certificate's state is
-written into the DP's workspace, which the DP is done with by then, and
-that workspace is freed when ``solve`` returns.
+A fit keeps only theta: the certificate's state is written into the DP's
+workspace, which the DP is done with by then, and that workspace is freed
+when ``solve`` returns.
 
 The solver works in float64, so ``FusedLassoProblem`` rejects a problem whose
 scale lambda + n*max|y| exceeds 2^1020: the square DP's running offset is a
@@ -144,9 +141,6 @@ _STATUS = {
     4: "unbounded objective",
 }
 
-# Each kernel takes raw pointers (``_kernels.py``): every array passed below
-# is contiguous float64 and stays referenced by a name until the call returns.
-
 
 def _loss_args(loss) -> tuple[bool, float]:
     """The kernels' loss arguments, (quantile, tau)."""
@@ -162,25 +156,6 @@ def _work_size(n: int, quantile: bool) -> int:
     return (6 if quantile else 8) * n
 
 
-def _kkt_bands(problem: FusedLassoProblem, theta: np.ndarray):
-    """Forward pass of the certificate on a contiguous float64 ``theta``.
-
-    Returns ``(resid, state)``: ``state`` holds the stationarity bounds of
-    each element and the feasible band of each interior edge's z (4n - 2
-    values, laid out as ``gfl_kkt_bands`` in ``_kernels.c`` says), which is
-    all the backward pass reads.
-    """
-    y = problem.y
-    state = np.empty(4 * y.size - 2)
-    quantile, tau = _loss_args(problem.loss)
-    resid = _kernels.lib.gfl_kkt_bands(
-        y.ctypes.data, theta.ctypes.data, y.size, quantile, tau, problem.lam, state.ctypes.data
-    )
-    if resid < 0.0:
-        raise ConfigError("theta must be a finite vector matching y")
-    return resid, state
-
-
 def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
     """Certify optimality of ``theta`` via the edge dual variables.
 
@@ -189,12 +164,18 @@ def check_kkt(problem: FusedLassoProblem, theta) -> tuple[float, np.ndarray]:
     propagation and reports the largest gap encountered; the gap is 0 iff a
     consistent certificate exists.  Returns (residual, z) with one z per edge.
     """
+    y, n = problem.y, problem.y.size
     theta = np.asarray(theta, dtype=np.float64, order="C")
-    if theta.shape != problem.y.shape:
+    if theta.shape != y.shape:
         raise ConfigError("theta must be a finite vector matching y")
-    resid, state = _kkt_bands(problem, theta)
-    z = np.empty(theta.size - 1)
-    _kernels.lib.gfl_kkt_dual(state.ctypes.data, theta.size, z.ctypes.data)
+    quantile, tau = _loss_args(problem.loss)
+    state, z = np.empty(4 * n - 2), np.empty(n - 1)
+    resid = _kernels.lib.gfl_kkt(
+        y.ctypes.data, theta.ctypes.data, n, quantile, tau, problem.lam,
+        state.ctypes.data, z.ctypes.data,
+    )
+    if resid < 0.0:
+        raise ConfigError("theta must be a finite vector matching y")
     return resid, z
 
 
@@ -202,9 +183,9 @@ def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
     """Fit ``problem`` (smallest-optimal tie-breaking) and certify the fit.
 
     Two kernel calls: the DP (skipped at lambda = 0, where theta = y) and the
-    certificate's forward pass, which writes its 4n - 2 values into the DP's
-    workspace once the DP is done with it.  Each buffer's address is read
-    once.
+    certificate's forward pass (``gfl_kkt`` with no z), which writes its
+    4n - 2 values into the DP's workspace once the DP is done with it.  Each
+    buffer's address is read once.
     """
     y, lam, n = problem.y, problem.lam, problem.y.size
     quantile, tau = _loss_args(problem.loss)
@@ -215,7 +196,7 @@ def solve(problem: FusedLassoProblem) -> FusedLassoSolution:
         status = _kernels.lib.gfl_path(y_p, n, lam, quantile, tau, theta_p, work_p)
         if status:
             raise GflError(_STATUS[status])
-    resid = _kernels.lib.gfl_kkt_bands(y_p, theta_p, n, quantile, tau, lam, work_p)
+    resid = _kernels.lib.gfl_kkt(y_p, theta_p, n, quantile, tau, lam, work_p, None)
     if resid < 0.0:
         raise ConfigError("theta must be a finite vector matching y")
     return FusedLassoSolution(theta_hat=theta, kkt_residual=resid)

@@ -1,27 +1,24 @@
 /* A driver for the solver's kernels in _kernels.c, built with
  * AddressSanitizer and UndefinedBehaviorSanitizer by
- * test_kernels.py::test_kernels_run_clean_under_sanitizers.
+ * test_kernels.py::test_kernels_run_clean_under_sanitizers.  It includes
+ * the kernels' source (compile it with -I and the source's directory), so
+ * it calls them by their own definitions.
  *
  * Usage: kernels_driver CASES RESULTS.  CASES holds one record per case: an
  * int64 header {n, quantile, work size in doubles}, then the doubles
- * {lambda, tau} and y[0..n).  For each case the driver runs gfl_path,
- * gfl_kkt_bands and gfl_kkt_dual, and appends theta (n doubles), the
- * residual and z (n - 1 doubles) to RESULTS.  Every buffer is malloc'd at
- * exactly the size the kernels document, so a read or write past its end
+ * {lambda, tau} and y[0..n).  For each case the driver runs gfl_path, then
+ * gfl_kkt twice, with z NULL and with z, and appends theta (n doubles), the
+ * two residuals and z (n - 1 doubles) to RESULTS.  Every buffer is malloc'd
+ * at exactly the size the kernels document, so a read or write past its end
  * is reported; a nonzero status from gfl_path, a short read or a failed
  * allocation exits 1.
  */
 
-#include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 
-int gfl_path(const double *ys, ptrdiff_t n, double lam, int quantile, double tau,
-             double *theta, double *work);
-double gfl_kkt_bands(const double *y, const double *theta, ptrdiff_t n, int quantile,
-                     double tau, double lam, double *state);
-void gfl_kkt_dual(const double *state, ptrdiff_t n, double *z);
+#include "_kernels.c"
 
 static double *alloc(size_t count)
 {
@@ -38,7 +35,7 @@ int main(int argc, char **argv)
 {
     FILE *in, *out;
     int64_t head[3];
-    double par[2], resid, *y, *theta, *work, *state, *z;
+    double par[2], resid[2], *y, *theta, *work, *state, *z;
     size_t n;
     int status;
 
@@ -62,10 +59,10 @@ int main(int argc, char **argv)
             fprintf(stderr, "gfl_path returned status %d at n = %zu\n", status, n);
             return 1;
         }
-        resid = gfl_kkt_bands(y, theta, (ptrdiff_t)n, (int)head[1], par[1], par[0], state);
-        gfl_kkt_dual(state, (ptrdiff_t)n, z);
+        resid[0] = gfl_kkt(y, theta, (ptrdiff_t)n, (int)head[1], par[1], par[0], state, NULL);
+        resid[1] = gfl_kkt(y, theta, (ptrdiff_t)n, (int)head[1], par[1], par[0], state, z);
         fwrite(theta, sizeof *theta, n, out);
-        fwrite(&resid, sizeof resid, 1, out);
+        fwrite(resid, sizeof resid, 1, out);
         if (n > 1)
             fwrite(z, sizeof *z, n - 1, out);
         free(y);

@@ -398,11 +398,30 @@ class TestSimulateCommand:
             {"delta": float("nan")},
             {"delta": float("inf")},
             {"signal": {"values": [0.0, float("-inf")], "lengths": [16, 16]}},
+            # neither sweep: the run would write no CSV
+            {"experiment": "rate_sweep"},
         ],
     )
     def test_malformed_config_exit_2(self, tmp_path, over):
         cfg = write_config(tmp_path, small_config(**over))
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "over, argv", [({}, ["--seed", "-1"]), ({"seed": 2**64}, [])], ids=["flag", "config"]
+    )
+    def test_seed_outside_uint64_exit_2(self, tmp_path, capsys, over, argv):
+        """A seed is never reduced mod 2^64, which would give -1 and 2^64 - 1
+        (or 0 and 2^64) one stream under two provenances: it is refused."""
+        cfg = write_config(tmp_path, small_config(**over))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, *argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must lie in [0, 2^64)" in err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path, small_config(seed=2**64 - 1))
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 0
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"abc"'], ids=["list", "string"])
     def test_non_object_config_with_seed_exit_2(self, tmp_path, text, capsys):

@@ -193,15 +193,20 @@ def test_kernels_write_only_inside_their_buffers(loss, n, shape, clip):
     theta, theta_whole = guarded(n)
     work, work_whole = guarded(_work_size(n, quantile))
     state, state_whole = guarded(4 * n - 2)
+    state2, state2_whole = guarded(4 * n - 2)
     z, z_whole = guarded(n - 1)
 
     assert lib.gfl_path(y.ctypes.data, n, lam, quantile, tau,
                         theta.ctypes.data, work.ctypes.data) == 0
-    resid = lib.gfl_kkt_bands(y.ctypes.data, theta.ctypes.data, n, quantile, tau,
-                              lam, state.ctypes.data)
-    lib.gfl_kkt_dual(state.ctypes.data, n, z.ctypes.data)
+    # the forward pass alone, then both passes into a fresh state and z
+    resid_alone = lib.gfl_kkt(y.ctypes.data, theta.ctypes.data, n, quantile, tau,
+                              lam, state.ctypes.data, None)
+    resid = lib.gfl_kkt(y.ctypes.data, theta.ctypes.data, n, quantile, tau,
+                        lam, state2.ctypes.data, z.ctypes.data)
 
-    for whole in (y_whole, theta_whole, work_whole, state_whole, z_whole):
+    assert np.float64(resid_alone).tobytes() == np.float64(resid).tobytes()
+    assert state.tobytes() == state2.tobytes()
+    for whole in (y_whole, theta_whole, work_whole, state_whole, state2_whole, z_whole):
         assert bands_intact(whole)
     problem = FusedLassoProblem(y=y.copy(), lam=lam, loss=loss)
     sol = solve(problem)
@@ -219,10 +224,11 @@ SANITIZE = (
 
 
 def test_kernels_run_clean_under_sanitizers(tmp_path):
-    """gfl_path (both losses), gfl_kkt_bands and gfl_kkt_dual on the guard
+    """gfl_path (both losses) and gfl_kkt, without and with z, on the guard
     test's inputs, built with AddressSanitizer and UBSan into a driver that
-    mallocs every buffer at exactly its documented size, so a read past a
-    buffer is caught as well as a write; the results are the library's."""
+    includes _kernels.c and mallocs every buffer at exactly its documented
+    size, so a read past a buffer is caught as well as a write; the results
+    are the library's."""
     trivial = tmp_path / "trivial.c"
     trivial.write_text("int main(void) { return 0; }\n")
     probe = subprocess.run([*SANITIZE, "-o", str(tmp_path / "trivial"), str(trivial)],
@@ -230,7 +236,8 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     if probe.returncode != 0:
         pytest.skip(f"the compiler cannot build a sanitized program: {probe.stderr.strip()}")
     exe = tmp_path / "driver"
-    build = subprocess.run([*SANITIZE, "-o", str(exe), str(DRIVER), str(_kernels.SOURCE), "-lm"],
+    build = subprocess.run([*SANITIZE, "-I", str(_kernels.SOURCE.parent), "-o", str(exe),
+                            str(DRIVER), "-lm"],
                            capture_output=True, text=True, timeout=300)
     assert build.returncode == 0, build.stderr
 
@@ -255,7 +262,8 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     for loss, lam, y in cases:
         problem = FusedLassoProblem(y=y, lam=lam, loss=loss)
         sol = solve(problem)
-        want += [sol.theta_hat, [sol.kkt_residual], check_kkt(problem, sol.theta_hat)[1]]
+        resid, z = check_kkt(problem, sol.theta_hat)
+        want += [sol.theta_hat, [sol.kkt_residual, resid], z]
     assert (tmp_path / "results").read_bytes() == np.concatenate(want).tobytes()
 
 
