@@ -122,7 +122,8 @@ def _B(i, geometry: SignalGeometry, sigma, delta, lam, improved: bool):
     m = np.asarray(geometry.segment_lengths, dtype=float)[geometry.k_of[j] - 1]
     l1d = math.log(1.0 / delta)
     d3 = np.maximum(3.0, d)
-    with np.errstate(over="ignore"):
+    # an overflow, or inf * 0 when sigma^2 underflows, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         t1 = 4.0 * sigma * (np.sqrt(_lnln(2.0 * d3) / d3) + np.sqrt(l1d / d))
         t2 = 4.0 * sigma * sigma * (_lnln(2.0 * m) + l1d) / lam
         if improved:

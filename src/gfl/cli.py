@@ -5,7 +5,10 @@ allocate included), 3 mathematical precondition failure.  All outputs are
 written atomically (temp file + rename) and carry the package version and a
 config hash in their header.  The JSON files hold the bytes
 ``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by json's C
-encoder.
+encoder.  A command makes every JSON text and every CSV cell before it
+creates the output directory, so a refused command writes no file; it then
+writes CSV rows ``_CSV_BLOCK_ROWS`` at a time, so no CSV file's text is held
+whole.
 """
 
 from __future__ import annotations
@@ -31,14 +34,20 @@ from .simulate import ExperimentSpec, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
 
 
-def _atomic_write(path: str, text: str) -> None:
+# CSV rows joined and written at once
+_CSV_BLOCK_ROWS = 4096
+
+
+def _atomic_write(path: str, pieces) -> None:
+    """Write the strings ``pieces`` to ``path``: into a temp file beside it,
+    which then replaces ``path``."""
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     try:
         # mode 0o666 less the umask, as open(path, "w") creates a file
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -170,7 +179,7 @@ def _cells(values, memo: dict | None = None):
     if a.dtype == bool:
         a = a.view(np.uint8)
     if a.dtype == object:  # a column holding None
-        return ("" if v is None else repr(v) for v in a.tolist())
+        return ["" if v is None else repr(v) for v in a.tolist()]
     if memo is not None:
         key = (a.dtype.str, a.tobytes())
         if key not in memo:
@@ -183,36 +192,42 @@ def _cells(values, memo: dict | None = None):
     return cells[at].tolist()
 
 
-def _csv_text(table: dict, config_hash: str, memo: dict | None = None) -> str:
-    """``table``, {column name: values}, as CSV text; a column shorter than
-    the others ends in empty cells.  ``memo`` is ``_cells``'."""
-    rows = itertools.zip_longest(*(_cells(v, memo) for v in table.values()), fillvalue="")
-    lines = [f"# version={__version__} config_hash={config_hash}", ",".join(table)]
-    lines.extend(map(",".join, rows))
-    return "\n".join(lines) + "\n"
+def _csv_blocks(table: dict, config_hash: str, memo: dict | None = None):
+    """``table``, {column name: values}, as CSV text in pieces: the header,
+    then the rows ``_CSV_BLOCK_ROWS`` at a time; a column shorter than the
+    others ends in empty cells.  Every cell is formatted here, before the
+    first piece is taken.  ``memo`` is ``_cells``'."""
+    columns = [_cells(v, memo) for v in table.values()]
+    header = f"# version={__version__} config_hash={config_hash}\n" + ",".join(table) + "\n"
+    rows = map(",".join, itertools.zip_longest(*columns, fillvalue=""))
+    blocks = iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), [])
+    # the "" after a block's last row ends that row in a newline
+    return itertools.chain([header], ("\n".join([*block, ""]) for block in blocks))
 
 
 def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
     """Write ``files``, {file name: content}, into ``out_dir`` in their order:
-    a ``.json`` name through ``_json_text``, any other as a CSV table.  Every
-    file is encoded before the directory is made or a file written, so a
-    file that cannot be encoded leaves nothing behind.  A JSON file's
-    tables put their number columns in a memo, in which a later CSV looks
-    its columns up, so a table that ``summary.json`` and a CSV both hold is
-    formatted once; with no such table, no CSV column is keyed."""
-    texts, memo = {}, {}
+    a ``.json`` name through ``_json_text``, any other as a CSV table
+    (``_csv_blocks``).  Every JSON text and every CSV cell is made before
+    the directory is made or a file written, so a file that cannot be
+    encoded leaves nothing behind; a CSV's rows are then joined and written
+    ``_CSV_BLOCK_ROWS`` at a time.  A JSON file's tables put their number
+    columns in a memo, in which a later CSV looks its columns up, so a
+    table that ``summary.json`` and a CSV both hold is formatted once; with
+    no such table, no CSV column is keyed."""
+    pieces, memo = {}, {}
     for name, content in files.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".json"):
-            texts[path] = _json_text(path, content, config_hash, memo)
+            pieces[path] = [_json_text(path, content, config_hash, memo)]
         else:
-            texts[path] = _csv_text(content, config_hash, memo or None)
+            pieces[path] = _csv_blocks(content, config_hash, memo or None)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    for path, text in texts.items():
-        _atomic_write(path, text)
+    for path, file_pieces in pieces.items():
+        _atomic_write(path, file_pieces)
 
 
 def _strict(convert):

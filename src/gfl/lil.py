@@ -47,8 +47,9 @@ _MAX_SCALE = 2.0**1000
 # sigma floor: below it the scaled draws and the envelope can be subnormal,
 # and their rounding changes the ratios, which are scale-free in exact arithmetic
 _MIN_SCALE = 2.0**-1000
-# paths simulated at once, so a chunk holds _CHUNK * horizon draws
-_CHUNK = 64
+# draws held at once: a chunk is max(1, _DRAW_BUDGET // horizon) paths, so
+# about 1 MiB of float64 draws, or one path when the horizon is above it
+_DRAW_BUDGET = 2**17
 # quantile levels of the ratio table, by column name
 _RATIO_QUANTILES = {"ratio_q50": 0.5, "ratio_q90": 0.9, "ratio_q99": 0.99, "ratio_q100": 1.0}
 
@@ -60,8 +61,10 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
     reports the fraction with any |S_t| exceeding envelope(t).  Under
     ``ratio_quantiles`` it returns a table, {column name: values}: at each
     power of 2 ``t`` up to ``horizon``, the 50, 90, 99 and 100% quantiles
-    over paths of |S_t| / envelope(t).  Paths are processed in chunks to
-    bound memory; the result is deterministic in (noise, horizon, paths, seed).
+    over paths of |S_t| / envelope(t).  Paths are drawn in chunks of about
+    ``_DRAW_BUDGET`` draws (at least one path), in the generator's order, so
+    memory is bounded and the result, deterministic in (noise, horizon,
+    paths, seed), does not depend on the chunk size.
     A sigma (of ``env`` or of ``noise``) with sigma * horizon above 2^1000,
     or below 2^-1000, is refused before the first draw, and so is a horizon
     or a path count beyond numpy's index range.
@@ -83,7 +86,8 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
             f" sigma is below 2^-1000 ({_MIN_SCALE:.4g}); rescale sigma"
         )
     _check_count("paths", paths)
-    _check_count("horizon", horizon, per=min(paths, _CHUNK))  # a chunk's draws
+    chunk = max(1, _DRAW_BUDGET // horizon)
+    _check_count("horizon", horizon, per=min(paths, chunk))  # a chunk's draws
     t = np.arange(1, horizon + 1)
     envlp = np.asarray(envelope(t, env), dtype=np.float64, order="C")
     rng = np.random.default_rng(seed)
@@ -91,8 +95,8 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
     # each path's largest |S_t| / envelope(t) and its ratios at t_grid
     path_max = np.empty(paths)
     grid_ratios = np.empty((paths, t_grid.size))
-    for done in range(0, paths, _CHUNK):
-        r = min(_CHUNK, paths - done)
+    for done in range(0, paths, chunk):
+        r = min(chunk, paths - done)
         x = np.asarray(noise.sample_rng(r * horizon, rng), dtype=np.float64, order="C")
         _kernels.lib.gfl_lil_chunk(
             x.ctypes.data, r, horizon, envlp.ctypes.data,

@@ -629,10 +629,13 @@ _QUANTILE_SSE = {"experiment": "sse", "noise": _UNIFORM_MEDIAN, "loss": _MEDIAN}
         (["--lambda", "1e-320"], None),
         (["--sigma", "1e200"], None),
         (None, {"lambda": {"rule": "fixed", "value": 1e-320}}),
+        # sigma^2 underflows to 0 and ln(1/delta) is inf: inf * 0 in the bound
+        (["--sigma", "5e-324", "--delta", "5e-324", "--lambda", "0.5"], None),
     ],
     ids=[
         "bounds-L-tiny", "bounds-L-huge", "sse-lambda", "lambda-sweep", "sse-L-tiny",
         "sse-L-huge", "bounds-lambda-tiny", "bounds-sigma-huge", "pointwise-lambda-tiny",
+        "bounds-sigma-squared-underflows",
     ],
 )
 def test_lambda_or_L_beyond_float64_scale_exit_2(tmp_path, capsys, monkeypatch, argv, over):
@@ -651,7 +654,8 @@ def test_lambda_or_L_beyond_float64_scale_exit_2(tmp_path, capsys, monkeypatch, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--out-dir", str(out)]) == 2
-    assert "is beyond float64 scale" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "is beyond float64 scale" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -20,7 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfl import __version__
-from gfl.cli import _csv_text, _dumps, _json_text, _write_outputs, main
+from gfl.bounds import BoundParams, bound_report
+from gfl.cli import _CSV_BLOCK_ROWS, _csv_blocks, _dumps, _json_text, _write_outputs, main
+from gfl.losses import make_loss
+from gfl.signal import PiecewiseConstantSignal
+from gfl.solver import FusedLassoProblem, check_kkt, solve
 
 
 def oracle(obj) -> str:
@@ -209,7 +213,7 @@ def test_a_table_in_json_and_csv_is_written_as_each_alone(tmp_path):
     _write_outputs(str(tmp_path), files, "h")
     alone = _json_text("x", {"per_index": rows}, "h")
     _assert_same((tmp_path / "summary.json").read_text(), alone)
-    _assert_same((tmp_path / "per_index.csv").read_text(), _csv_text(table, "h"))
+    _assert_same((tmp_path / "per_index.csv").read_text(), "".join(_csv_blocks(table, "h")))
 
 
 # -- pinned summary.json bytes -----------------------------------------------
@@ -310,8 +314,8 @@ def _cli_argv(tmp_path, name) -> list:
             "--delta", "0.05", "--lambda", "4.0", "--growth-L", "12",
         ]
     if name == "lil_chunks":
-        # two full chunks of 64 paths, a partial one, and a horizon that is
-        # not a power of 2
+        # a full chunk of 127 paths (the draw budget over the horizon), a
+        # partial one of 3, and a horizon that is not a power of 2
         return [
             "lil", "--sigma", "2.5", "--delta", "0.1", "--horizon", "1025",
             "--paths", "130", "--seed", "3",
@@ -411,8 +415,61 @@ def test_csv_cells_follow_the_rule_cell_by_cell():
         "last": [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
     }
     assert not table["strided"].flags.c_contiguous
-    assert _csv_text(table, "h") == _reference_csv(table, "h")
+    assert "".join(_csv_blocks(table, "h")) == _reference_csv(table, "h")
     # the z column of an n = 1 solve is empty beside non-empty columns
     table = {"i": np.arange(1, 2), "y": np.array([-0.0]), "z": np.empty(0)}
-    assert _csv_text(table, "h") == _reference_csv(table, "h")
-    assert _csv_text(table, "h").endswith("\n1,-0.0,\n")
+    assert "".join(_csv_blocks(table, "h")) == _reference_csv(table, "h")
+    assert "".join(_csv_blocks(table, "h")).endswith("\n1,-0.0,\n")
+
+
+def test_csv_rows_in_blocks_match_the_rule():
+    """Two full blocks of rows and a partial one give the bytes of the whole
+    text, and each piece after the header holds one block.  ``short`` is one
+    value short and ends exactly at a block boundary, as the ``z`` column of
+    a ``gfl solve`` at n = 4097 does."""
+    n = 2 * _CSV_BLOCK_ROWS + 1
+    rng = np.random.default_rng(0)
+    table = {
+        "i": np.arange(1, n + 1),
+        "repeats": rng.choice([0.1, -0.0, 0.0, 2.5], n),
+        "distinct": rng.standard_normal(n),
+        "short": rng.standard_normal(n - 1),
+        "flag": rng.random(n) < 0.5,
+        "none": [None if r % 3 else r / 7 for r in range(n)],
+    }
+    pieces = list(_csv_blocks(table, "h"))
+    _assert_same("".join(pieces), _reference_csv(table, "h"))
+    assert [p.count("\n") for p in pieces] == [2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 1]
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_commands_write_rows_in_blocks(tmp_path, command):
+    """``gfl solve`` and ``gfl bounds`` at n = 2 * 4096 + 5, three blocks of
+    rows, write the CSV the cell rule gives for the same columns."""
+    n = 2 * _CSV_BLOCK_ROWS + 5
+    out = tmp_path / "out"
+    if command == "solve":
+        y = np.random.default_rng(1).standard_normal(n)
+        y[n // 2:] += 3.0
+        (tmp_path / "y.txt").write_text("".join(f"{v!r}\n" for v in y.tolist()))
+        argv = ["solve", "--input", str(tmp_path / "y.txt"), "--lambda", "7.5"]
+        problem = FusedLassoProblem(y=y, lam=7.5, loss=make_loss("square", None))
+        theta = solve(problem).theta_hat
+        table = {"i": np.arange(1, n + 1), "y": y, "theta_hat": theta,
+                 "z": check_kkt(problem, theta)[1]}
+        name = "solution.csv"
+    else:
+        lengths = [3000, 2000, n - 5000]
+        argv = ["bounds", "--signal-values", "0,1.5,0",
+                "--signal-lengths", ",".join(map(str, lengths)),
+                "--sigma", "1.0", "--delta", "0.05", "--lambda", "40"]
+        geom = PiecewiseConstantSignal([0.0, 1.5, 0.0], lengths).geometry()
+        report = bound_report(geom, BoundParams(sigma=1.0, delta=0.05, lam=40.0))
+        table = {"i": np.arange(1, n + 1), "k": geom.k_of, "d": geom.d, "B": report.B,
+                 "B_improved": report.B_improved, "B_quantile": report.B_quantile,
+                 "applicable": report.applicable}
+        name = "bounds.csv"
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    text = (out / name).read_text()
+    config_hash = text[: text.index("\n")].rsplit("=", 1)[1]
+    _assert_same(text, _reference_csv(table, config_hash))

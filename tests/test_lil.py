@@ -88,11 +88,15 @@ class TestVerifyPaths:
         b = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4)
         assert a == b
         # chunking changes only memory layout, not the sample stream
-        monkeypatch.setattr(lil, "_CHUNK", 7)
+        monkeypatch.setattr(lil, "_DRAW_BUDGET", 7 * 300)
         c = verify_paths(noise, 300, 150, LilEnvelope(1.0, 0.1), seed=4)
         assert c == a
 
-    @pytest.mark.parametrize("horizon, paths", [(300, 150), (1, 3), (64, 65)])
+    # (32768, 9): two chunks of 4 paths and a partial one; (131073, 3): a
+    # horizon above the draw budget, one path per chunk
+    @pytest.mark.parametrize(
+        "horizon, paths", [(300, 150), (1, 3), (64, 65), (32768, 9), (131073, 3)]
+    )
     def test_in_place_transform_matches_out_of_place(self, horizon, paths):
         """At sigma 2.5 the draws are scaled: the in-place cumsum, abs and
         divide give the out-of-place result, bit for bit."""
@@ -119,7 +123,8 @@ class TestVerifyPaths:
         ],
         ids=["gaussian", "uniform", "laplace", "cauchy"],
     )
-    @pytest.mark.parametrize("horizon", [1, 2, 1024, 1025])
+    # at 2^15 + 1 a chunk is 3 paths, so 64 and 65 paths end in a partial one
+    @pytest.mark.parametrize("horizon", [1, 2, 1024, 1025, 2**15 + 1])
     @pytest.mark.parametrize("paths", [1, 64, 65])
     def test_matches_out_of_place_numpy(self, noise, horizon, paths):
         """Each noise kind, drawn in one piece and transformed out of place
