@@ -5,10 +5,11 @@ allocate included), 3 mathematical precondition failure.  All outputs are
 written atomically (temp file + rename) and carry the package version and a
 config hash in their header.  The JSON files hold the bytes
 ``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by json's C
-encoder.  A command makes every JSON text and every CSV cell before it
-creates the output directory, so a refused command writes no file; it then
-writes CSV rows ``_CSV_BLOCK_ROWS`` at a time, so no CSV file's text is held
-whole.
+encoder, except a ``Table`` (a row table of numpy columns), which is written
+as its list of rows a column at a time, as its CSV is.  A command makes
+every JSON text and every CSV cell before it creates the output directory,
+so a refused command writes no file; it then writes CSV rows
+``_CSV_BLOCK_ROWS`` at a time, so no CSV file's text is held whole.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import ConfigError, GflError, PreconditionError
 from .lil import LilEnvelope, verify_paths
 from .losses import NoiseModel, make_loss
 from .signal import PiecewiseConstantSignal
-from .simulate import ExperimentSpec, hash_config, run_experiment
+from .simulate import ExperimentSpec, Table, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
 
 
@@ -69,10 +69,10 @@ def _c_encoder(item_separator: str):
 
 
 def _flat(values) -> bool:
-    """Whether ``values`` hold no non-empty dict, list or tuple."""
+    """Whether ``values`` hold no non-empty dict, list or tuple, and no Table."""
     if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
         return True
-    return not any(v for v in values if isinstance(v, _CONTAINERS))
+    return not any(v or isinstance(v, Table) for v in values if isinstance(v, _CONTAINERS))
 
 
 def _key(k) -> str:
@@ -84,44 +84,25 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def _numbers(col) -> np.ndarray | None:
-    """``col`` as a float64 array if its cells are all exactly ``float`` and
-    finite, or as an int64 array if they are all exactly ``int`` within int64;
-    None for any other column."""
-    types = set(map(type, col))
-    if types == {float}:
-        a = np.array(col, dtype=np.float64)
-        return a if np.isfinite(a).all() else None
-    if types == {int}:
-        try:
-            return np.array(col, dtype=np.int64)
-        except OverflowError:
-            return None
-    return None
+_TABLE_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
-def _table(rows, level: int, memo: dict | None = None) -> str | None:
-    """``rows`` encoded a column at a time, if they are non-empty dicts
-    (plain ``dict``s) sharing one set of str keys and every column is a
-    number column, of finite floats or of int64-range ints; None otherwise.
-
-    json writes each number cell as ``repr``, so ``_cells`` formats a
-    column's distinct values once each, and ``memo`` hands its cells to a
-    CSV of the same column.  One ``%`` template lays out every row.
-    """
-    if set(map(type, rows)) != {dict} or len(set(map(len, rows))) != 1:
-        return None
-    if not rows[0] or not all(isinstance(k, str) for k in rows[0]):
-        return None
-    keys = sorted(rows[0])
-    try:
-        cols = [list(map(itemgetter(k), rows)) for k in keys]
-    except KeyError:  # rows of one size share their keys unless one is missing
-        return None
-    numbers = list(map(_numbers, cols))
-    if any(a is None for a in numbers):
-        return None
-    cells = [_cells(a, memo) for a in numbers]
+def _table(table: Table, level: int, memo: dict | None = None) -> str:
+    """``table`` as json writes its rows: a list of objects with sorted keys,
+    ``[]`` for no rows.  json writes each number as ``repr``, so a column is
+    one ``_cells`` call (one ``repr`` per distinct value; ``memo`` hands the
+    cells to a CSV of the same column), and one ``%`` template lays out
+    every row.  A non-finite float raises json's ``ValueError``."""
+    keys = sorted(table)
+    cols = [np.asarray(table[k]) for k in keys]
+    if any(a.dtype not in _TABLE_DTYPES for a in cols) or len({a.shape for a in cols}) > 1:
+        raise TypeError("a Table's columns must be int64 or float64 arrays of one length")
+    for a in cols:
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            _c_encoder(",")(float(a[~np.isfinite(a)][0]))  # raises json's ValueError
+    if not cols or not cols[0].size:
+        return "[]"
+    cells = [_cells(a, memo) for a in cols]
     row_indent, field_indent = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
     template = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
@@ -135,10 +116,12 @@ def _dumps(obj, level: int = 0, memo: dict | None = None) -> str:
     With ``indent`` set, json runs its pure-Python encoder, one generator step
     per element.  Here json's C encoder does the work: a container with no
     non-empty container inside is one call whose item separator carries the
-    newline and indent of its level, a table (``_table``) is one ``repr`` per
-    distinct number, and only what remains recurses here, a container at a
+    newline and indent of its level, a Table is written a column at a time
+    (``_table``), and only what remains recurses here, a container at a
     time.  ``memo`` is ``_cells``'.
     """
+    if isinstance(obj, Table):
+        return _table(obj, level, memo)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _c_encoder(",")(obj)
     values = obj.values() if isinstance(obj, dict) else obj
@@ -150,9 +133,6 @@ def _dumps(obj, level: int = 0, memo: dict | None = None) -> str:
     if isinstance(obj, dict):
         parts = [f"{_key(k)}: {_dumps(v, level + 1, memo)}" for k, v in sorted(obj.items())]
         return "{" + indent + ("," + indent).join(parts) + close + "}"
-    table = _table(obj, level, memo)
-    if table is not None:
-        return table
     items = (_dumps(v, level + 1, memo) for v in obj)
     return "[" + indent + ("," + indent).join(items) + close + "]"
 
@@ -211,10 +191,10 @@ def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
     (``_csv_blocks``).  Every JSON text and every CSV cell is made before
     the directory is made or a file written, so a file that cannot be
     encoded leaves nothing behind; a CSV's rows are then joined and written
-    ``_CSV_BLOCK_ROWS`` at a time.  A JSON file's tables put their number
-    columns in a memo, in which a later CSV looks its columns up, so a
-    table that ``summary.json`` and a CSV both hold is formatted once; with
-    no such table, no CSV column is keyed."""
+    ``_CSV_BLOCK_ROWS`` at a time.  A JSON file's Tables put their columns
+    in a memo, in which a later CSV looks its columns up, so a Table that
+    ``summary.json`` and a CSV both hold is formatted once; with no Table,
+    no CSV column is keyed."""
     pieces, memo = {}, {}
     for name, content in files.items():
         path = os.path.join(out_dir, name)
@@ -358,16 +338,11 @@ def _cmd_lil(args) -> int:
     return 0
 
 
-def _columns(rows) -> dict:
-    """Rows, dicts sharing their keys, as {column name: values}; {} for no rows."""
-    return {c: list(map(itemgetter(c), rows)) for c in rows[0]} if rows else {}
-
-
-# The CSV tables of each experiment's result, {file name: table}; an empty
-# table is not written.
+# The CSV tables of each experiment's result, {file name: table}; a table
+# with no rows is not written.
 _EXPERIMENT_CSVS = {
-    "pointwise": lambda r: {"per_index.csv": _columns(r["per_index"])},
-    "elementwise_quantile": lambda r: {"per_index.csv": _columns(r["per_index"])},
+    "pointwise": lambda r: {"per_index.csv": r["per_index"]},
+    "elementwise_quantile": lambda r: {"per_index.csv": r["per_index"]},
     "sse": lambda r: {
         "sse.csv": {"replication": np.arange(len(r["sse_samples"])), "sse": r["sse_samples"]}
     },
@@ -375,7 +350,7 @@ _EXPERIMENT_CSVS = {
         "plotdata_d_sweep.csv": (
             {c: r["d_sweep"][c] for c in ("d", "median_err")} if "d_sweep" in r else {}
         ),
-        "plotdata_n_sweep.csv": _columns(r.get("n_sweep", {}).get("rows")),
+        "plotdata_n_sweep.csv": r["n_sweep"]["rows"] if "n_sweep" in r else {},
     },
     "lambda_sweep": lambda r: {
         "plotdata_lambda_sweep.csv": {
@@ -405,7 +380,9 @@ def _cmd_simulate(args) -> int:
     spec = ExperimentSpec.from_config(cfg)
     result = run_experiment(spec)
     tables = _EXPERIMENT_CSVS[result["experiment"]](result)
-    files = {"summary.json": result} | {name: t for name, t in tables.items() if t}
+    files = {"summary.json": result} | {
+        name: t for name, t in tables.items() if len(next(iter(t.values()), ()))
+    }
     _write_outputs(args.out_dir, files, spec.config_hash())
     return 0
 

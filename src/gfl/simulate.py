@@ -1,8 +1,9 @@
 """Seeded Monte Carlo experiments: generate data, solve, compare to bounds.
 
 Every experiment is described by an ExperimentSpec (parsed from a JSON config)
-and returns a plain-dict result that serializes byte-identically given the
-same (spec, seed).  Replication seeds are derived from the base seed with a
+and returns a dict result that serializes byte-identically given the same
+(spec, seed); its row tables (``per_index``, ``n_sweep.rows``) are Tables of
+numpy columns.  Replication seeds are derived from the base seed with a
 splitmix64 mix so replications are independent and order-insensitive.
 """
 
@@ -23,6 +24,10 @@ from .signal import PiecewiseConstantSignal
 from .solver import FusedLassoProblem, solve
 
 _MASK = (1 << 64) - 1
+# The largest |signal value| + |noise shift| + noise scale: for y = theta* + eps
+# to leave float64, a unit draw would have to exceed 2^23, which no gaussian,
+# uniform or laplace draw can (a cauchy one, with probability below 1e-7).
+_MAX_DRAW_SCALE = 2.0**1000
 
 
 def splitmix64(x: int) -> int:
@@ -36,6 +41,22 @@ def splitmix64(x: int) -> int:
 
 def derived_seed(base_seed: int, index: int) -> int:
     return splitmix64((base_seed & _MASK) ^ splitmix64(index & _MASK))
+
+
+class Table(dict):
+    """A row table held as its columns: {column name: equal-length int64 or
+    float64 array}, keys in CSV header order.  ``==`` compares columns with
+    ``np.array_equal``, as dict equality cannot compare arrays."""
+
+    def __eq__(self, other):
+        if not isinstance(other, dict):
+            return NotImplemented
+        return self.keys() == other.keys() and all(
+            np.array_equal(v, other[k]) for k, v in self.items()
+        )
+
+    def __ne__(self, other):
+        return not self == other
 
 
 _LAMBDA_RULES = ("fixed", "sqrt_n_over_k", "log_sqrt_n_over_k")
@@ -194,7 +215,14 @@ class ExperimentSpec(Value):
             # the n-sweep's interior index is n // 4
             raise ConfigError("n_sweep entries must be >= 4")
         bnd._check_count("the largest n_sweep entry", max(self.n_sweep, default=0))
+        bnd._check_count("replications", self.replications)
         _check_pairing(self.loss, self.noise)
+        reach = max(map(abs, self.signal.values)) + abs(self.noise.shift) + self.noise.scale
+        if not reach <= _MAX_DRAW_SCALE:
+            raise ConfigError(
+                f"the draws are beyond float64 scale: the largest |signal value| plus the noise"
+                f" shift and scale exceeds 2^1000 ({_MAX_DRAW_SCALE:.4g}); rescale them"
+            )
         quantile = self.loss.kind == "quantile"
         if self.experiment == "elementwise_quantile" and not quantile:
             raise ConfigError("elementwise_quantile requires the quantile loss")
@@ -340,22 +368,12 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
                 cross_check_ok = False
 
     p_bound = bnd.prob_const() * spec.delta**2
-    # each column divided once, then read as Python numbers
-    f_lo = (lower_hits / R).tolist()
-    f_hi = (upper_hits / R).tolist()
-    worst = max([0.0, *f_lo, *f_hi])
-    rows = [
-        {"i": i, "k": k, "d": d, "B": b, "freq_lower": lo, "freq_upper": hi, "mean_abs_err": e}
-        for i, k, d, b, lo, hi, e in zip(
-            idx.tolist(),
-            geom.k_of[at].tolist(),
-            geom.d[at].tolist(),
-            B.tolist(),
-            f_lo,
-            f_hi,
-            (abs_err_sum / R).tolist(),
-        )
-    ]
+    f_lo, f_hi = lower_hits / R, upper_hits / R
+    worst = float(max(f_lo.max(initial=0.0), f_hi.max(initial=0.0)))
+    per_index = Table(
+        i=idx, k=geom.k_of[at], d=geom.d[at], B=B, freq_lower=f_lo, freq_upper=f_hi,
+        mean_abs_err=abs_err_sum / R,
+    )
     return {
         "experiment": "pointwise",
         "lambda": lam,
@@ -365,7 +383,7 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
         "vacuous": p_bound >= 1.0,
         "max_frequency": worst,
         "event_form_cross_check": cross_check_ok,
-        "per_index": rows,
+        "per_index": per_index,
         "provenance": _provenance(spec),
     } | _verdict(p_bound, worst, R)
 
@@ -396,10 +414,7 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
         "monitored": idx.tolist(),
         "excluded_not_admissible": excluded,
         "max_frequency": worst,
-        "per_index": [
-            {"i": i, "bound": b, "freq": f}
-            for i, b, f in zip(idx.tolist(), bound_vals.tolist(), (hits / R).tolist())
-        ],
+        "per_index": Table(i=idx, bound=bound_vals, freq=hits / R),
         "provenance": _provenance(spec),
     } | _verdict(2.0 * bnd.prob_const() * spec.delta**2, worst, R)
 
@@ -513,7 +528,7 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
         # size j draws replications stride * (j + 1) onward, past the
         # d-sweep's 0..R-1 and every other size's streams
         stride = max(1000, spec.replications)
-        rows = []
+        lams, meds = [], []
         for j, n in enumerate(spec.n_sweep):
             half = n // 2
             sig = PiecewiseConstantSignal([0.0, jump], [half, n - half])
@@ -523,20 +538,20 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
             med = _median_abs_err_at(
                 spec, sig.expand(), lam, [cp_i, int_i], offset=stride * (j + 1)
             )
-            rows.append(
-                {
-                    "n": int(n),
-                    "lambda": lam,
-                    "median_err_change_point": float(med[0]),
-                    "median_err_interior": float(med[1]),
-                }
-            )
-        cps = [r["median_err_change_point"] for r in rows]
-        ints = [r["median_err_interior"] for r in rows]
+            lams.append(lam)
+            meds.append(med)
+        cps, ints = np.stack(meds, axis=1)
         out["n_sweep"] = {
-            "rows": rows,
-            "change_point_ratio": max(cps) / min(cps),
-            "interior_shrink_factor": max(ints) / min(ints),
+            "rows": Table(
+                {
+                    "n": np.array(spec.n_sweep, dtype=np.int64),
+                    "lambda": np.array(lams),
+                    "median_err_change_point": cps,
+                    "median_err_interior": ints,
+                }
+            ),
+            "change_point_ratio": max(cps.tolist()) / min(cps.tolist()),
+            "interior_shrink_factor": max(ints.tolist()) / min(ints.tolist()),
         }
     return out
 
@@ -598,6 +613,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
 __all__ = [
     "ExperimentSpec",
+    "Table",
     "splitmix64",
     "derived_seed",
     "resolve_lambda",

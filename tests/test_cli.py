@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfl import cli
@@ -466,6 +466,35 @@ class TestSimulateCommand:
         assert "is beyond float64 scale" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "over, files",
+        [
+            (
+                {
+                    "experiment": "elementwise_quantile", **_QUANTILE, "monitor": "all",
+                    "lambda": {"rule": "fixed", "value": 5.0},
+                },
+                ["summary.json"],
+            ),
+            ({"experiment": "rate_sweep", "d_grid": [2, 4]},
+             ["plotdata_d_sweep.csv", "summary.json"]),
+            ({"experiment": "rate_sweep", "n_sweep": [8, 16]},
+             ["plotdata_n_sweep.csv", "summary.json"]),
+        ],
+        ids=["quantile-none-admissible", "d-sweep-only", "n-sweep-only"],
+    )
+    def test_table_with_no_rows_is_not_written(self, tmp_path, over, files):
+        """A CSV whose table has no rows is left out; summary.json still
+        holds the table, as [] when it has no rows."""
+        cfg = write_config(tmp_path, small_config(**over))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert sorted(os.listdir(out)) == files
+        summary = json.loads((out / "summary.json").read_text())
+        if over["experiment"] == "elementwise_quantile":
+            assert summary["per_index"] == [] and summary["monitored"] == []
+            assert len(summary["excluded_not_admissible"]) == 32
+
     def test_no_temp_files_left(self, tmp_path):
         cfg = write_config(tmp_path, small_config())
         out = tmp_path / "clean"
@@ -560,9 +589,11 @@ _HUGE = "100000000000000000000"  # 10^20, past numpy's index range and int64
         ({"experiment": "rate_sweep", "n_sweep": [8, int(_HUGE)]},
          f"the largest n_sweep entry is {_HUGE}, beyond numpy's index range"),
         ({"monitor": [1, int(_HUGE)]}, "monitored indices out of range"),
+        ({"experiment": "sse", "replications": int(_HUGE)},
+         f"replications is {_HUGE}, beyond numpy's index range"),
     ],
     ids=["lil-horizon", "lil-paths", "bounds-lengths", "simulate-lengths", "simulate-n-sweep",
-         "simulate-monitor"],
+         "simulate-monitor", "simulate-replications"],
 )
 def test_count_beyond_numpy_index_range_exit_2(tmp_path, capsys, argv, message):
     """A count that numpy cannot index is one stderr line naming its flag or
@@ -746,6 +777,150 @@ def test_bounds_writes_both_files_or_none(lam, sigma):
             assert sorted(os.listdir(out)) == ["bounds.csv", "bounds.json"]
         else:
             assert rc == 2 and not os.path.exists(out)
+
+
+# -- every failure is one line: a property over the numbers of each command ---
+
+_ODD_FLOATS = ["5e-324", "-0.0", "1e308", "1e400"]  # 1e400 parses as inf
+_SMALL_FLOATS = st.floats(-4.0, 4.0, allow_nan=False).map(repr)
+_FLAG_FLOATS = st.sampled_from(["nan", "inf", "-inf", *_ODD_FLOATS]) | _SMALL_FLOATS
+# NaN and Infinity are what json.dumps writes for them
+_JSON_FLOATS = st.sampled_from(["NaN", "Infinity", "-Infinity", *_ODD_FLOATS]) | _SMALL_FLOATS
+# integers from a small range or past int64, never a size that could commit memory
+_PAST_INT64 = st.integers(2**63, 10**400)
+
+
+def _ints(lo: int, hi: int):
+    return (st.integers(lo, hi) | _PAST_INT64).map(str)
+
+
+def _perturbed(good: dict, odd: dict):
+    """``good``, {name: valid text}, with at most two names drawn from
+    ``odd`` instead; Hypothesis shrinks toward ``good``."""
+    return st.sets(st.sampled_from(sorted(odd)), max_size=2).flatmap(
+        lambda names: st.fixed_dictionaries(
+            {k: odd[k] if k in names else st.just(good.get(k)) for k in good.keys() | odd.keys()}
+        )
+    )
+
+
+def _runs_cleanly(command: str, flags: dict) -> None:
+    """``gfl command`` with ``flags`` (a None value is left out) exits 0 with
+    its directory, or 2 or 3 with one stderr line and no directory; no
+    exception escapes and numpy warns of nothing."""
+    argv = [command] + [f"{k}={v}" for k, v in sorted(flags.items()) if v is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(err):
+                rc = main(argv + ["--out-dir", out])
+        if rc == 0:
+            assert os.path.isdir(out) and err.getvalue() == ""
+        else:
+            assert rc in (2, 3), rc
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert not os.path.exists(out)
+
+
+@given(
+    loss=st.sampled_from(["square", "quantile"]),
+    flags=_perturbed({"--lambda": "1.0"}, {"--lambda": _FLAG_FLOATS, "--tau": _FLAG_FLOATS}),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_numbers_fail_in_one_line(tmp_path_factory, loss, flags):
+    path = tmp_path_factory.getbasetemp() / "y.csv"
+    path.write_text("0.1\n-3.25\n2.5\n1e300\n")
+    if loss == "quantile" and flags["--tau"] is None:
+        flags["--tau"] = "0.5"
+    _runs_cleanly("solve", flags | {"--input": str(path), "--loss": loss})
+
+
+_LIL = {"--sigma": "1.0", "--delta": "0.1", "--horizon": "16", "--paths": "3", "--seed": "1"}
+
+
+@given(
+    _perturbed(
+        _LIL,
+        {"--sigma": _FLAG_FLOATS, "--delta": _FLAG_FLOATS, "--horizon": _ints(-1, 40),
+         "--paths": _ints(-1, 5), "--seed": _ints(-1, 5)},
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_lil_numbers_fail_in_one_line(flags):
+    _runs_cleanly("lil", flags)
+
+
+_BOUNDS = {"--signal-values": "0,1.5", "--signal-lengths": "8,8", "--sigma": "0.5",
+           "--delta": "0.05", "--lambda": "4.0"}
+
+
+@given(
+    _perturbed(
+        _BOUNDS,
+        {"--signal-values": st.lists(_FLAG_FLOATS, min_size=2, max_size=2).map(",".join),
+         "--signal-lengths": st.lists(_ints(-1, 40), min_size=2, max_size=2).map(",".join),
+         "--sigma": _FLAG_FLOATS, "--delta": _FLAG_FLOATS, "--lambda": _FLAG_FLOATS,
+         "--growth-L": _FLAG_FLOATS},
+    )
+)
+@example(_BOUNDS | {"--sigma": "5e-324", "--delta": "5e-324", "--lambda": "0.5"})
+@settings(max_examples=60, deadline=None)
+def test_bounds_numbers_fail_in_one_line(flags):
+    _runs_cleanly("bounds", flags)
+
+
+# the numbers of a simulate config as JSON text, by the key that holds them
+_NUMBERS = {
+    "values.0": "0.0", "values.1": "2.0", "lengths.0": "16", "lengths.1": "16",
+    "lambda.value": "4.0", "delta": "0.05", "replications": "2", "noise.scale": "1.0",
+    "noise.center_tau": "0.5", "loss.tau": "0.5", "growth_L": '"auto"', "lambda_grid.0": "4.0",
+}
+_ODD_NUMBERS = {
+    k: _ints(-1, 40) if k.startswith("lengths") else _JSON_FLOATS for k in _NUMBERS
+} | {"replications": _ints(-1, 3)}
+
+
+@given(
+    experiment=st.sampled_from(
+        ["pointwise", "elementwise_quantile", "sse", "lambda_sweep", "rate_sweep"]
+    ),
+    quantile=st.booleans(),
+    v=_perturbed(_NUMBERS, _ODD_NUMBERS),
+)
+# no bound limits rate_sweep's noise: its draws overflowed (a numpy warning,
+# or numpy's OverflowError for uniform noise)
+@example(experiment="rate_sweep", quantile=False, v=_NUMBERS | {"noise.scale": "1e308"})
+@example(experiment="rate_sweep", quantile=True, v=_NUMBERS | {"noise.scale": "1e308"})
+@example(experiment="rate_sweep", quantile=False, v=_NUMBERS | {"values.1": "1e308"})
+@settings(max_examples=100, deadline=None)
+def test_simulate_config_numbers_fail_in_one_line(tmp_path_factory, experiment, quantile, v):
+    parts = {
+        "experiment": json.dumps(experiment),
+        "signal": f'{{"values": [{v["values.0"]}, {v["values.1"]}], '
+                  f'"lengths": [{v["lengths.0"]}, {v["lengths.1"]}]}}',
+        "lambda": f'{{"rule": "fixed", "value": {v["lambda.value"]}}}',
+        "delta": v["delta"],
+        "replications": v["replications"],
+        "seed": "3",
+        "monitor": '"all"',
+        "noise": f'{{"kind": "gaussian", "scale": {v["noise.scale"]}}}',
+        "loss": '{"kind": "square"}',
+        "lambda_grid": f'[{v["lambda_grid.0"]}, 1.0]',
+        "d_grid": "[2, 4]" if experiment == "rate_sweep" else "[]",
+        "n_sweep": "[8, 16]" if experiment == "rate_sweep" else "[]",
+    }
+    if quantile or experiment == "elementwise_quantile":
+        parts["noise"] = (
+            f'{{"kind": "uniform", "scale": {v["noise.scale"]}, '
+            f'"center_tau": {v["noise.center_tau"]}}}'
+        )
+        parts["loss"] = f'{{"kind": "quantile", "tau": {v["loss.tau"]}}}'
+        parts["growth_L"] = v["growth_L"]
+    path = tmp_path_factory.getbasetemp() / "config.json"
+    path.write_text("{" + ", ".join(f'"{k}": {t}' for k, t in parts.items()) + "}")
+    _runs_cleanly("simulate", {"--config": str(path)})
 
 
 def test_solve_refuses_an_overflowing_objective(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 ``gfl.cli._dumps`` must give the bytes of
 ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, which stays
-here as the oracle.  The ``summary.json`` of one small config per
-experiment, and every file of small ``simulate``, ``solve``, ``bounds`` and
-``lil`` runs, are pinned by their SHA-256.  The CSV writer, which formats
+here as the oracle; a ``Table`` (a row table held as numpy columns) must
+give the bytes of its rows as dicts.  The ``summary.json`` of one small
+config per experiment, and every file of small ``simulate``, ``solve``,
+``bounds`` and ``lil`` runs, are pinned by their SHA-256.  The CSV writer, which formats
 each distinct value of a column once, must give the cells of the
 documented rule applied one cell at a time.
 """
@@ -22,8 +23,10 @@ from hypothesis import strategies as st
 from gfl import __version__
 from gfl.bounds import BoundParams, bound_report
 from gfl.cli import _CSV_BLOCK_ROWS, _csv_blocks, _dumps, _json_text, _write_outputs, main
+from gfl.errors import GflError
 from gfl.losses import make_loss
 from gfl.signal import PiecewiseConstantSignal
+from gfl.simulate import Table
 from gfl.solver import FusedLassoProblem, check_kkt, solve
 
 
@@ -145,9 +148,9 @@ def test_unencodable_raises_type_error():
 
 
 def _repeats_table(rows: int = 1200) -> list:
-    """A table of ``rows`` rows with few distinct values per column: the
-    float and int64 columns are formatted once per distinct value, the rest
-    by the C encoder."""
+    """A table of ``rows`` row dicts with few distinct values per column and
+    cells of every type; as a list of dicts it takes ``_dumps``' generic
+    path, one C-encoder call per row."""
     return [
         {
             "zeros": -0.0 if r % 2 else 0.0,
@@ -179,8 +182,10 @@ def _assert_same(got: str, want: str) -> None:
 def test_tables_with_repeats_match_json_dumps():
     rows = _repeats_table()
     _assert_same(_dumps(rows), oracle(rows))
-    # through a memo, which keys a column by its dtype and bits
-    _assert_same(_dumps(rows, memo={}), oracle(rows))
+    # a memo is only for Table columns: row dicts leave it unused
+    memo = {}
+    _assert_same(_dumps(rows, memo=memo), oracle(rows))
+    assert memo == {}
     _assert_same(_dumps({"per_index": rows, "n": 1}), oracle({"per_index": rows, "n": 1}))
 
 
@@ -204,9 +209,9 @@ def test_tables_with_repeats_still_refuse(column, bad, error):
         _dumps({"per_index": rows})
 
 
-def test_a_table_in_json_and_csv_is_written_as_each_alone(tmp_path):
-    """``_write_outputs`` formats a table that both files hold once; each
-    file keeps the bytes it has when encoded on its own."""
+def test_row_dicts_in_json_and_csv_are_written_as_each_alone(tmp_path):
+    """Row dicts in ``summary.json`` and their columns as a CSV: each file
+    keeps the bytes it has when encoded on its own."""
     rows = _repeats_table(60)
     table = {c: [r[c] for r in rows] for c in rows[0]}
     files = {"summary.json": {"per_index": rows}, "per_index.csv": table}
@@ -214,6 +219,140 @@ def test_a_table_in_json_and_csv_is_written_as_each_alone(tmp_path):
     alone = _json_text("x", {"per_index": rows}, "h")
     _assert_same((tmp_path / "summary.json").read_text(), alone)
     _assert_same((tmp_path / "per_index.csv").read_text(), "".join(_csv_blocks(table, "h")))
+
+
+# -- Table: row tables held as numpy columns -----------------------------------
+
+
+def _row_dicts(table: Table) -> list:
+    """``table``'s rows as dicts of Python numbers, as json should write them."""
+    return [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))]
+
+
+def _edge_table(rows: int = 1200) -> Table:
+    """Columns of signed zeros, the smallest subnormal, 1e16, 1e308 and the
+    int64 extremes, under keys holding ``%`` and ``"``."""
+    r = np.arange(rows)
+    i64 = np.iinfo(np.int64)
+    return Table(
+        {
+            "i": r + 1,
+            "zeros": np.where(r % 2 == 1, -0.0, 0.0),
+            "floats": np.array([0.1, 1e16, 5e-324, -2.5, 1e308, -1e308])[r % 6],
+            "int64": np.array([i64.min, i64.max, 0, -1])[r % 4],
+            # the bits of 1.0 as an int: a memo keys a column by dtype and bits
+            "bits_of_one": np.full(rows, 4607182418800017408),
+            "one": np.ones(rows),
+            "%s": r % 3 - 1,
+            'a"b%%': np.linspace(-1.0, 1.0, rows),
+        }
+    )
+
+
+def test_table_is_written_as_its_rows():
+    table = _edge_table()
+    rows = _row_dicts(table)
+    result = {"per_index": table, "n": 1, "provenance": {"seed": 3}}
+    want = oracle({"per_index": rows, "n": 1, "provenance": {"seed": 3}})
+    _assert_same(_dumps(result), want)
+    _assert_same(_dumps(result, memo={}), want)
+    _assert_same(_dumps(table), oracle(rows))
+    _assert_same(_dumps([table, {"t": table}]), oracle([rows, {"t": rows}]))
+    header = {"version": __version__, "config_hash": "h"}
+    _assert_same(_json_text("x", result, "h"), oracle(header | result | {"per_index": rows}) + "\n")
+
+
+_int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(_text, st.booleans(), min_size=1, max_size=4),
+    st.lists(st.tuples(_int64s, _floats), max_size=6),
+    st.integers(0, 2),
+)
+def test_tables_match_their_rows(kinds, cells, depth):
+    """Any Table of int64 and finite float64 columns, at any depth."""
+    table = Table(
+        {
+            k: np.array([c[is_float] for c in cells], dtype=np.float64 if is_float else np.int64)
+            for k, is_float in kinds.items()
+        }
+    )
+    obj, want = table, _row_dicts(table)
+    for _ in range(depth):
+        obj, want = {"t": obj, "n": [1, [2]]}, {"t": want, "n": [1, [2]]}
+    assert _dumps(obj) == oracle(want)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [Table(i=np.empty(0, dtype=np.int64), B=np.empty(0)), Table()],
+    ids=["no-rows", "no-columns"],
+)
+def test_table_with_no_rows_is_an_empty_list(table):
+    assert _dumps(table) == "[]"
+    assert _dumps({"per_index": table, "n": 1}) == oracle({"per_index": [], "n": 1})
+    assert _dumps({"per_index": table}) == oracle({"per_index": []})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_table_with_non_finite_cell_raises(bad):
+    table = _edge_table(20)
+    table["one"][17] = bad
+    with pytest.raises(ValueError):
+        oracle({"per_index": _row_dicts(table)})
+    with pytest.raises(ValueError):
+        _dumps({"per_index": table})
+    with pytest.raises(GflError, match="not writing"):
+        _json_text("summary.json", {"per_index": table}, "h")
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        Table(flag=np.array([True, False])),
+        Table(f32=np.ones(2, dtype=np.float32)),
+        Table(i=np.arange(3), B=np.ones(2)),
+    ],
+    ids=["bool", "float32", "lengths"],
+)
+def test_table_of_other_columns_is_refused(table):
+    """A bool or float32 column would not be written as json writes its
+    cells, and columns of two lengths would lose rows."""
+    with pytest.raises(TypeError):
+        _dumps({"per_index": table})
+
+
+def test_simulate_with_non_finite_table_cell_exit_2(tmp_path, monkeypatch, capsys):
+    """A NaN in a runner's Table is one stderr line and exit 2, with no
+    directory, as for any value JSON cannot hold."""
+    def run(spec):
+        table = Table(i=np.arange(1, 3), B=np.array([1.0, math.nan]))
+        return {"experiment": "pointwise", "per_index": table}
+
+    monkeypatch.setattr("gfl.cli.run_experiment", run)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_BASE | {"experiment": "pointwise"}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not writing ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_table_in_json_and_csv_is_written_as_each_alone(tmp_path):
+    """``_write_outputs`` formats a Table that both files hold once, through
+    the memo; each file keeps the bytes it has when written on its own."""
+    table = _edge_table(60)
+    files = {"summary.json": {"per_index": table}, "per_index.csv": table}
+    _write_outputs(str(tmp_path / "both"), files, "h")
+    for name, content in files.items():
+        _write_outputs(str(tmp_path / name), {name: content}, "h")
+        _assert_same((tmp_path / "both" / name).read_text(), (tmp_path / name / name).read_text())
+    alone = _json_text("x", {"per_index": _row_dicts(table)}, "h")
+    _assert_same((tmp_path / "both" / "summary.json").read_text(), alone)
+    _assert_same((tmp_path / "both" / "per_index.csv").read_text(), _reference_csv(table, "h"))
 
 
 # -- pinned summary.json bytes -----------------------------------------------
