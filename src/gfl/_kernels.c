@@ -17,6 +17,7 @@
  * exported function names.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
@@ -358,25 +359,54 @@ double gfl_kkt(const double *y, const double *theta, ptrdiff_t n, int quantile, 
  * it, and grid[i*g .. i*g + g) its ratios at t = 1, 2, 4, ..., 2^(g-1),
  * where g is the bit length of h.  x and env are only read.  The NaN test
  * is kept out of the running maximum, so that each step's comparison
- * does not wait for the previous one. */
+ * does not wait for the previous one.
+ *
+ * A step off the grid whose ratio cannot exceed the running maximum m is
+ * not divided.  lil_bar gives mc = fl(m * (1 - 2^-51)) when mc and every
+ * fl(mc * env[t]) lie in [2^-900, DBL_MAX] (checked at the least and the
+ * largest env[t], as rounding is monotone), and -1 otherwise.  In range,
+ * each product is normal, so it is at most 1 + 2^-53 times its exact
+ * value, and q = fl(mc * env[t]) < m * env[t] exactly, env[t] >= lo
+ * being positive.  Then |s| <= q gives |s| / env[t] < m exactly, and,
+ * rounding being monotone and m a double, fl(|s| / env[t]) <= m: the ratio
+ * would leave m as it is.  A NaN or infinite |s|, or a NaN env[t], fails
+ * the test and is divided, as is every step while mc is -1 (m is then 0,
+ * tiny, huge, infinite or NaN, or an env value is not positive). */
+static inline double lil_bar(double m, double lo, double hi)
+{
+    double mc = m * (1.0 - 0x1p-51);
+
+    return mc >= 0x1p-900 && mc * lo >= 0x1p-900 && mc * hi <= DBL_MAX ? mc : -1.0;
+}
+
 void gfl_lil_chunk(const double *x, ptrdiff_t r, ptrdiff_t h, const double *env,
                    double *path_max, double *grid)
 {
     ptrdiff_t g = 0, i, t, k, next;
-    double s, v, m;
+    double s, v, m, mc, lo = INFINITY, hi = 0.0;
     int nan;
 
     for (t = h; t > 0; t >>= 1)
         g++;
+    for (t = 0; t < h; t++) {
+        lo = env[t] < lo ? env[t] : lo;
+        hi = env[t] > hi ? env[t] : hi;
+    }
     for (i = 0; i < r; i++, x += h, grid += g) {
         s = x[0];
         m = grid[0] = fabs(s) / env[0];
+        mc = lil_bar(m, lo, hi);
         nan = m != m;
         /* the grid steps t = 2^k sit at indices next = 2^k - 1 */
         for (t = 1, k = 1, next = 1; t < h; t++) {
             s = s + x[t];
+            if (t != next && fabs(s) <= mc * env[t])
+                continue;
             v = fabs(s) / env[t];
-            m = v > m ? v : m;
+            if (v > m) {
+                m = v;
+                mc = lil_bar(m, lo, hi);
+            }
             nan |= v != v;
             if (t == next) {
                 grid[k++] = v;

@@ -150,7 +150,10 @@ def _cells(values, memo: dict | None = None):
     """A CSV column's cells: an int or float as ``repr`` writes the Python
     number, a bool as 0/1, None as an empty cell.  A numeric column formats
     each distinct value once: the values are keyed by their bits, so -0.0
-    and 0.0 (and NaNs of different payloads) stay apart.  ``memo``, if
+    and 0.0 (and NaNs of different payloads) stay apart.  A non-decreasing
+    column (a NaN makes a column unsorted) takes them from its runs of equal
+    bits, one pass with no sort; a column with no repeated bits is written
+    from its own values, in its own order.  ``memo``, if
     given, maps a numeric column's dtype and bytes to its cells, so a column
     that two files write (a JSON row table and its CSV) is formatted once;
     an int and a float column of the same bytes have different keys, as 1
@@ -166,10 +169,18 @@ def _cells(values, memo: dict | None = None):
             memo[key] = _cells(a)
         return memo[key]
     a = np.ascontiguousarray(a)
-    uniq, at = np.unique(a.view(f"u{a.itemsize}"), return_inverse=True)
+    bits = a.view(f"u{a.itemsize}")
+    runs = (a[1:] >= a[:-1]).all()
+    if runs:  # each entry that differs from the one before starts a run
+        new = np.concatenate(([True], bits[1:] != bits[:-1]))[: a.size]
+        uniq = bits[new]
+    else:
+        uniq, at = np.unique(bits, return_inverse=True)
     # a memoryview hands out Python numbers, not numpy scalars
+    if uniq.size == a.size:
+        return list(map(repr, memoryview(a)))
     cells = np.array(list(map(repr, memoryview(uniq.view(a.dtype)))), dtype=object)
-    return cells[at].tolist()
+    return cells[np.cumsum(new) - 1 if runs else at].tolist()
 
 
 def _csv_blocks(table: dict, config_hash: str, memo: dict | None = None):

@@ -1,17 +1,21 @@
-/* A driver for the solver's kernels in _kernels.c, built with
- * AddressSanitizer and UndefinedBehaviorSanitizer by
+/* A driver for the kernels in _kernels.c, built with AddressSanitizer and
+ * UndefinedBehaviorSanitizer by
  * test_kernels.py::test_kernels_run_clean_under_sanitizers.  It includes
  * the kernels' source (compile it with -I and the source's directory), so
  * it calls them by their own definitions.
  *
- * Usage: kernels_driver CASES RESULTS.  CASES holds one record per case: an
- * int64 header {n, quantile, work size in doubles}, then the doubles
- * {lambda, tau} and y[0..n).  For each case the driver runs gfl_path, then
- * gfl_kkt twice, with z NULL and with z, and appends theta (n doubles), the
- * two residuals and z (n - 1 doubles) to RESULTS.  Every buffer is malloc'd
- * at exactly the size the kernels document, so a read or write past its end
- * is reported; a nonzero status from gfl_path, a short read or a failed
- * allocation exits 1.
+ * Usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS.  CASES holds
+ * one record per solver case: an int64 header {n, quantile, work size in
+ * doubles}, then the doubles {lambda, tau} and y[0..n).  For each case the
+ * driver runs gfl_path, then gfl_kkt twice, with z NULL and with z, and
+ * appends theta (n doubles), the two residuals and z (n - 1 doubles) to
+ * RESULTS.  LIL_CASES holds one record per chunk of paths: an int64 header
+ * {r, h}, then the doubles x[0..r*h) and env[0..h).  For each the driver
+ * runs gfl_lil_chunk and appends path_max (r doubles) and grid (r*g
+ * doubles, g the bit length of h) to LIL_RESULTS.  Every buffer is
+ * malloc'd at exactly the size the kernels document, so a read or write
+ * past its end is reported; a nonzero status from gfl_path, a short read
+ * or a failed allocation exits 1.
  */
 
 #include <stdint.h>
@@ -31,25 +35,24 @@ static double *alloc(size_t count)
     return p;
 }
 
-int main(int argc, char **argv)
+static void short_record(void)
 {
-    FILE *in, *out;
+    fprintf(stderr, "short case record\n");
+    exit(1);
+}
+
+static void solver_cases(FILE *in, FILE *out)
+{
     int64_t head[3];
     double par[2], resid[2], *y, *theta, *work, *state, *z;
     size_t n;
     int status;
 
-    if (argc != 3 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))) {
-        fprintf(stderr, "usage: kernels_driver CASES RESULTS\n");
-        return 1;
-    }
     while (fread(head, sizeof head, 1, in) == 1) {
         n = (size_t)head[0];
         y = alloc(n);
-        if (fread(par, sizeof par, 1, in) != 1 || fread(y, sizeof *y, n, in) != n) {
-            fprintf(stderr, "short case record\n");
-            return 1;
-        }
+        if (fread(par, sizeof par, 1, in) != 1 || fread(y, sizeof *y, n, in) != n)
+            short_record();
         theta = alloc(n);
         work = alloc((size_t)head[2]);
         state = alloc(4 * n - 2);
@@ -57,7 +60,7 @@ int main(int argc, char **argv)
         status = gfl_path(y, (ptrdiff_t)n, par[0], (int)head[1], par[1], theta, work);
         if (status) {
             fprintf(stderr, "gfl_path returned status %d at n = %zu\n", status, n);
-            return 1;
+            exit(1);
         }
         resid[0] = gfl_kkt(y, theta, (ptrdiff_t)n, (int)head[1], par[1], par[0], state, NULL);
         resid[1] = gfl_kkt(y, theta, (ptrdiff_t)n, (int)head[1], par[1], par[0], state, z);
@@ -71,6 +74,47 @@ int main(int argc, char **argv)
         free(state);
         free(z);
     }
+}
+
+static void lil_cases(FILE *in, FILE *out)
+{
+    int64_t head[2];
+    double *x, *env, *path_max, *grid;
+    size_t r, h, g;
+
+    while (fread(head, sizeof head, 1, in) == 1) {
+        r = (size_t)head[0];
+        h = (size_t)head[1];
+        for (g = 0; h >> g; g++)
+            ;
+        x = alloc(r * h);
+        env = alloc(h);
+        if (fread(x, sizeof *x, r * h, in) != r * h || fread(env, sizeof *env, h, in) != h)
+            short_record();
+        path_max = alloc(r);
+        grid = alloc(r * g);
+        gfl_lil_chunk(x, (ptrdiff_t)r, (ptrdiff_t)h, env, path_max, grid);
+        fwrite(path_max, sizeof *path_max, r, out);
+        fwrite(grid, sizeof *grid, r * g, out);
+        free(x);
+        free(env);
+        free(path_max);
+        free(grid);
+    }
+}
+
+int main(int argc, char **argv)
+{
+    FILE *in, *out, *lil_in, *lil_out;
+
+    if (argc != 5 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))
+        || !(lil_in = fopen(argv[3], "rb")) || !(lil_out = fopen(argv[4], "wb"))) {
+        fprintf(stderr, "usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS\n");
+        return 1;
+    }
+    solver_cases(in, out);
+    lil_cases(lil_in, lil_out);
     fclose(in);
-    return fclose(out) != 0;
+    fclose(lil_in);
+    return (fclose(out) != 0) | (fclose(lil_out) != 0);
 }

@@ -537,7 +537,9 @@ def _reference_csv(table: dict, config_hash: str) -> str:
 
 def test_csv_cells_follow_the_rule_cell_by_cell():
     """Formatting each distinct value once keeps every cell: values are
-    keyed by their bits, so 0.0 and -0.0 are not merged."""
+    keyed by their bits, so 0.0 and -0.0 are not merged, whether a column is
+    sorted (its values found from its runs), unsorted (found by a sort) or
+    all distinct (written from its own values)."""
     nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
     i64 = np.iinfo(np.int64)
     base = np.array([0.1, 0.1, -0.0, 7.0, 0.0, 7.0, -0.0, 0.3, 0.1, 2.0, 0.0, -0.0])
@@ -552,6 +554,14 @@ def test_csv_cells_follow_the_rule_cell_by_cell():
         "short": [0.25, -0.0, 0.25],
         "empty": np.empty(0),
         "last": [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+        "int_rising": np.array([i64.min, -5, 0, 7, 2**53 + 1, i64.max]),
+        "k_runs": np.array([1, 1, 1, 2, 2, 3, 3, 3, 3]),
+        "sorted_runs": np.array([-1.5, -1.5, -0.0, -0.0, 0.0, 0.0, 0.25, 0.25, 3.0]),
+        "sorted_nan": np.array([0.5, 0.5, 1.0, 2.0, nans[0], nans[0]]),
+        "distinct": np.array([0.3, -2.0, 1e-300, -0.0, 0.0, 7.5, 5e-324]),
+        "flag_sorted": np.array([False, False, True, True]),
+        "one": np.array([-0.0]),
+        "one_int": np.array([i64.max]),
     }
     assert not table["strided"].flags.c_contiguous
     assert "".join(_csv_blocks(table, "h")) == _reference_csv(table, "h")

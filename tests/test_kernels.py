@@ -225,10 +225,11 @@ SANITIZE = (
 
 def test_kernels_run_clean_under_sanitizers(tmp_path):
     """gfl_path (both losses) and gfl_kkt, without and with z, on the guard
-    test's inputs, built with AddressSanitizer and UBSan into a driver that
-    includes _kernels.c and mallocs every buffer at exactly its documented
-    size, so a read past a buffer is caught as well as a write; the results
-    are the library's."""
+    test's inputs, and gfl_lil_chunk on the skip test's, built with
+    AddressSanitizer and UBSan into a driver that includes _kernels.c and
+    mallocs every buffer at exactly its documented size, so a read past a
+    buffer is caught as well as a write; the results are the library's, and
+    the chunks' those of numpy."""
     trivial = tmp_path / "trivial.c"
     trivial.write_text("int main(void) { return 0; }\n")
     probe = subprocess.run([*SANITIZE, "-o", str(tmp_path / "trivial"), str(trivial)],
@@ -250,10 +251,14 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
             quantile = loss.kind != "square"
             fh.write(np.array([y.size, quantile, _work_size(y.size, quantile)], np.int64).tobytes())
             fh.write(np.array([lam, loss.tau if quantile else 0.0, *y]).tobytes())
+    chunks = list(lil_cases().values())
+    with open(tmp_path / "lil_cases", "wb") as fh:
+        for x, lil_env in chunks:
+            fh.write(np.array(x.shape, np.int64).tobytes() + x.tobytes() + lil_env.tobytes())
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1:halt_on_error=1",
            "UBSAN_OPTIONS": "print_stacktrace=1:halt_on_error=1"}
-    proc = subprocess.run([str(exe), "cases", "results"], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([str(exe), "cases", "results", "lil_cases", "lil_results"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
     # the library's results, computed only after the driver ran: a kernel
@@ -265,6 +270,9 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
         resid, z = check_kkt(problem, sol.theta_hat)
         want += [sol.theta_hat, [sol.kkt_residual, resid], z]
     assert (tmp_path / "results").read_bytes() == np.concatenate(want).tobytes()
+    with np.errstate(all="ignore"):
+        want = [a.ravel() for x, lil_env in chunks for a in numpy_chunk(x, lil_env)]
+    assert (tmp_path / "lil_results").read_bytes() == np.concatenate(want).tobytes()
 
 
 def lil_chunk(x, env, r, h):
@@ -302,6 +310,56 @@ def test_lil_chunk_writes_only_its_outputs(r, h):
     assert inputs_kept and intact
     assert (path_max >= 0.0).all() and (grid >= 0.0).all()
     want_max, want_grid = numpy_chunk(x, env)
+    assert path_max.tobytes() == want_max.tobytes() and grid.tobytes() == want_grid.tobytes()
+
+
+def lil_cases():
+    """{name: (x, env)}, x one row per path, that reach each branch of
+    gfl_lil_chunk's division skip.  A step off the grid is skipped only
+    when mc = fl(m * (1 - 2^-51)) and mc * env[t] are normal and finite;
+    steps 50 and 51 are off the grid, which holds indices 2^k - 1."""
+    h = 100
+    env = envelope(np.arange(1, h + 1), LilEnvelope(1.0, 0.1))
+    x = np.random.default_rng(5).standard_normal((3, h))
+    lead = x.copy()
+    lead[:, 0] = 10.0  # the maximum is set at t = 1, so most later steps skip
+    cases = {
+        # every ratio ties the running maximum, which a skip must not miss
+        "tie": (np.eye(1, h).repeat(2, axis=0), np.ones(h)),
+        "lead": (lead, env),
+        "zero_start": (np.c_[np.zeros(3), x[:, 1:]], env),  # the maximum starts at +0.0
+        "tiny_start": (np.c_[np.full(3, 1e-300), x[:, 1:]], env),
+        # m = 2^100 and env[t] = 2^(1023 t / 99): m * env[t] overflows from
+        # t = 90, so every step is divided
+        "overflow": (np.c_[np.full(3, 2.0**100), x[:, 1:]], 2.0 ** np.linspace(0, 1023, h)),
+    }
+    # a step whose |S_t| is exactly fl(m * env[t]) rounded up: its ratio
+    # exceeds m, so a test against fl(m * env[t]) unshrunk would skip it
+    u = np.random.default_rng(6).uniform(1.0, 2.0, (2, 64))
+    m, e = u[:, (u[0] * u[1]) / u[1] > u[0]][:, 0]
+    up = np.zeros((1, 8))
+    up[0, [0, 2]] = m, m * e - m  # m * e - m is exact (Sterbenz), so S_2 = fl(m * e)
+    cases["rounded_up"] = (up, np.r_[1.0, 1.0, e, np.full(5, 4.0)])
+    for k in (-905, -902, -900, -895, 1000, 1010, 1016):  # mc * env[t] near 2^-900 or DBL_MAX
+        cases[f"scale_2^{k}"] = (lead * 2.0**k, env * 2.0**k)
+    for name, value in (("inf", np.inf), ("nan", np.nan)):
+        steps = lead.copy()
+        steps[:, 50] = value
+        cases[f"{name}_after_max"] = (steps, env)
+        steps = cases["overflow"][0].copy()
+        steps[:, 95] = value
+        cases[f"{name}_after_overflow"] = (steps, cases["overflow"][1])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(lil_cases()))
+def test_lil_chunk_skips_only_divisions_that_cannot_move_the_maximum(name):
+    x, env = lil_cases()[name]
+    r, h = x.shape
+    path_max, grid, inputs_kept, intact = lil_chunk(x, env, r, h)
+    assert inputs_kept and intact
+    with np.errstate(all="ignore"):
+        want_max, want_grid = numpy_chunk(x, env)
     assert path_max.tobytes() == want_max.tobytes() and grid.tobytes() == want_grid.tobytes()
 
 
