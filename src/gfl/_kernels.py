@@ -1,5 +1,6 @@
-"""Build and load gfl's C kernels (``_kernels.c``): the solver's and the
-iterated-logarithm check's.
+"""Build and load gfl's C kernels (``_kernels.c``): the solver's, the
+iterated-logarithm check's and the number formatter that writes the CSV and
+JSON table cells.
 
 The library is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into this package's ``__pycache__``, once per SHA-256
@@ -19,6 +20,9 @@ float64 array, of arrays they have just made the same way (with
 ``np.empty``, and of C-contiguous rows of such an array, every output a
 writable one, or ``None`` (NULL) for an output a kernel may skip; they size
 every array and hold a reference to each for the length of the call.
+``cli.py`` passes the formatter the bytes (``tobytes``) of a float64 or int64
+block of a column and a ctypes char buffer of 25 bytes per value in the
+block.
 """
 
 from __future__ import annotations
@@ -96,3 +100,7 @@ lib.gfl_kkt.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _P, _P)
 lib.gfl_kkt.restype = ctypes.c_double
 lib.gfl_lil_chunk.argtypes = (_P, _N, _N, _P, _P, _P)
 lib.gfl_lil_chunk.restype = None
+lib.gfl_repr_double.argtypes = (_P, _N, _P)
+lib.gfl_repr_double.restype = _N
+lib.gfl_repr_int64.argtypes = (_P, _N, _P)
+lib.gfl_repr_int64.restype = _N

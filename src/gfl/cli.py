@@ -15,6 +15,7 @@ so a refused command writes no file; it then writes CSV rows
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import itertools
 import json
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__, solver
 from . import bounds as bnd
+from ._kernels import lib
 from .errors import ConfigError, GflError, PreconditionError
 from .lil import LilEnvelope, verify_paths
 from .losses import NoiseModel, make_loss
@@ -34,8 +36,12 @@ from .simulate import ExperimentSpec, Table, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
 
 
-# CSV rows joined and written at once
+# CSV rows joined and written at once, and values formatted per kernel call
 _CSV_BLOCK_ROWS = 4096
+# the C formatter for each dtype it writes; each cell takes at most 25
+# bytes, its newline included
+_REPR_KERNELS = {np.dtype(np.float64): lib.gfl_repr_double, np.dtype(np.int64): lib.gfl_repr_int64}
+_REPR_WIDTH = 25
 
 
 def _atomic_write(path: str, pieces) -> None:
@@ -90,8 +96,8 @@ _TABLE_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 def _table(table: Table, level: int, memo: dict | None = None) -> str:
     """``table`` as json writes its rows: a list of objects with sorted keys,
     ``[]`` for no rows.  json writes each number as ``repr``, so a column is
-    one ``_cells`` call (one ``repr`` per distinct value; ``memo`` hands the
-    cells to a CSV of the same column), and one ``%`` template lays out
+    one ``_cells`` call (each distinct value formatted once; ``memo`` hands
+    the cells to a CSV of the same column), and one ``%`` template lays out
     every row.  A non-finite float raises json's ``ValueError``."""
     keys = sorted(table)
     cols = [np.asarray(table[k]) for k in keys]
@@ -148,16 +154,18 @@ def _json_text(path: str, payload: dict, config_hash: str, memo: dict | None = N
 
 def _cells(values, memo: dict | None = None):
     """A CSV column's cells: an int or float as ``repr`` writes the Python
-    number, a bool as 0/1, None as an empty cell.  A numeric column formats
-    each distinct value once: the values are keyed by their bits, so -0.0
-    and 0.0 (and NaNs of different payloads) stay apart.  A non-decreasing
-    column (a NaN makes a column unsorted) takes them from its runs of equal
-    bits, one pass with no sort; a column with no repeated bits is written
-    from its own values, in its own order.  ``memo``, if
-    given, maps a numeric column's dtype and bytes to its cells, so a column
-    that two files write (a JSON row table and its CSV) is formatted once;
-    an int and a float column of the same bytes have different keys, as 1
-    and 1.0 have different cells."""
+    number, a bool as 0/1, None as an empty cell.  A float64 or int64 value
+    is written by the C formatter, whose bytes are ``repr``'s, and by
+    ``repr`` itself where the formatter leaves its cell empty (``_reprs``).
+    A numeric column formats each distinct value once: the values are keyed
+    by their bits, so -0.0 and 0.0 (and NaNs of different payloads) stay
+    apart.  A non-decreasing column (a NaN makes a column unsorted) takes
+    them from its runs of equal bits, one pass with no sort; a column with
+    no repeated bits is written from its own values, in its own order.
+    ``memo``, if given, maps a numeric column's dtype and bytes to its
+    cells, so a column that two files write (a JSON row table and its CSV)
+    is formatted once; an int and a float column of the same bytes have
+    different keys, as 1 and 1.0 have different cells."""
     a = np.asarray(values)
     if a.dtype == bool:
         a = a.view(np.uint8)
@@ -176,11 +184,36 @@ def _cells(values, memo: dict | None = None):
         uniq = bits[new]
     else:
         uniq, at = np.unique(bits, return_inverse=True)
-    # a memoryview hands out Python numbers, not numpy scalars
     if uniq.size == a.size:
-        return list(map(repr, memoryview(a)))
-    cells = np.array(list(map(repr, memoryview(uniq.view(a.dtype)))), dtype=object)
+        return _reprs(a)
+    cells = np.array(_reprs(uniq.view(a.dtype)), dtype=object)
     return cells[np.cumsum(new) - 1 if runs else at].tolist()
+
+
+def _reprs(a: np.ndarray) -> list:
+    """``repr`` of each value of the 1-D array ``a``, as the Python number.
+    A float64 or int64 array is written by the C formatter (``_kernels.c``),
+    whose cells are ``repr``'s byte for byte, ``_CSV_BLOCK_ROWS`` values per
+    call into one reused buffer; a cell it leaves empty (a subnormal, an
+    infinity, a NaN, or a float outside [2^-32, 2^151)) is then filled by
+    ``repr``.  Any other dtype (a bool column, as uint8) is ``repr``'d value
+    by value."""
+    kernel = _REPR_KERNELS.get(a.dtype)
+    if kernel is None:  # a memoryview hands out Python numbers, not numpy scalars
+        return list(map(repr, memoryview(a)))
+    buf = ctypes.create_string_buffer(_REPR_WIDTH * min(a.size, _CSV_BLOCK_ROWS))
+    cells = [""] * a.size
+    for start in range(0, a.size, _CSV_BLOCK_ROWS):
+        block = a[start : start + _CSV_BLOCK_ROWS]
+        # ctypes passes bytes as a pointer to their data
+        size = kernel(block.tobytes(), block.size, buf)
+        text = str(memoryview(buf)[:size], "ascii")
+        block_cells = text.split("\n")
+        block_cells.pop()  # after the last cell's newline
+        if text.startswith("\n") or "\n\n" in text:
+            block_cells = [c or repr(v) for c, v in zip(block_cells, memoryview(block))]
+        cells[start : start + block.size] = block_cells
+    return cells
 
 
 def _csv_blocks(table: dict, config_hash: str, memo: dict | None = None):

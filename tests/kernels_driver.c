@@ -4,7 +4,8 @@
  * the kernels' source (compile it with -I and the source's directory), so
  * it calls them by their own definitions.
  *
- * Usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS.  CASES holds
+ * Usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS REPR_CASES
+ * REPR_RESULTS.  CASES holds
  * one record per solver case: an int64 header {n, quantile, work size in
  * doubles}, then the doubles {lambda, tau} and y[0..n).  For each case the
  * driver runs gfl_path, then gfl_kkt twice, with z NULL and with z, and
@@ -12,10 +13,14 @@
  * RESULTS.  LIL_CASES holds one record per chunk of paths: an int64 header
  * {r, h}, then the doubles x[0..r*h) and env[0..h).  For each the driver
  * runs gfl_lil_chunk and appends path_max (r doubles) and grid (r*g
- * doubles, g the bit length of h) to LIL_RESULTS.  Every buffer is
- * malloc'd at exactly the size the kernels document, so a read or write
- * past its end is reported; a nonzero status from gfl_path, a short read
- * or a failed allocation exits 1.
+ * doubles, g the bit length of h) to LIL_RESULTS.  REPR_CASES holds one
+ * record per array of numbers: an int64 header {n, whether the values are
+ * float64}, then the n float64 or int64 values.  For each the driver runs
+ * gfl_repr_double or gfl_repr_int64 on the values at an odd address and
+ * appends the bytes it wrote to REPR_RESULTS.  Every buffer is malloc'd at exactly the size the kernels
+ * document (25 bytes per value for the formatter's text), so a read or
+ * write past its end is reported; a nonzero status from gfl_path, a short
+ * read or a failed allocation exits 1.
  */
 
 #include <stdint.h>
@@ -24,15 +29,20 @@
 
 #include "_kernels.c"
 
-static double *alloc(size_t count)
+static void *alloc_bytes(size_t size)
 {
-    double *p = malloc(count * sizeof *p);
+    void *p = malloc(size);
 
-    if (p == NULL && count > 0) {
-        fprintf(stderr, "cannot allocate %zu doubles\n", count);
+    if (p == NULL && size > 0) {
+        fprintf(stderr, "cannot allocate %zu bytes\n", size);
         exit(1);
     }
     return p;
+}
+
+static double *alloc(size_t count)
+{
+    return alloc_bytes(count * sizeof(double));
 }
 
 static void short_record(void)
@@ -103,18 +113,47 @@ static void lil_cases(FILE *in, FILE *out)
     }
 }
 
+static void repr_cases(FILE *in, FILE *out)
+{
+    int64_t head[2];
+    char *values, *text;
+    size_t n;
+    ptrdiff_t size;
+
+    while (fread(head, sizeof head, 1, in) == 1) {
+        n = (size_t)head[0];
+        /* the values one byte past an aligned address, as the kernels read
+         * them at any alignment */
+        values = alloc_bytes(8 * n + 1);
+        if (fread(values + 1, 8, n, in) != n)
+            short_record();
+        text = alloc_bytes(25 * n);
+        if (head[1])
+            size = gfl_repr_double(values + 1, (ptrdiff_t)n, text);
+        else
+            size = gfl_repr_int64(values + 1, (ptrdiff_t)n, text);
+        fwrite(text, 1, (size_t)size, out);
+        free(values);
+        free(text);
+    }
+}
+
 int main(int argc, char **argv)
 {
-    FILE *in, *out, *lil_in, *lil_out;
+    FILE *in, *out, *lil_in, *lil_out, *repr_in, *repr_out;
 
-    if (argc != 5 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))
-        || !(lil_in = fopen(argv[3], "rb")) || !(lil_out = fopen(argv[4], "wb"))) {
-        fprintf(stderr, "usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS\n");
+    if (argc != 7 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))
+        || !(lil_in = fopen(argv[3], "rb")) || !(lil_out = fopen(argv[4], "wb"))
+        || !(repr_in = fopen(argv[5], "rb")) || !(repr_out = fopen(argv[6], "wb"))) {
+        fprintf(stderr, "usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS "
+                        "REPR_CASES REPR_RESULTS\n");
         return 1;
     }
     solver_cases(in, out);
     lil_cases(lil_in, lil_out);
+    repr_cases(repr_in, repr_out);
     fclose(in);
     fclose(lil_in);
-    return (fclose(out) != 0) | (fclose(lil_out) != 0);
+    fclose(repr_in);
+    return (fclose(out) != 0) | (fclose(lil_out) != 0) | (fclose(repr_out) != 0);
 }

@@ -22,6 +22,7 @@ from gfl import _kernels
 from gfl.lil import LilEnvelope, envelope
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.solver import FusedLassoProblem, _work_size, check_kkt, solve
+from test_repr_cells import boundary_values, left_to_repr
 
 Y = np.cos(np.arange(200) * 0.37) * 3.0
 LOSSES = (SquareLoss(), QuantileLoss(0.3))
@@ -117,7 +118,9 @@ def test_kernels_compile_clean_with_warnings_as_errors(tmp_path):
 
 # A definition that starts a line and is not static is exported.
 DEFINITION = re.compile(r"^(?!static\b)(\w+) +(\w+)\(([^)]*)\)\s*\{", re.M)
-RESTYPES = {"int": ctypes.c_int, "double": ctypes.c_double, "void": None}
+RESTYPES = {"int": ctypes.c_int, "double": ctypes.c_double, "ptrdiff_t": ctypes.c_ssize_t,
+            "void": None}
+EXPORTED = {"gfl_path", "gfl_kkt", "gfl_lil_chunk", "gfl_repr_double", "gfl_repr_int64"}
 
 
 def test_every_exported_kernel_matches_its_ctypes_prototype():
@@ -133,7 +136,7 @@ def test_every_exported_kernel_matches_its_ctypes_prototype():
         name for name, f in vars(lib).items()
         if isinstance(f, lib._FuncPtr) and f.argtypes is not None
     }
-    assert set(defined) == declared and all(n.startswith("gfl_") for n in defined)
+    assert set(defined) == declared == EXPORTED
     for name, (restype, params) in defined.items():
         f = getattr(lib, name)
         assert len(params.split(",")) == len(f.argtypes), name
@@ -225,11 +228,13 @@ SANITIZE = (
 
 def test_kernels_run_clean_under_sanitizers(tmp_path):
     """gfl_path (both losses) and gfl_kkt, without and with z, on the guard
-    test's inputs, and gfl_lil_chunk on the skip test's, built with
+    test's inputs, gfl_lil_chunk on the skip test's, and the formatter on
+    the repr tests' edge values and their negatives, built with
     AddressSanitizer and UBSan into a driver that includes _kernels.c and
     mallocs every buffer at exactly its documented size, so a read past a
-    buffer is caught as well as a write; the results are the library's, and
-    the chunks' those of numpy."""
+    buffer is caught as well as a write; the results are the library's, the
+    chunks' those of numpy, and each cell repr's or empty where the
+    formatter leaves it to repr."""
     trivial = tmp_path / "trivial.c"
     trivial.write_text("int main(void) { return 0; }\n")
     probe = subprocess.run([*SANITIZE, "-o", str(tmp_path / "trivial"), str(trivial)],
@@ -255,9 +260,14 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     with open(tmp_path / "lil_cases", "wb") as fh:
         for x, lil_env in chunks:
             fh.write(np.array(x.shape, np.int64).tobytes() + x.tobytes() + lil_env.tobytes())
+    numbers = [sign * a for a in boundary_values().values() for sign in (1, -1)]
+    with open(tmp_path / "repr_cases", "wb") as fh:
+        for a in numbers:
+            fh.write(np.array([a.size, a.dtype == np.float64], np.int64).tobytes() + a.tobytes())
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1:halt_on_error=1",
            "UBSAN_OPTIONS": "print_stacktrace=1:halt_on_error=1"}
-    proc = subprocess.run([str(exe), "cases", "results", "lil_cases", "lil_results"],
+    proc = subprocess.run([str(exe), "cases", "results", "lil_cases", "lil_results",
+                           "repr_cases", "repr_results"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
@@ -273,6 +283,12 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     with np.errstate(all="ignore"):
         want = [a.ravel() for x, lil_env in chunks for a in numpy_chunk(x, lil_env)]
     assert (tmp_path / "lil_results").read_bytes() == np.concatenate(want).tobytes()
+    cells = (tmp_path / "repr_results").read_text("ascii").split("\n")[:-1]
+    want = [repr(v) for a in numbers for v in a.tolist()]
+    empty = np.concatenate([
+        left_to_repr(a) if a.dtype == np.float64 else np.zeros(a.size, bool) for a in numbers
+    ])
+    assert cells == ["" if e else c for c, e in zip(want, empty.tolist())]
 
 
 def lil_chunk(x, env, r, h):
