@@ -21,8 +21,8 @@ float64 array, of arrays they have just made the same way (with
 writable one, or ``None`` (NULL) for an output a kernel may skip; they size
 every array and hold a reference to each for the length of the call.
 ``cli.py`` passes the formatter the bytes (``tobytes``) of a float64 or int64
-block of a column and a ctypes char buffer of 25 bytes per value in the
-block.
+array (a CSV column's block of at most 4096 rows, or a whole column of a
+JSON row table) and a ctypes char buffer of 25 bytes per value in it.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ config hash in their header.  The JSON files hold the bytes
 ``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by json's C
 encoder, except a ``Table`` (a row table of numpy columns), which is written
 as its list of rows a column at a time, as its CSV is.  A command makes
-every JSON text and every CSV cell before it creates the output directory,
-so a refused command writes no file; it then writes CSV rows
-``_CSV_BLOCK_ROWS`` at a time, so no CSV file's text is held whole.
+every JSON text before it creates the output directory, so a refused
+command writes no file; it then formats and writes each CSV
+``_CSV_BLOCK_ROWS`` rows at a time, so no CSV's cells are held whole.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .simulate import ExperimentSpec, Table, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
 
 
-# CSV rows joined and written at once, and values formatted per kernel call
+# CSV rows formatted, joined and written at once
 _CSV_BLOCK_ROWS = 4096
 # the C formatter for each dtype it writes; each cell takes at most 25
 # bytes, its newline included
@@ -93,12 +93,11 @@ def _key(k) -> str:
 _TABLE_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
-def _table(table: Table, level: int, memo: dict | None = None) -> str:
+def _table(table: Table, level: int) -> str:
     """``table`` as json writes its rows: a list of objects with sorted keys,
     ``[]`` for no rows.  json writes each number as ``repr``, so a column is
-    one ``_cells`` call (each distinct value formatted once; ``memo`` hands
-    the cells to a CSV of the same column), and one ``%`` template lays out
-    every row.  A non-finite float raises json's ``ValueError``."""
+    one ``_cells`` call, as a CSV's block of it is, and one ``%`` template
+    lays out every row.  A non-finite float raises json's ``ValueError``."""
     keys = sorted(table)
     cols = [np.asarray(table[k]) for k in keys]
     if any(a.dtype not in _TABLE_DTYPES for a in cols) or len({a.shape for a in cols}) > 1:
@@ -108,7 +107,7 @@ def _table(table: Table, level: int, memo: dict | None = None) -> str:
             _c_encoder(",")(float(a[~np.isfinite(a)][0]))  # raises json's ValueError
     if not cols or not cols[0].size:
         return "[]"
-    cells = [_cells(a, memo) for a in cols]
+    cells = [_cells(a) for a in cols]
     row_indent, field_indent = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
     template = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
@@ -116,7 +115,7 @@ def _table(table: Table, level: int, memo: dict | None = None) -> str:
     return "[" + row_indent + body + "\n" + "  " * level + "]"
 
 
-def _dumps(obj, level: int = 0, memo: dict | None = None) -> str:
+def _dumps(obj, level: int = 0) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
 
     With ``indent`` set, json runs its pure-Python encoder, one generator step
@@ -124,10 +123,10 @@ def _dumps(obj, level: int = 0, memo: dict | None = None) -> str:
     non-empty container inside is one call whose item separator carries the
     newline and indent of its level, a Table is written a column at a time
     (``_table``), and only what remains recurses here, a container at a
-    time.  ``memo`` is ``_cells``'.
+    time.
     """
     if isinstance(obj, Table):
-        return _table(obj, level, memo)
+        return _table(obj, level)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _c_encoder(",")(obj)
     values = obj.values() if isinstance(obj, dict) else obj
@@ -137,115 +136,77 @@ def _dumps(obj, level: int = 0, memo: dict | None = None) -> str:
         text = _c_encoder("," + indent)(obj)
         return text[0] + indent + text[1:-1] + close + text[-1]
     if isinstance(obj, dict):
-        parts = [f"{_key(k)}: {_dumps(v, level + 1, memo)}" for k, v in sorted(obj.items())]
+        parts = [f"{_key(k)}: {_dumps(v, level + 1)}" for k, v in sorted(obj.items())]
         return "{" + indent + ("," + indent).join(parts) + close + "}"
-    items = (_dumps(v, level + 1, memo) for v in obj)
+    items = (_dumps(v, level + 1) for v in obj)
     return "[" + indent + ("," + indent).join(items) + close + "]"
 
 
-def _json_text(path: str, payload: dict, config_hash: str, memo: dict | None = None) -> str:
+def _json_text(path: str, payload: dict, config_hash: str) -> str:
     """The text of the JSON file ``path``: the header fields, then ``payload``."""
     payload = {"version": __version__, "config_hash": config_hash} | payload
     try:
-        return _dumps(payload, memo=memo) + "\n"
+        return _dumps(payload) + "\n"
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise GflError(f"not writing {path}: {exc}") from exc
 
 
-def _cells(values, memo: dict | None = None):
+def _cells(values) -> list:
     """A CSV column's cells: an int or float as ``repr`` writes the Python
-    number, a bool as 0/1, None as an empty cell.  A float64 or int64 value
-    is written by the C formatter, whose bytes are ``repr``'s, and by
-    ``repr`` itself where the formatter leaves its cell empty (``_reprs``).
-    A numeric column formats each distinct value once: the values are keyed
-    by their bits, so -0.0 and 0.0 (and NaNs of different payloads) stay
-    apart.  A non-decreasing column (a NaN makes a column unsorted) takes
-    them from its runs of equal bits, one pass with no sort; a column with
-    no repeated bits is written from its own values, in its own order.
-    ``memo``, if given, maps a numeric column's dtype and bytes to its
-    cells, so a column that two files write (a JSON row table and its CSV)
-    is formatted once; an int and a float column of the same bytes have
-    different keys, as 1 and 1.0 have different cells."""
+    number, a bool as 0/1, None as an empty cell.  A bool column is written
+    as int64; a float64 or int64 column is one call of the C formatter
+    (``_kernels.c``), whose cells are ``repr``'s byte for byte, and ``repr``
+    fills each cell it leaves empty (a subnormal, an infinity, a NaN, or a
+    float outside [2^-32, 2^151)).  A column holding None, or of any other
+    dtype, is ``repr``'d value by value."""
     a = np.asarray(values)
     if a.dtype == bool:
-        a = a.view(np.uint8)
+        a = a.astype(np.int64)
     if a.dtype == object:  # a column holding None
         return ["" if v is None else repr(v) for v in a.tolist()]
-    if memo is not None:
-        key = (a.dtype.str, a.tobytes())
-        if key not in memo:
-            memo[key] = _cells(a)
-        return memo[key]
-    a = np.ascontiguousarray(a)
-    bits = a.view(f"u{a.itemsize}")
-    runs = (a[1:] >= a[:-1]).all()
-    if runs:  # each entry that differs from the one before starts a run
-        new = np.concatenate(([True], bits[1:] != bits[:-1]))[: a.size]
-        uniq = bits[new]
-    else:
-        uniq, at = np.unique(bits, return_inverse=True)
-    if uniq.size == a.size:
-        return _reprs(a)
-    cells = np.array(_reprs(uniq.view(a.dtype)), dtype=object)
-    return cells[np.cumsum(new) - 1 if runs else at].tolist()
-
-
-def _reprs(a: np.ndarray) -> list:
-    """``repr`` of each value of the 1-D array ``a``, as the Python number.
-    A float64 or int64 array is written by the C formatter (``_kernels.c``),
-    whose cells are ``repr``'s byte for byte, ``_CSV_BLOCK_ROWS`` values per
-    call into one reused buffer; a cell it leaves empty (a subnormal, an
-    infinity, a NaN, or a float outside [2^-32, 2^151)) is then filled by
-    ``repr``.  Any other dtype (a bool column, as uint8) is ``repr``'d value
-    by value."""
     kernel = _REPR_KERNELS.get(a.dtype)
-    if kernel is None:  # a memoryview hands out Python numbers, not numpy scalars
-        return list(map(repr, memoryview(a)))
-    buf = ctypes.create_string_buffer(_REPR_WIDTH * min(a.size, _CSV_BLOCK_ROWS))
-    cells = [""] * a.size
-    for start in range(0, a.size, _CSV_BLOCK_ROWS):
-        block = a[start : start + _CSV_BLOCK_ROWS]
-        # ctypes passes bytes as a pointer to their data
-        size = kernel(block.tobytes(), block.size, buf)
-        text = str(memoryview(buf)[:size], "ascii")
-        block_cells = text.split("\n")
-        block_cells.pop()  # after the last cell's newline
-        if text.startswith("\n") or "\n\n" in text:
-            block_cells = [c or repr(v) for c, v in zip(block_cells, memoryview(block))]
-        cells[start : start + block.size] = block_cells
+    if kernel is None:  # tolist hands out Python numbers, not numpy scalars
+        return list(map(repr, a.tolist()))
+    buf = ctypes.create_string_buffer(_REPR_WIDTH * a.size)
+    # ctypes passes bytes as a pointer to their data
+    text = str(memoryview(buf)[: kernel(a.tobytes(), a.size, buf)], "ascii")
+    cells = text.split("\n")
+    cells.pop()  # after the last cell's newline
+    if text.startswith("\n") or "\n\n" in text:
+        cells = [c or repr(v) for c, v in zip(cells, a.tolist())]
     return cells
 
 
-def _csv_blocks(table: dict, config_hash: str, memo: dict | None = None):
+def _csv_blocks(table: dict, config_hash: str):
     """``table``, {column name: values}, as CSV text in pieces: the header,
     then the rows ``_CSV_BLOCK_ROWS`` at a time; a column shorter than the
-    others ends in empty cells.  Every cell is formatted here, before the
-    first piece is taken.  ``memo`` is ``_cells``'."""
-    columns = [_cells(v, memo) for v in table.values()]
-    header = f"# version={__version__} config_hash={config_hash}\n" + ",".join(table) + "\n"
-    rows = map(",".join, itertools.zip_longest(*columns, fillvalue=""))
-    blocks = iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), [])
-    # the "" after a block's last row ends that row in a newline
-    return itertools.chain([header], ("\n".join([*block, ""]) for block in blocks))
+    others ends in empty cells.  Each block's cells are formatted as the
+    block is taken, so no column's cells are held whole."""
+    yield f"# version={__version__} config_hash={config_hash}\n" + ",".join(table) + "\n"
+    columns = [np.asarray(v) for v in table.values()]
+    rows = max((len(a) for a in columns), default=0)
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        cells = [_cells(a[start : start + _CSV_BLOCK_ROWS]) for a in columns]
+        lines = map(",".join, itertools.zip_longest(*cells, fillvalue=""))
+        # the "" after the block's last row ends that row in a newline
+        yield "\n".join([*lines, ""])
 
 
 def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
     """Write ``files``, {file name: content}, into ``out_dir`` in their order:
     a ``.json`` name through ``_json_text``, any other as a CSV table
-    (``_csv_blocks``).  Every JSON text and every CSV cell is made before
-    the directory is made or a file written, so a file that cannot be
-    encoded leaves nothing behind; a CSV's rows are then joined and written
-    ``_CSV_BLOCK_ROWS`` at a time.  A JSON file's Tables put their columns
-    in a memo, in which a later CSV looks its columns up, so a Table that
-    ``summary.json`` and a CSV both hold is formatted once; with no Table,
-    no CSV column is keyed."""
-    pieces, memo = {}, {}
+    (``_csv_blocks``).  Every JSON text is made before the directory is
+    made or a file written, so a value JSON cannot hold leaves nothing
+    behind.  A CSV cell cannot fail to format (each value is an int, a
+    float, a bool or None), so a CSV is formatted as it is written,
+    ``_CSV_BLOCK_ROWS`` rows at a time."""
+    pieces = {}
     for name, content in files.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".json"):
-            pieces[path] = [_json_text(path, content, config_hash, memo)]
+            pieces[path] = [_json_text(path, content, config_hash)]
         else:
-            pieces[path] = _csv_blocks(content, config_hash, memo or None)
+            pieces[path] = _csv_blocks(content, config_hash)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -5,8 +5,8 @@
 here as the oracle; a ``Table`` (a row table held as numpy columns) must
 give the bytes of its rows as dicts.  The ``summary.json`` of one small
 config per experiment, and every file of small ``simulate``, ``solve``,
-``bounds`` and ``lil`` runs, are pinned by their SHA-256.  The CSV writer, which formats
-each distinct value of a column once, must give the cells of the
+``bounds`` and ``lil`` runs, are pinned by their SHA-256.  The CSV writer,
+which formats a block of rows at a time, must give the cells of the
 documented rule applied one cell at a time.
 """
 
@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,10 +183,6 @@ def _assert_same(got: str, want: str) -> None:
 def test_tables_with_repeats_match_json_dumps():
     rows = _repeats_table()
     _assert_same(_dumps(rows), oracle(rows))
-    # a memo is only for Table columns: row dicts leave it unused
-    memo = {}
-    _assert_same(_dumps(rows, memo=memo), oracle(rows))
-    assert memo == {}
     _assert_same(_dumps({"per_index": rows, "n": 1}), oracle({"per_index": rows, "n": 1}))
 
 
@@ -240,7 +237,7 @@ def _edge_table(rows: int = 1200) -> Table:
             "zeros": np.where(r % 2 == 1, -0.0, 0.0),
             "floats": np.array([0.1, 1e16, 5e-324, -2.5, 1e308, -1e308])[r % 6],
             "int64": np.array([i64.min, i64.max, 0, -1])[r % 4],
-            # the bits of 1.0 as an int: a memo keys a column by dtype and bits
+            # the bits of 1.0 as an int, beside a column of 1.0
             "bits_of_one": np.full(rows, 4607182418800017408),
             "one": np.ones(rows),
             "%s": r % 3 - 1,
@@ -255,7 +252,6 @@ def test_table_is_written_as_its_rows():
     result = {"per_index": table, "n": 1, "provenance": {"seed": 3}}
     want = oracle({"per_index": rows, "n": 1, "provenance": {"seed": 3}})
     _assert_same(_dumps(result), want)
-    _assert_same(_dumps(result, memo={}), want)
     _assert_same(_dumps(table), oracle(rows))
     _assert_same(_dumps([table, {"t": table}]), oracle([rows, {"t": rows}]))
     header = {"version": __version__, "config_hash": "h"}
@@ -342,8 +338,8 @@ def test_simulate_with_non_finite_table_cell_exit_2(tmp_path, monkeypatch, capsy
 
 
 def test_a_table_in_json_and_csv_is_written_as_each_alone(tmp_path):
-    """``_write_outputs`` formats a Table that both files hold once, through
-    the memo; each file keeps the bytes it has when written on its own."""
+    """A Table that ``summary.json`` and a CSV both hold: each file keeps
+    the bytes it has when written on its own."""
     table = _edge_table(60)
     files = {"summary.json": {"per_index": table}, "per_index.csv": table}
     _write_outputs(str(tmp_path / "both"), files, "h")
@@ -536,10 +532,9 @@ def _reference_csv(table: dict, config_hash: str) -> str:
 
 
 def test_csv_cells_follow_the_rule_cell_by_cell():
-    """Formatting each distinct value once keeps every cell: values are
-    keyed by their bits, so 0.0 and -0.0 are not merged, whether a column is
-    sorted (its values found from its runs), unsorted (found by a sort) or
-    all distinct (written from its own values)."""
+    """Every cell follows the rule: 0.0 and -0.0 and NaNs of two payloads
+    keep their own cells, whether a column is sorted, unsorted, all
+    distinct, strided, of bools, of float32, holding None, short or empty."""
     nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
     i64 = np.iinfo(np.int64)
     base = np.array([0.1, 0.1, -0.0, 7.0, 0.0, 7.0, -0.0, 0.3, 0.1, 2.0, 0.0, -0.0])
@@ -589,6 +584,25 @@ def test_csv_rows_in_blocks_match_the_rule():
     pieces = list(_csv_blocks(table, "h"))
     _assert_same("".join(pieces), _reference_csv(table, "h"))
     assert [p.count("\n") for p in pieces] == [2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 1]
+
+
+def test_csv_is_written_without_holding_its_cells(tmp_path):
+    """A CSV's cells are formatted a block of rows at a time as its file is
+    written, so writing a 2^16-row table (``gfl solve``'s columns, ``z`` one
+    value short) allocates less than the file it writes holds."""
+    n = 2**16
+    rng = np.random.default_rng(3)
+    table = {"i": np.arange(1, n + 1), "y": rng.standard_normal(n),
+             "theta_hat": rng.standard_normal(n), "z": rng.standard_normal(n - 1)}
+    tracemalloc.start()
+    try:
+        _write_outputs(str(tmp_path), {"solution.csv": table}, "h")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "solution.csv").read_text()
+    _assert_same(text, _reference_csv(table, "h"))
+    assert peak < len(text)
 
 
 @pytest.mark.parametrize("command", ["solve", "bounds"])

@@ -1,7 +1,7 @@
 """A numeric cell is ``repr`` of the Python number, byte for byte.  The C
 formatter in ``_kernels.c`` writes float64 and int64 cells; it leaves a
 subnormal, an infinity, a NaN and a float outside [2^-32, 2^151) empty, and
-``_reprs`` fills those with ``repr``."""
+``_cells`` fills those with ``repr``."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfl import _kernels
-from gfl.cli import _CSV_BLOCK_ROWS, _REPR_WIDTH, _cells, _reprs
+from gfl.cli import _CSV_BLOCK_ROWS, _REPR_WIDTH, _cells, _csv_blocks
+from test_json_output import _reference_csv
 
 # the kernel's range, as biased exponents: [2^-32, 2^151)
 LEAST, GREATEST = 1023 - 32, 1023 + 150
@@ -81,18 +82,20 @@ def test_kernel_range_is_as_documented():
 
 
 def test_blocks_keep_order_and_fill_empty_cells_at_their_edges():
-    # more than two blocks, cells left to repr at the first and last value of
-    # blocks, and a column that is all such cells
+    # more than two blocks of rows, cells left to repr at the first and last
+    # value of blocks, and a column that is all such cells
     n = 2 * _CSV_BLOCK_ROWS + 3
     a = np.random.default_rng(2).standard_normal(n)
     for i, v in zip([0, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, n - 1], [np.nan, np.inf, 5e-324, 1e300]):
         a[i] = v
-    assert _reprs(a) == repr_cells(a)
-    assert _reprs(a[:1]) == ["nan"] and _reprs(a[:0]) == []
-    edge = np.array([-np.inf, 1e-320, 2.0**200, np.nan])
-    assert _reprs(edge) == repr_cells(edge)
     ints = np.arange(-n, n, 2, dtype=np.int64) * 4_000_000_000_037
-    assert _reprs(ints) == repr_cells(ints)
+    table = {"a": a, "ints": ints, "reversed": a[::-1]}
+    assert "".join(_csv_blocks(table, "h")) == _reference_csv(table, "h")
+    assert _cells(a) == repr_cells(a)
+    assert _cells(a[:1]) == ["nan"] and _cells(a[:0]) == []
+    edge = np.array([-np.inf, 1e-320, 2.0**200, np.nan])
+    assert _cells(edge) == repr_cells(edge)
+    assert "".join(_csv_blocks({"edge": edge}, "h")) == _reference_csv({"edge": edge}, "h")
 
 
 @settings(max_examples=200, deadline=None)
