@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from gfl.simulate import ExperimentSpec, run_rate_sweep
+from gfl.simulate import ExperimentSpec, run_experiment
 from run_all_experiments import RATE_SWEEP
 
 
@@ -25,7 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = RATE_SWEEP | {"replications": args.replications, "seed": args.seed}
-    res = run_rate_sweep(ExperimentSpec.from_config(cfg))
+    res, _ = run_experiment(ExperimentSpec.from_config(cfg))
     slope = res["d_sweep"]["slope"]
     cp_ratio = res["n_sweep"]["change_point_ratio"]
     shrink = res["n_sweep"]["interior_shrink_factor"]

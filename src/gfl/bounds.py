@@ -179,8 +179,7 @@ def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
     """
     _check_growth_L(L)
     _check_positive("lambda", lam)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
+    _check_delta(delta, upper=1.0)
     l1d = math.log(1.0 / delta)
     m_min = geometry.m_min
     mmin_floor = 36.0 / (L * L) * l1d

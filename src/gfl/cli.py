@@ -1,9 +1,11 @@
 """Command-line entry point: solve, bounds, lil, simulate.
 
-Exit codes: 0 success, 2 config/input error (an input too large to
-allocate included), 3 mathematical precondition failure.  All outputs are
-written atomically (temp file + rename) and carry the package version and a
-config hash in their header.  The JSON files hold the bytes
+Each command returns its config and its files, {file name: content}; ``main``
+hashes the config and writes the files.  Exit codes: 0 success, 2
+config/input error (an input too large to allocate included), 3
+mathematical precondition failure.  All outputs are written atomically
+(temp file + rename) and carry the package version and the config's hash in
+their header.  The JSON files hold the bytes
 ``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by json's C
 encoder, except a ``Table`` (a row table of numpy columns), which is written
 as its list of rows a column at a time, as its CSV is.  A command makes
@@ -252,12 +254,10 @@ def _read_values(path: str) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     y = _read_values(args.input)
     loss = make_loss(args.loss, args.tau)
-    cfg_hash = hash_config(
-        {"cmd": "solve", "lambda": args.lam, "loss": args.loss, "tau": args.tau, "n": int(y.size)}
-    )
+    cfg = {"cmd": "solve", "lambda": args.lam, "loss": args.loss, "tau": args.tau, "n": y.size}
     problem = FusedLassoProblem(y=y, lam=args.lam, loss=loss)
     sol = solve(problem)
     _, z = solver.check_kkt(problem, sol.theta_hat)
@@ -269,10 +269,9 @@ def _cmd_solve(args) -> int:
         "lambda": args.lam,
         "loss": args.loss,
         "tau": args.tau,
-        "n": int(y.size),
+        "n": y.size,
     }
-    _write_outputs(args.out_dir, {"solution.csv": table, "solution.json": payload}, cfg_hash)
-    return 0
+    return cfg, {"solution.csv": table, "solution.json": payload}
 
 
 def _parse_signal(args) -> PiecewiseConstantSignal:
@@ -286,7 +285,7 @@ def _parse_signal(args) -> PiecewiseConstantSignal:
     return signal
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     signal = _parse_signal(args)
     geom = signal.geometry()
     params = bnd.BoundParams(
@@ -300,7 +299,6 @@ def _cmd_bounds(args) -> int:
         "lambda": args.lam,
         "growth_L": args.growth_L,
     }
-    cfg_hash = hash_config(cfg)
     report = bnd.bound_report(geom, params)
     table = {
         "i": np.arange(1, geom.n + 1),
@@ -321,11 +319,10 @@ def _cmd_bounds(args) -> int:
         "B_max": float(report.B.max()),
         "B_min": float(report.B.min()),
     }
-    _write_outputs(args.out_dir, {"bounds.csv": table, "bounds.json": payload}, cfg_hash)
-    return 0
+    return cfg, {"bounds.csv": table, "bounds.json": payload}
 
 
-def _cmd_lil(args) -> int:
+def _cmd_lil(args):
     env = LilEnvelope(sigma=args.sigma, delta=args.delta)
     noise = NoiseModel(kind="gaussian", scale=args.sigma)
     cfg = {
@@ -336,33 +333,9 @@ def _cmd_lil(args) -> int:
         "paths": args.paths,
         "seed": args.seed,
     }
-    cfg_hash = hash_config(cfg)
     res = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed)
     table = res.pop("ratio_quantiles")
-    _write_outputs(args.out_dir, {"lil.csv": table, "lil.json": {"inputs": cfg} | res}, cfg_hash)
-    return 0
-
-
-# The CSV tables of each experiment's result, {file name: table}; a table
-# with no rows is not written.
-_EXPERIMENT_CSVS = {
-    "pointwise": lambda r: {"per_index.csv": r["per_index"]},
-    "elementwise_quantile": lambda r: {"per_index.csv": r["per_index"]},
-    "sse": lambda r: {
-        "sse.csv": {"replication": np.arange(len(r["sse_samples"])), "sse": r["sse_samples"]}
-    },
-    "rate_sweep": lambda r: {
-        "plotdata_d_sweep.csv": (
-            {c: r["d_sweep"][c] for c in ("d", "median_err")} if "d_sweep" in r else {}
-        ),
-        "plotdata_n_sweep.csv": r["n_sweep"]["rows"] if "n_sweep" in r else {},
-    },
-    "lambda_sweep": lambda r: {
-        "plotdata_lambda_sweep.csv": {
-            "lambda": r["lambda_grid"], "mean_sse": r["mean_sse"], "bound": r["bound"]
-        }
-    },
-}
+    return cfg, {"lil.csv": table, "lil.json": {"inputs": cfg} | res}
 
 
 def _refuse_constant(name: str):
@@ -370,7 +343,7 @@ def _refuse_constant(name: str):
     raise ConfigError(f"config holds {name}, which is not a JSON value")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh, parse_constant=_refuse_constant)
@@ -383,13 +356,8 @@ def _cmd_simulate(args) -> int:
             raise ConfigError("config must be a JSON object")
         cfg["seed"] = args.seed
     spec = ExperimentSpec.from_config(cfg)
-    result = run_experiment(spec)
-    tables = _EXPERIMENT_CSVS[result["experiment"]](result)
-    files = {"summary.json": result} | {
-        name: t for name, t in tables.items() if len(next(iter(t.values()), ()))
-    }
-    _write_outputs(args.out_dir, files, spec.config_hash())
-    return 0
+    summary, tables = run_experiment(spec)
+    return spec.to_config(), {"summary.json": summary} | tables
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +409,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg, files = args.func(args)
+        _write_outputs(args.out_dir, files, hash_config(cfg))
+        return 0
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3

@@ -109,12 +109,11 @@ class NoiseModel(Value):
         return 0.5 + np.arctan(x / s) / math.pi  # cauchy
 
     def _base_pdf(self, x):
+        # not for uniform noise, whose density growth_constant (the one caller) knows
         x = np.asarray(x, dtype=float)
         s = self.scale
         if self.kind == "gaussian":
             return np.exp(-0.5 * (x / s) ** 2) / (s * _SQRT2PI)
-        if self.kind == "uniform":
-            return np.where(np.abs(x) <= s, 1.0 / (2.0 * s), 0.0)
         if self.kind == "laplace":
             return np.exp(-np.abs(x) / s) / (2.0 * s)
         return s / (math.pi * (s * s + x * x))  # cauchy

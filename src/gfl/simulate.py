@@ -1,10 +1,13 @@
 """Seeded Monte Carlo experiments: generate data, solve, compare to bounds.
 
 Every experiment is described by an ExperimentSpec (parsed from a JSON config)
-and returns a dict result that serializes byte-identically given the same
-(spec, seed); its row tables (``per_index``, ``n_sweep.rows``) are Tables of
-numpy columns.  Replication seeds are derived from the base seed with a
-splitmix64 mix so replications are independent and order-insensitive.
+and run by ``run_experiment``, which returns ``(summary, tables)``: the dict
+that ``summary.json`` holds and the experiment's CSVs, {file name: columns},
+built from the arrays the runner already has.  Both serialize byte-identically
+given the same (spec, seed); the row tables (``per_index``, ``n_sweep.rows``)
+are Tables of numpy columns.  Replication seeds are derived from the base
+seed with a splitmix64 mix so replications are independent and
+order-insensitive.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from . import bounds as bnd
 from ._record import Value
 from .errors import ConfigError
@@ -289,16 +293,6 @@ def monitored_indices(geometry, monitor) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def _provenance(spec: ExperimentSpec) -> dict:
-    from . import __version__
-
-    return {
-        "config_hash": spec.config_hash(),
-        "seed": spec.seed,
-        "version": __version__,
-    }
-
-
 def _setup(spec: ExperimentSpec):
     """Geometry, truth theta* and the resolved lambda of the spec's signal."""
     signal = spec.signal
@@ -334,7 +328,7 @@ def _verdict(p_bound: float, worst: float, R: int) -> dict:
     }
 
 
-def run_pointwise(spec: ExperimentSpec) -> dict:
+def _pointwise(spec: ExperimentSpec):
     """Frequencies of the two pointwise bound events at each monitored index.
 
     Events: {L+(err_i) <= -B_i} and {L-(err_i) >= B_i}, each guaranteed to
@@ -374,8 +368,7 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
         i=idx, k=geom.k_of[at], d=geom.d[at], B=B, freq_lower=f_lo, freq_upper=f_hi,
         mean_abs_err=abs_err_sum / R,
     )
-    return {
-        "experiment": "pointwise",
+    summary = {
         "lambda": lam,
         "sigma": sigma,
         "delta": spec.delta,
@@ -384,11 +377,11 @@ def run_pointwise(spec: ExperimentSpec) -> dict:
         "max_frequency": worst,
         "event_form_cross_check": cross_check_ok,
         "per_index": per_index,
-        "provenance": _provenance(spec),
     } | _verdict(p_bound, worst, R)
+    return summary, {"per_index.csv": per_index}
 
 
-def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
+def _elementwise_quantile(spec: ExperimentSpec):
     """Frequency of {|err_i| > B_quantile/L} at admissible monitored indices."""
     geom, theta_star, lam = _setup(spec)
     L = spec.growth_L
@@ -405,8 +398,8 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
     for (theta,) in _fits(spec, theta_star, [lam]):
         hits += np.abs(theta[at] - star) > bound_vals
     worst = float(hits.max() / R) if idx.size else 0.0
-    return {
-        "experiment": "elementwise_quantile",
+    per_index = Table(i=idx, bound=bound_vals, freq=hits / R)
+    summary = {
         "lambda": lam,
         "delta": spec.delta,
         "growth_L": L,
@@ -414,9 +407,9 @@ def run_elementwise_quantile(spec: ExperimentSpec) -> dict:
         "monitored": idx.tolist(),
         "excluded_not_admissible": excluded,
         "max_frequency": worst,
-        "per_index": Table(i=idx, bound=bound_vals, freq=hits / R),
-        "provenance": _provenance(spec),
+        "per_index": per_index,
     } | _verdict(2.0 * bnd.prob_const() * spec.delta**2, worst, R)
+    return summary, {"per_index.csv": per_index}
 
 
 def _sse_bound(spec: ExperimentSpec, geom, lam: float, improved: bool):
@@ -429,7 +422,7 @@ def _sse_bound(spec: ExperimentSpec, geom, lam: float, improved: bool):
     return bnd.sse_bound_mean(geom, spec.delta, lam, sigma, improved=improved)
 
 
-def run_sse(spec: ExperimentSpec) -> dict:
+def _sse(spec: ExperimentSpec):
     """Frequency of {sum of squared errors > bound}, original and improved.
 
     Also checks the crude uniform range-containment event (quantile only):
@@ -455,8 +448,7 @@ def run_sse(spec: ExperimentSpec) -> dict:
 
     f_orig = float(np.mean(sse_samples > sse_orig.bound))
     f_impr = float(np.mean(sse_samples > sse_impr.bound))
-    out = {
-        "experiment": "sse",
+    summary = {
         "lambda": lam,
         "delta": spec.delta,
         "replications": R,
@@ -472,17 +464,16 @@ def run_sse(spec: ExperimentSpec) -> dict:
         "sse_max": float(np.max(sse_samples)),
         "ratio_median_original": float(np.median(sse_samples) / sse_orig.bound),
         "sse_samples": sse_samples.tolist(),
-        "provenance": _provenance(spec),
     } | _verdict(4.0 * bnd.prob_const() * spec.delta, max(f_orig, f_impr), R)
     if uni is not None:
         uni_p = 2.0 * bnd.prob_const() * spec.delta  # delta here is sqrt(config delta)^2
-        out["uniform_range"] = {
+        summary["uniform_range"] = {
             "applicable": bool(uni.applicable),
             "half_width": uni.value,
             "freq_violation": range_violations / R,
             "probability_bound": min(uni_p, 1.0),
         }
-    return out
+    return summary, {"sse.csv": {"replication": np.arange(R), "sse": sse_samples}}
 
 
 def _median_abs_err_at(spec, theta_star, lam, indices, offset=0) -> np.ndarray:
@@ -492,7 +483,7 @@ def _median_abs_err_at(spec, theta_star, lam, indices, offset=0) -> np.ndarray:
     return np.median(errs, axis=0)
 
 
-def run_rate_sweep(spec: ExperimentSpec) -> dict:
+def _rate_sweep(spec: ExperimentSpec):
     """Two rate diagnostics.
 
     (a) d-sweep: median |err_i| against the distance d_i to the change point,
@@ -501,7 +492,7 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
         error should stay flat (max/min ratio) while the interior error
         shrinks.
     """
-    out = {"experiment": "rate_sweep", "provenance": _provenance(spec)}
+    summary, tables = {}, {}
 
     if spec.d_grid:
         geom, theta_star, lam = _setup(spec)
@@ -516,12 +507,13 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
         x = np.log(np.asarray(spec.d_grid, dtype=float))
         yv = np.log(med)
         slope = float(np.polyfit(x, yv, 1)[0])
-        out["d_sweep"] = {
+        summary["d_sweep"] = {
             "lambda": lam,
             "d": list(spec.d_grid),
             "median_err": med.tolist(),
             "slope": slope,
         }
+        tables["plotdata_d_sweep.csv"] = {"d": spec.d_grid, "median_err": med}
 
     if spec.n_sweep:
         jump = abs(spec.signal.values[-1] - spec.signal.values[0]) or 1.0
@@ -541,22 +533,20 @@ def run_rate_sweep(spec: ExperimentSpec) -> dict:
             lams.append(lam)
             meds.append(med)
         cps, ints = np.stack(meds, axis=1)
-        out["n_sweep"] = {
-            "rows": Table(
-                {
-                    "n": np.array(spec.n_sweep, dtype=np.int64),
-                    "lambda": np.array(lams),
-                    "median_err_change_point": cps,
-                    "median_err_interior": ints,
-                }
-            ),
+        rows = Table(
+            {"n": np.array(spec.n_sweep, dtype=np.int64), "lambda": np.array(lams),
+             "median_err_change_point": cps, "median_err_interior": ints}
+        )
+        summary["n_sweep"] = {
+            "rows": rows,
             "change_point_ratio": max(cps.tolist()) / min(cps.tolist()),
             "interior_shrink_factor": max(ints.tolist()) / min(ints.tolist()),
         }
-    return out
+        tables["plotdata_n_sweep.csv"] = rows
+    return summary, tables
 
 
-def run_lambda_sweep(spec: ExperimentSpec) -> dict:
+def _lambda_sweep(spec: ExperimentSpec):
     """Empirical SSE and the SSE bound across a lambda grid.
 
     One data draw per replication is reused for every lambda, so the grid
@@ -583,8 +573,7 @@ def run_lambda_sweep(spec: ExperimentSpec) -> dict:
     valid = [(v, lam) for v, lam in zip(bound_vals, grid) if v is not None]
     bound_arg = min(valid)[1] if valid else None
     in_window = lambda lam: lam is not None and ref / 8.0 <= lam <= ref * 8.0
-    return {
-        "experiment": "lambda_sweep",
+    summary = {
         "lambda_grid": grid,
         "mean_sse": mean_sse.tolist(),
         "bound": bound_vals,
@@ -594,21 +583,30 @@ def run_lambda_sweep(spec: ExperimentSpec) -> dict:
         "bound_argmin": bound_arg,
         "empirical_in_window": in_window(emp_arg),
         "bound_in_window": in_window(bound_arg),
-        "provenance": _provenance(spec),
     }
+    # a bound whose preconditions fail is None, an empty cell
+    table = {"lambda": grid, "mean_sse": mean_sse, "bound": bound_vals}
+    return summary, {"plotdata_lambda_sweep.csv": table}
 
 
 _RUNNERS = {
-    "pointwise": run_pointwise,
-    "elementwise_quantile": run_elementwise_quantile,
-    "sse": run_sse,
-    "rate_sweep": run_rate_sweep,
-    "lambda_sweep": run_lambda_sweep,
+    "pointwise": _pointwise,
+    "elementwise_quantile": _elementwise_quantile,
+    "sse": _sse,
+    "rate_sweep": _rate_sweep,
+    "lambda_sweep": _lambda_sweep,
 }
 
 
-def run_experiment(spec: ExperimentSpec) -> dict:
-    return _RUNNERS[spec.experiment](spec)
+def run_experiment(spec: ExperimentSpec):
+    """Run the spec's experiment and return ``(summary, tables)``: the dict
+    ``summary.json`` holds, with the experiment's name and its provenance
+    (config hash, seed, package version), and the experiment's CSVs,
+    {file name: {column name: values}}, less every table with no rows."""
+    summary, tables = _RUNNERS[spec.experiment](spec)
+    provenance = {"config_hash": spec.config_hash(), "seed": spec.seed, "version": __version__}
+    summary = {"experiment": spec.experiment} | summary | {"provenance": provenance}
+    return summary, {name: t for name, t in tables.items() if len(next(iter(t.values()), ()))}
 
 
 __all__ = [
@@ -618,10 +616,5 @@ __all__ = [
     "derived_seed",
     "resolve_lambda",
     "monitored_indices",
-    "run_pointwise",
-    "run_elementwise_quantile",
-    "run_sse",
-    "run_rate_sweep",
-    "run_lambda_sweep",
     "run_experiment",
 ]

@@ -160,7 +160,7 @@ def _pointwise_spec(noise, loss, lam_rule, seed):
 
 
 def test_06_pointwise_event_frequencies():
-    mean_res = run_experiment(
+    mean_res, _ = run_experiment(
         _pointwise_spec(
             {"kind": "gaussian", "scale": 1.0},
             {"kind": "square"},
@@ -176,7 +176,7 @@ def test_06_pointwise_event_frequencies():
     lam_lo = 6.0 * (math.log(math.log(2.0 * m_min)) + math.log(1 / 0.05)) / L
     lam_hi = L * m_min / 12.0
     lam = math.sqrt(lam_lo * lam_hi)
-    quant_res = run_experiment(
+    quant_res, _ = run_experiment(
         _pointwise_spec(
             {"kind": "cauchy", "scale": 1.0, "center_tau": 0.5},
             {"kind": "quantile", "tau": 0.5},
@@ -184,7 +184,7 @@ def test_06_pointwise_event_frequencies():
             seed=107,
         )
     )
-    vac = run_experiment(
+    vac, _ = run_experiment(
         ExperimentSpec.from_config(
             {
                 "experiment": "pointwise",
@@ -233,10 +233,10 @@ def _sse_spec(noise, loss, growth, seed):
 
 
 def test_07_sse_bound_frequencies():
-    mean_res = run_experiment(
+    mean_res, _ = run_experiment(
         _sse_spec({"kind": "gaussian", "scale": 1.0}, {"kind": "square"}, None, seed=109)
     )
-    quant_res = run_experiment(
+    quant_res, _ = run_experiment(
         _sse_spec(
             {"kind": "uniform", "scale": 1.0, "center_tau": 0.5},
             {"kind": "quantile", "tau": 0.5},
@@ -265,7 +265,7 @@ def test_07_sse_bound_frequencies():
 def test_08_rate_claims():
     with open(_CALIBRATION) as fh:
         thresholds = json.load(fh)["thresholds"]
-    res = run_experiment(
+    res, _ = run_experiment(
         ExperimentSpec.from_config(
             {
                 "experiment": "rate_sweep",

@@ -192,6 +192,16 @@ class TestApplicability:
                 assert compute_B_quantile(int(i), g, delta, lam) <= L + 1e-12
         assert hits > 20
 
+    def test_admissibility_delta_outside_range(self):
+        # a finite delta outside (0, 1) is a precondition failure, as for
+        # every other bound; a delta that is no number is a config error
+        g = geom([0, 1], [64, 64])
+        for delta in (1.5, 0.0):
+            with pytest.raises(PreconditionError, match=r"delta must lie in \(0, 1\)"):
+                admissibility(g, delta, 5.0, 1.0)
+        with pytest.raises(ConfigError, match="delta must be a finite number"):
+            admissibility(g, math.nan, 5.0, 1.0)
+
     def test_uniform_bound_and_sufficiency(self, oracle):
         n, delta, lam, L = 8192, 0.05, 120.0, 0.5
         pb = uniform_quantile_bound(n, delta, lam, L)

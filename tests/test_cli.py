@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gfl import cli
 from gfl.cli import _write_outputs, build_parser, main
-from gfl.errors import GflError
+from gfl.errors import ConfigError, GflError
 from gfl.losses import QuantileLoss
 from gfl.simulate import ExperimentSpec
 from gfl.solver import FusedLassoProblem, solve
@@ -935,3 +935,18 @@ def test_solve_refuses_an_overflowing_objective(tmp_path, capsys):
         assert main(argv) == 2
     assert "the objective at the fit overflows float64" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+def test_solve_refuses_a_non_finite_input(tmp_path, capsys, bad):
+    """A `gfl solve` input line that reads as NaN or an infinity (1e400
+    overflows to one) exits 2 in one line and writes nothing; the problem
+    itself refuses such a y."""
+    inp = tmp_path / "y.csv"
+    inp.write_text(f"1.0\n{bad}\n2.0\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--input", str(inp), "--lambda", "1.0", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: y contains non-finite values\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="y contains non-finite values"):
+        FusedLassoProblem(y=[1.0, float(bad)], lam=1.0, loss=QuantileLoss(0.5))

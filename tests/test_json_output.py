@@ -325,7 +325,7 @@ def test_simulate_with_non_finite_table_cell_exit_2(tmp_path, monkeypatch, capsy
     directory, as for any value JSON cannot hold."""
     def run(spec):
         table = Table(i=np.arange(1, 3), B=np.array([1.0, math.nan]))
-        return {"experiment": "pointwise", "per_index": table}
+        return {"experiment": "pointwise", "per_index": table}, {"per_index.csv": table}
 
     monkeypatch.setattr("gfl.cli.run_experiment", run)
     path = tmp_path / "config.json"

@@ -45,3 +45,11 @@ def test_quick_suite_writes_every_experiment(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert {d.name: {f.name for f in d.iterdir()} for d in out.iterdir()} == _FILES
     assert tree_digest(out) == _QUICK_DIGEST
+
+
+def test_pilot_thresholds_imports():
+    """scripts/pilot_thresholds.py finds every gfl name it uses.  Its main,
+    which rewrites tests/calibration.json, is not run."""
+    import pilot_thresholds
+
+    assert callable(pilot_thresholds.main)

@@ -263,7 +263,7 @@ class TestLambdaAndMonitor:
 
 class TestRunners:
     def test_pointwise_small(self):
-        res = run_experiment(ExperimentSpec.from_config(base_config()))
+        res, _ = run_experiment(ExperimentSpec.from_config(base_config()))
         assert res["experiment"] == "pointwise"
         assert res["event_form_cross_check"] is True
         assert res["probability_bound_raw"] == pytest.approx(prob_const() * 0.05**2)
@@ -276,14 +276,20 @@ class TestRunners:
     def test_pointwise_deterministic(self):
         a = run_experiment(ExperimentSpec.from_config(base_config()))
         b = run_experiment(ExperimentSpec.from_config(base_config()))
-        assert isinstance(a["per_index"], Table)
+        summary, tables = a
+        assert isinstance(summary["per_index"], Table)
+        assert tables["per_index.csv"] is summary["per_index"]
         assert a == b  # a Table compares its columns with np.array_equal
-        b["per_index"]["B"] = np.nextafter(b["per_index"]["B"], np.inf)
+        table = b[0]["per_index"]
+        table["B"] = np.nextafter(table["B"], np.inf)
         assert a != b
+        assert table != a[0]["per_index"]
 
     def test_pointwise_vacuous_labeling(self):
         # delta close to the upper limit makes prob_const * delta^2 > 1
-        res = run_experiment(ExperimentSpec.from_config(base_config(delta=0.25, replications=5)))
+        res, _ = run_experiment(
+            ExperimentSpec.from_config(base_config(delta=0.25, replications=5))
+        )
         assert res["vacuous"] is True
         assert res["probability_bound"] == 1.0
         assert res["passed"] is True  # a vacuous bound cannot be violated
@@ -299,7 +305,7 @@ class TestRunners:
             monitor=[2048, 4096],
             replications=10,
         )
-        res = run_experiment(ExperimentSpec.from_config(cfg))
+        res, _ = run_experiment(ExperimentSpec.from_config(cfg))
         assert res["monitored"] == [2048]  # deep interior index is admissible
         assert res["excluded_not_admissible"] == [4096]  # d = 1 at the jump
         assert res["per_index"]["bound"][0] <= 1.0
@@ -321,7 +327,7 @@ class TestRunners:
             delta=1e-3,
             replications=10,
         )
-        res = run_experiment(ExperimentSpec.from_config(cfg))
+        res, _ = run_experiment(ExperimentSpec.from_config(cfg))
         assert res["preconditions_hold"] is True
         assert res["bound_original"] == pytest.approx(
             sum(res["terms_original"].values()), rel=1e-12
@@ -343,7 +349,7 @@ class TestRunners:
             replications=5,
             growth_L="auto",
         )
-        res = run_experiment(ExperimentSpec.from_config(cfg))
+        res, _ = run_experiment(ExperimentSpec.from_config(cfg))
         assert res["preconditions_hold"] is False
         conds = [f["condition"] for f in res["precondition_failures"]]
         assert any("lambda <=" in c for c in conds)
@@ -352,8 +358,8 @@ class TestRunners:
         assert math.isfinite(res["bound_original"])
 
     def test_seed_changes_results(self):
-        a = run_experiment(ExperimentSpec.from_config(base_config(seed=1)))
-        b = run_experiment(ExperimentSpec.from_config(base_config(seed=2)))
+        a, _ = run_experiment(ExperimentSpec.from_config(base_config(seed=1)))
+        b, _ = run_experiment(ExperimentSpec.from_config(base_config(seed=2)))
         mean_a = a["per_index"]["mean_abs_err"]
         mean_b = b["per_index"]["mean_abs_err"]
         assert not np.array_equal(mean_a, mean_b)
