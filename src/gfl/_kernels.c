@@ -447,8 +447,9 @@ void gfl_lil_chunk(const double *x, ptrdiff_t r, ptrdiff_t h, const double *env,
  * rounded by the digits removed from it, to nearest, a tie to even.
  * The layout is CPython's float_repr: with x = 0.d1d2... * 10^decpt, the
  * exponent form exactly when decpt <= -4 or decpt > 16, its exponent
- * signed and of at least two digits (1e-05, 1e+16); ".0" after an
- * integral fixed form; -0.0 for negative zero. */
+ * signed and of two digits (1e-05, 1e+16), as a magnitude in
+ * [2^-32, 2^151) has one from -10 to 45; ".0" after an integral fixed
+ * form; -0.0 for negative zero. */
 __extension__ typedef unsigned __int128 gfl_u128;
 
 static const uint64_t pow5[28] = {
@@ -582,9 +583,7 @@ static inline ptrdiff_t repr_double(uint64_t bits, char *out)
         *p++ = 'e';
         *p++ = decpt > 0 ? '+' : '-';
         decpt = decpt > 0 ? decpt - 1 : 1 - decpt;
-        if (decpt >= 100)
-            *p++ = (char)('0' + decpt / 100);
-        *p++ = (char)('0' + decpt / 10 % 10);
+        *p++ = (char)('0' + decpt / 10);
         *p++ = (char)('0' + decpt % 10);
     } else if (decpt <= 0) { /* 0.ddd or 0.000ddd, the digits over the 0s */
         memcpy(p, "0.000", 5);

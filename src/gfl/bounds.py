@@ -322,53 +322,43 @@ def iterative_sum_check(m_list) -> tuple[float, float]:
     return lhs, 3.0 / m[-1]
 
 
-class BoundReport(Record):
-    """Per-index bound values for a signal.
+def bound_report(geometry: SignalGeometry, params: BoundParams) -> tuple[dict, dict]:
+    """Every index's bounds for a signal, as ``(summary, columns)``.
 
-    ``pointwise_probability_raw`` is the closed-form guarantee level and
-    ``pointwise_probability`` the same clamped to [0, 1], so a vacuous regime
-    stays visible through the raw value.
+    ``columns`` holds the per-index arrays ``B``, ``B_improved``,
+    ``B_quantile`` and ``applicable``, in that order; ``summary`` holds
+    ``signal_admissible`` (None without ``growth_L``),
+    ``pointwise_probability_raw``, the closed-form guarantee level, and
+    ``pointwise_probability``, the same clamped to [0, 1], so a vacuous
+    regime stays visible through the raw value.
     """
-
-    B: np.ndarray
-    B_improved: np.ndarray
-    B_quantile: np.ndarray
-    applicable: np.ndarray
-    signal_admissible: bool | None
-    pointwise_probability_raw: float
-    pointwise_probability: float
-
-
-def bound_report(geometry: SignalGeometry, params: BoundParams) -> BoundReport:
     n = geometry.n
     idx = np.arange(1, n + 1)
-    B = compute_B(idx, geometry, params)
-    Bi = compute_B_improved(idx, geometry, params)
-    Bq = compute_B_quantile(idx, geometry, params.delta, params.lam)
+    columns = {
+        "B": compute_B(idx, geometry, params),
+        "B_improved": compute_B_improved(idx, geometry, params),
+        "B_quantile": compute_B_quantile(idx, geometry, params.delta, params.lam),
+    }
     if params.growth_L is not None:
         signal_ok, per_index, _ = admissibility(
             geometry, params.delta, params.lam, params.growth_L
         )
-        applicable = per_index & (Bq <= params.growth_L)
+        columns["applicable"] = per_index & (columns["B_quantile"] <= params.growth_L)
     else:
         signal_ok = None
-        applicable = np.zeros(n, dtype=bool)
+        columns["applicable"] = np.zeros(n, dtype=bool)
     p_raw = 1.0 - prob_const() * params.delta**2
-    return BoundReport(
-        B=B,
-        B_improved=Bi,
-        B_quantile=Bq,
-        applicable=applicable,
-        signal_admissible=signal_ok,
-        pointwise_probability_raw=p_raw,
-        pointwise_probability=min(max(p_raw, 0.0), 1.0),
-    )
+    summary = {
+        "signal_admissible": signal_ok,
+        "pointwise_probability_raw": p_raw,
+        "pointwise_probability": min(max(p_raw, 0.0), 1.0),
+    }
+    return summary, columns
 
 
 __all__ = [
     "prob_const",
     "BoundParams",
-    "BoundReport",
     "PointwiseBound",
     "SseBound",
     "compute_B",

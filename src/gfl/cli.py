@@ -1,7 +1,10 @@
 """Command-line entry point: solve, bounds, lil, simulate.
 
 Each command returns its config and its files, {file name: content}; ``main``
-hashes the config and writes the files.  Exit codes: 0 success, 2
+hashes the config and writes the files.  The producer each command calls
+(``run_experiment``, ``bound_report``, ``verify_paths``) returns ``(summary,
+tables)``: the fields of its JSON file and the columns of its CSVs, which
+the command passes on as they come.  Exit codes: 0 success, 2
 config/input error (an input too large to allocate included), 3
 mathematical precondition failure.  All outputs are written atomically
 (temp file + rename) and carry the package version and the config's hash in
@@ -164,11 +167,9 @@ def _cells(values) -> list:
     a = np.asarray(values)
     if a.dtype == bool:
         a = a.astype(np.int64)
-    if a.dtype == object:  # a column holding None
-        return ["" if v is None else repr(v) for v in a.tolist()]
     kernel = _REPR_KERNELS.get(a.dtype)
     if kernel is None:  # tolist hands out Python numbers, not numpy scalars
-        return list(map(repr, a.tolist()))
+        return ["" if v is None else repr(v) for v in a.tolist()]
     buf = ctypes.create_string_buffer(_REPR_WIDTH * a.size)
     # ctypes passes bytes as a pointer to their data
     text = str(memoryview(buf)[: kernel(a.tobytes(), a.size, buf)], "ascii")
@@ -299,26 +300,10 @@ def _cmd_bounds(args):
         "lambda": args.lam,
         "growth_L": args.growth_L,
     }
-    report = bnd.bound_report(geom, params)
-    table = {
-        "i": np.arange(1, geom.n + 1),
-        "k": geom.k_of,
-        "d": geom.d,
-        "B": report.B,
-        "B_improved": report.B_improved,
-        "B_quantile": report.B_quantile,
-        "applicable": report.applicable,
-    }
-    payload = {
-        "inputs": cfg,
-        "n": geom.n,
-        "K": geom.K,
-        "signal_admissible": report.signal_admissible,
-        "pointwise_probability": report.pointwise_probability,
-        "pointwise_probability_raw": report.pointwise_probability_raw,
-        "B_max": float(report.B.max()),
-        "B_min": float(report.B.min()),
-    }
+    summary, columns = bnd.bound_report(geom, params)
+    table = {"i": np.arange(1, geom.n + 1), "k": geom.k_of, "d": geom.d} | columns
+    B_range = {"B_max": float(columns["B"].max()), "B_min": float(columns["B"].min())}
+    payload = {"inputs": cfg, "n": geom.n, "K": geom.K} | B_range | summary
     return cfg, {"bounds.csv": table, "bounds.json": payload}
 
 
@@ -333,9 +318,8 @@ def _cmd_lil(args):
         "paths": args.paths,
         "seed": args.seed,
     }
-    res = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed)
-    table = res.pop("ratio_quantiles")
-    return cfg, {"lil.csv": table, "lil.json": {"inputs": cfg} | res}
+    summary, table = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed)
+    return cfg, {"lil.csv": table, "lil.json": {"inputs": cfg} | summary}
 
 
 def _refuse_constant(name: str):

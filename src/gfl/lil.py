@@ -3,7 +3,9 @@
 For i.i.d. zero-mean sub-Gaussian steps with parameter sigma, the envelope
 4*sigma*sqrt(t*(lnln(2t) + ln(1/delta))) contains every partial sum S_t
 simultaneously over all t >= 1 with probability at least 1 - 6 delta^2/(ln 2)^2,
-provided delta < log(2)/e.
+provided delta < log(2)/e.  ``verify_paths`` checks it by Monte Carlo and
+returns ``(summary, table)``, what ``gfl lil`` writes to ``lil.json`` and
+``lil.csv``.
 """
 
 from __future__ import annotations
@@ -54,13 +56,16 @@ _DRAW_BUDGET = 2**17
 _RATIO_QUANTILES = {"ratio_q50": 0.5, "ratio_q90": 0.9, "ratio_q99": 0.99, "ratio_q100": 1.0}
 
 
-def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, seed: int) -> dict:
+def verify_paths(
+    noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, seed: int
+) -> tuple[dict, dict]:
     """Monte Carlo check of the envelope up to a finite horizon.
 
     Simulates ``paths`` i.i.d. partial-sum paths of length ``horizon`` and
-    reports the fraction with any |S_t| exceeding envelope(t).  Under
-    ``ratio_quantiles`` it returns a table, {column name: values}: at each
-    power of 2 ``t`` up to ``horizon``, the 50, 90, 99 and 100% quantiles
+    returns ``(summary, table)``.  ``summary`` reports the fraction of paths
+    with any |S_t| exceeding envelope(t), its count, the probability bound
+    and the largest ratio; ``table``, {column name: values}, holds at each
+    power of 2 ``t`` up to ``horizon`` the 50, 90, 99 and 100% quantiles
     over paths of |S_t| / envelope(t).  Paths are drawn in chunks of about
     ``_DRAW_BUDGET`` draws (at least one path), in the generator's order, so
     memory is bounded and the result, deterministic in (noise, horizon,
@@ -107,8 +112,8 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
     freq = violations / paths
     bound = env.violation_probability()
     slack = 3.0 * math.sqrt(freq * (1.0 - freq) / paths)
-    table = np.quantile(grid_ratios, list(_RATIO_QUANTILES.values()), axis=0)
-    return {
+    quantiles = np.quantile(grid_ratios, list(_RATIO_QUANTILES.values()), axis=0)
+    summary = {
         "violation_frequency": freq,
         "violations": violations,
         "paths": paths,
@@ -117,8 +122,8 @@ def verify_paths(noise: NoiseModel, horizon: int, paths: int, env: LilEnvelope, 
         "binomial_slack": slack,
         "within_bound": freq <= bound + slack,
         "max_ratio": max_ratio,
-        "ratio_quantiles": {"t": t_grid.tolist()} | dict(zip(_RATIO_QUANTILES, table.tolist())),
     }
+    return summary, {"t": t_grid.tolist()} | dict(zip(_RATIO_QUANTILES, quantiles.tolist()))
 
 
 __all__ = ["LilEnvelope", "envelope", "verify_paths"]

@@ -49,18 +49,8 @@ def derived_seed(base_seed: int, index: int) -> int:
 
 class Table(dict):
     """A row table held as its columns: {column name: equal-length int64 or
-    float64 array}, keys in CSV header order.  ``==`` compares columns with
-    ``np.array_equal``, as dict equality cannot compare arrays."""
-
-    def __eq__(self, other):
-        if not isinstance(other, dict):
-            return NotImplemented
-        return self.keys() == other.keys() and all(
-            np.array_equal(v, other[k]) for k, v in self.items()
-        )
-
-    def __ne__(self, other):
-        return not self == other
+    float64 array}, keys in CSV header order.  ``summary.json`` writes it as
+    its list of rows."""
 
 
 _LAMBDA_RULES = ("fixed", "sqrt_n_over_k", "log_sqrt_n_over_k")

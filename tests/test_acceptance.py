@@ -132,7 +132,7 @@ def test_05_lil_envelope_frequencies():
     lines = []
     ok = True
     for delta in (0.05, 0.1):
-        res = verify_paths(
+        res, _ = verify_paths(
             noise, horizon=10_000, paths=10_000, env=LilEnvelope(1.0, delta), seed=105
         )
         ok = ok and res["within_bound"]

@@ -412,8 +412,12 @@ class TestReport:
     def test_report_consistency(self):
         g = geom([0, 1], [20, 20])
         p = params(delta=0.05, lam=8.0)
-        rep = bound_report(g, p)
+        summary, cols = bound_report(g, p)
+        assert list(cols) == ["B", "B_improved", "B_quantile", "applicable"]
+        assert list(summary) == [
+            "signal_admissible", "pointwise_probability_raw", "pointwise_probability"
+        ]
         for i in (1, 10, 25, 40):
-            assert rep.B[i - 1] == compute_B(i, g, p)
-            assert rep.B_improved[i - 1] == compute_B_improved(i, g, p)
-            assert rep.B_quantile[i - 1] == compute_B_quantile(i, g, p.delta, p.lam)
+            assert cols["B"][i - 1] == compute_B(i, g, p)
+            assert cols["B_improved"][i - 1] == compute_B_improved(i, g, p)
+            assert cols["B_quantile"][i - 1] == compute_B_quantile(i, g, p.delta, p.lam)

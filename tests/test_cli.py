@@ -223,12 +223,14 @@ class TestBoundsCommand:
         assert rc == 3
 
     def test_bad_signal_exit_2(self, tmp_path, capsys):
-        for values, lengths in [
-            ("0,zero", "8,8"),
-            ("0,1_0", "8,8"),
-            ("0,\u0661", "8,8"),
-            ("0,1", "8,1_6"),
-            ("0,1", "8,\u0668"),
+        bad_spec = "bad signal specification"
+        for values, lengths, message in [
+            ("0,zero", "8,8", bad_spec),
+            ("0,1_0", "8,8", bad_spec),
+            ("0,\u0661", "8,8", bad_spec),
+            ("0,1", "8,1_6", bad_spec),
+            ("0,1", "8,\u0668", bad_spec),
+            ("0,1", "5", "values and lengths must be nonempty and of equal length"),
         ]:
             rc = main(
                 [
@@ -241,7 +243,7 @@ class TestBoundsCommand:
                 ]
             )
             assert rc == 2
-            assert "bad signal specification" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
@@ -430,6 +432,24 @@ class TestSimulateCommand:
         argv = ["simulate", "--config", str(path), "--seed", "3", "--out-dir", str(tmp_path / "x")]
         assert main(argv) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        path, out = tmp_path / "missing.json", tmp_path / "x"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert f"config error: cannot read config {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unrealizable_sweep_distance_exit_2(self, tmp_path, capsys):
+        """No index of a 100-long segment lies at distance 80 from the
+        change point: the rate sweep refuses before it writes anything."""
+        signal = {"values": [0.0, 1.0], "lengths": [100, 100]}
+        cfg = write_config(
+            tmp_path, small_config(experiment="rate_sweep", signal=signal, d_grid=[2, 80])
+        )
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "config error: d=80 not realizable on this signal" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"

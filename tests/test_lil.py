@@ -66,19 +66,19 @@ class TestEnvelope:
 class TestVerifyPaths:
     def test_tiny_noise_never_violates(self):
         noise = NoiseModel(kind="gaussian", scale=1e-6)
-        res = verify_paths(noise, horizon=200, paths=100, env=LilEnvelope(1.0, 0.1), seed=1)
+        res, _ = verify_paths(noise, horizon=200, paths=100, env=LilEnvelope(1.0, 0.1), seed=1)
         assert res["violation_frequency"] == 0.0
         assert res["within_bound"]
         assert res["max_ratio"] < 1e-3
 
     def test_inflated_envelope_never_violates(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)
-        res = verify_paths(noise, horizon=500, paths=200, env=LilEnvelope(10.0, 0.1), seed=2)
+        res, _ = verify_paths(noise, horizon=500, paths=200, env=LilEnvelope(10.0, 0.1), seed=2)
         assert res["violation_frequency"] == 0.0
 
     def test_small_run_within_bound(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)
-        res = verify_paths(noise, horizon=1000, paths=500, env=LilEnvelope(1.0, 0.1), seed=3)
+        res, _ = verify_paths(noise, horizon=1000, paths=500, env=LilEnvelope(1.0, 0.1), seed=3)
         assert res["violation_frequency"] <= res["probability_bound"] + res["binomial_slack"]
         assert 0.0 < res["max_ratio"] < 1.5
 
@@ -102,16 +102,16 @@ class TestVerifyPaths:
         divide give the out-of-place result, bit for bit."""
         noise = NoiseModel(kind="gaussian", scale=2.5)
         env = LilEnvelope(2.5, 0.1)
-        res = verify_paths(noise, horizon, paths, env, seed=6)
+        res, rq = verify_paths(noise, horizon, paths, env, seed=6)
         rng = np.random.default_rng(6)
         x = (rng.standard_normal(paths * horizon) * 2.5 - 0.0).reshape(paths, horizon)
         ratio = np.abs(np.cumsum(x, axis=1)) / envelope(np.arange(1, horizon + 1), env)
         path_max = ratio.max(axis=1)
         assert res["violations"] == int(np.count_nonzero(path_max > 1.0))
         assert res["max_ratio"] == float(path_max.max())
-        t = res["ratio_quantiles"]["t"]
+        t = rq["t"]
         table = np.quantile(ratio[:, np.array(t) - 1], [0.5, 0.9, 0.99, 1.0], axis=0)
-        assert list(res["ratio_quantiles"].values())[1:] == table.tolist()
+        assert list(rq.values())[1:] == table.tolist()
 
     @pytest.mark.parametrize(
         "noise",
@@ -131,7 +131,7 @@ class TestVerifyPaths:
         by numpy, gives the violations, the largest ratio and the quantile
         table bit for bit."""
         env = LilEnvelope(noise.scale, 0.1)
-        res = verify_paths(noise, horizon, paths, env, seed=9)
+        res, rq = verify_paths(noise, horizon, paths, env, seed=9)
         x = noise.sample_rng(paths * horizon, np.random.default_rng(9)).reshape(paths, horizon)
         ratio = np.abs(np.cumsum(x, axis=1)) / envelope(np.arange(1, horizon + 1), env)
         path_max = ratio.max(axis=1)
@@ -139,8 +139,8 @@ class TestVerifyPaths:
         assert res["max_ratio"] == float(path_max.max())
         t = 2 ** np.arange(horizon.bit_length())
         table = np.quantile(ratio[:, t - 1], [0.5, 0.9, 0.99, 1.0], axis=0)
-        assert res["ratio_quantiles"]["t"] == t.tolist()
-        got = np.array(list(res["ratio_quantiles"].values())[1:])
+        assert rq["t"] == t.tolist()
+        got = np.array(list(rq.values())[1:])
         assert got.tobytes() == table.tobytes()
 
     def test_sigma_times_horizon_bound(self):
@@ -150,7 +150,7 @@ class TestVerifyPaths:
         noise = NoiseModel(kind="gaussian", scale=2.0**990)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = verify_paths(noise, 1024, 5, env, seed=1)
+            res, _ = verify_paths(noise, 1024, 5, env, seed=1)
         assert 0.0 < res["max_ratio"] < 1.5
         for horizon in (1025, 10**400):
             with pytest.raises(ConfigError, match="sigma 1.046.*e\\+298 are beyond float64 scale.*2\\^1000"):
@@ -165,9 +165,11 @@ class TestVerifyPaths:
         """At sigma 2^-1000 the ratios are those at sigma 1, bit for bit;
         below it either sigma is refused before the first draw."""
         env, noise = LilEnvelope(2.0**-1000, 0.1), NoiseModel("gaussian", 2.0**-1000)
-        res = verify_paths(noise, 100, 10, env, seed=1)
-        ref = verify_paths(NoiseModel("gaussian", 1.0), 100, 10, LilEnvelope(1.0, 0.1), seed=1)
-        assert res["ratio_quantiles"] == ref["ratio_quantiles"]
+        res, rq = verify_paths(noise, 100, 10, env, seed=1)
+        ref, ref_rq = verify_paths(
+            NoiseModel("gaussian", 1.0), 100, 10, LilEnvelope(1.0, 0.1), seed=1
+        )
+        assert rq == ref_rq
         assert res["max_ratio"] == ref["max_ratio"]
         tiny = 2.0**-1001
         for n, e in [(tiny, 1.0), (1.0, tiny), (tiny, tiny)]:
@@ -176,8 +178,8 @@ class TestVerifyPaths:
 
     def test_ratio_quantiles_shape(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)
-        res = verify_paths(noise, 64, 50, LilEnvelope(1.0, 0.1), seed=5)
-        rq = res["ratio_quantiles"]
+        summary, rq = verify_paths(noise, 64, 50, LilEnvelope(1.0, 0.1), seed=5)
+        assert "ratio_quantiles" not in summary
         assert list(rq) == ["t", "ratio_q50", "ratio_q90", "ratio_q99", "ratio_q100"]
         assert rq["t"] == [1, 2, 4, 8, 16, 32, 64]
         rows = list(zip(*list(rq.values())[1:]))
@@ -185,8 +187,8 @@ class TestVerifyPaths:
         for row in rows:
             assert all(a <= b + 1e-15 for a, b in zip(row, row[1:]))
         # the grid is the powers of 2 up to the horizon
-        res = verify_paths(noise, 100, 3, LilEnvelope(1.0, 0.1), seed=5)
-        assert res["ratio_quantiles"]["t"][-1] == 64
+        _, rq = verify_paths(noise, 100, 3, LilEnvelope(1.0, 0.1), seed=5)
+        assert rq["t"][-1] == 64
 
     def test_bad_inputs(self):
         noise = NoiseModel(kind="gaussian", scale=1.0)

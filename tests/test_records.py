@@ -7,7 +7,7 @@ records that hold arrays or dicts."""
 import numpy as np
 import pytest
 
-from gfl.bounds import BoundParams, BoundReport, PointwiseBound, SseBound
+from gfl.bounds import BoundParams, PointwiseBound, SseBound
 from gfl.lil import LilEnvelope
 from gfl.losses import NoiseModel, QuantileLoss, SquareLoss
 from gfl.signal import PiecewiseConstantSignal, SignalGeometry
@@ -40,9 +40,6 @@ CASES = [
     (PointwiseBound, "value applicable", (Y, Y > 0), {}, False),
     (SseBound, "bound terms precondition_failures", (1.5, {"a": 1.0}),
      {"precondition_failures": ()}, False),
-    (BoundReport,
-     "B B_improved B_quantile applicable signal_admissible pointwise_probability_raw"
-     " pointwise_probability", (Y, Y, Y, Y > 0, None, 0.9, 0.9), {}, False),
     (SignalGeometry, GEOMETRY_FIELDS,
      tuple(getattr(GEOMETRY, f) for f in GEOMETRY_FIELDS.split()), {}, False),
     (FusedLassoProblem, "y lam loss", (Y, 1.0, SquareLoss()), {}, False),

@@ -118,6 +118,11 @@ class TestConstruction:
         s = sig([0, 1.5], [2, 3])
         assert PiecewiseConstantSignal.from_record(s.to_record()) == s
 
+    @pytest.mark.parametrize("record", [{"values": [0.0, 1.5]}, None], ids=["no-lengths", "none"])
+    def test_bad_record_rejected(self, record):
+        with pytest.raises(ConfigError, match="bad signal record"):
+            PiecewiseConstantSignal.from_record(record)
+
 
 class TestGeometry:
     def test_d_two_segments(self):

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfl.bounds import prob_const
+from gfl import bounds, simulate
+from gfl.bounds import PointwiseBound, prob_const
 from gfl.errors import ConfigError, UnsupportedModelError
 from gfl.signal import PiecewiseConstantSignal
 from gfl.simulate import (
@@ -35,6 +36,19 @@ def base_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def _same(a, b) -> bool:
+    """Whether two results hold the same values: dicts key by key, lists and
+    tuples item by item, arrays (a Table's columns) with np.array_equal."""
+    if isinstance(a, dict):
+        same_keys = isinstance(b, dict) and a.keys() == b.keys()
+        return same_keys and all(_same(v, b[k]) for k, v in a.items())
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 _CAUCHY_MEDIAN = {
@@ -279,11 +293,11 @@ class TestRunners:
         summary, tables = a
         assert isinstance(summary["per_index"], Table)
         assert tables["per_index.csv"] is summary["per_index"]
-        assert a == b  # a Table compares its columns with np.array_equal
+        assert _same(a, b)
         table = b[0]["per_index"]
         table["B"] = np.nextafter(table["B"], np.inf)
-        assert a != b
-        assert table != a[0]["per_index"]
+        assert not _same(a, b)
+        assert not _same(table, a[0]["per_index"])
 
     def test_pointwise_vacuous_labeling(self):
         # delta close to the upper limit makes prob_const * delta^2 > 1
@@ -356,6 +370,34 @@ class TestRunners:
         assert res["uniform_range"]["probability_bound"] == 2.0 * prob_const() * 1e-3
         assert res["probability_bound_raw"] == 4.0 * prob_const() * 1e-3
         assert math.isfinite(res["bound_original"])
+
+    def test_pointwise_reports_a_failed_event_cross_check(self, monkeypatch):
+        """With the square loss each event must agree with err >= B or
+        err <= -B; a loss derivative whose events disagree is reported."""
+        monkeypatch.setattr(simulate, "L_plus", lambda loss, noise, t: np.full_like(t, -np.inf))
+        res, _ = run_experiment(ExperimentSpec.from_config(base_config(replications=3)))
+        assert res["event_form_cross_check"] is False
+
+    def test_sse_counts_uniform_range_violations(self, monkeypatch):
+        """A range half-width of 0 puts every fit that leaves the truth's
+        range in the violation count: at lambda 1 each of the 8 fits does."""
+        cfg = base_config(
+            experiment="sse",
+            signal={"values": [0.0, 1.0], "lengths": [64, 64]},
+            noise={"kind": "uniform", "scale": 1.0, "center_tau": 0.5},
+            loss={"kind": "quantile", "tau": 0.5},
+            **{"lambda": {"rule": "fixed", "value": 1.0}},
+            delta=1e-3,
+            replications=8,
+            growth_L="auto",
+        )
+        monkeypatch.setattr(
+            bounds, "uniform_quantile_bound", lambda n, delta, lam, L: PointwiseBound(0.0, True)
+        )
+        res, _ = run_experiment(ExperimentSpec.from_config(cfg))
+        uniform = res["uniform_range"]
+        assert uniform["applicable"] is True and uniform["half_width"] == 0.0
+        assert uniform["freq_violation"] == 1.0
 
     def test_seed_changes_results(self):
         a, _ = run_experiment(ExperimentSpec.from_config(base_config(seed=1)))

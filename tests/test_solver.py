@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfl.bounds import BoundParams, bound_report, elementwise_quantile_bound, sse_bound_mean
+from gfl.bounds import elementwise_quantile_bound, sse_bound_mean
 from gfl.errors import ConfigError, GflError
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.signal import PiecewiseConstantSignal
@@ -392,14 +392,12 @@ def test_array_holding_types_compare_by_identity():
     p = prob([0.0, 1.0, 5.0], 1.0)
     signal = PiecewiseConstantSignal([0.0, 1.0], [4, 4])
     geometry = signal.geometry()
-    params = BoundParams(sigma=1.0, delta=0.1, lam=2.0, growth_L=1.0)
     idx = np.arange(1, 9)
     makers = (
         lambda: p,
         lambda: solve(p),
         signal.geometry,
         lambda: elementwise_quantile_bound(idx, geometry, 0.1, 2.0, 1.0),
-        lambda: bound_report(geometry, params),
         lambda: sse_bound_mean(geometry, 0.01, 2.0, 1.0),
     )
     for make in makers:
