@@ -174,8 +174,8 @@ def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
     Signal level: m_min >= (36/L^2) ln(1/delta) and
     6*(lnln(2 m_min) + ln(1/delta))/L <= lambda <= (L/12)*m_min.
     Per index: d_i >= max(3, 12^4/L^4, (12^2/L^2) ln(1/delta)).
-    Returns (signal_level_ok, per_index_ok, {"index_distance_threshold": that
-    floor on d_i}).
+    Returns (signal_level_ok, per_index_ok): a bool, and a bool array with
+    one entry per index.
     """
     _check_growth_L(L)
     _check_positive("lambda", lam)
@@ -188,7 +188,7 @@ def admissibility(geometry: SignalGeometry, delta: float, lam: float, L: float):
     signal_ok = bool(m_min >= mmin_floor and lam_lo <= lam <= lam_hi)
     d_floor = max(3.0, 12.0**4 / L**4, 144.0 / (L * L) * l1d)
     per_index = geometry.d >= d_floor
-    return signal_ok, per_index, {"index_distance_threshold": d_floor}
+    return signal_ok, per_index
 
 
 def uniform_quantile_bound(n: int, delta: float, lam: float, L: float) -> PointwiseBound:
@@ -340,7 +340,7 @@ def bound_report(geometry: SignalGeometry, params: BoundParams) -> tuple[dict, d
         "B_quantile": compute_B_quantile(idx, geometry, params.delta, params.lam),
     }
     if params.growth_L is not None:
-        signal_ok, per_index, _ = admissibility(
+        signal_ok, per_index = admissibility(
             geometry, params.delta, params.lam, params.growth_L
         )
         columns["applicable"] = per_index & (columns["B_quantile"] <= params.growth_L)

@@ -9,12 +9,13 @@ config/input error (an input too large to allocate included), 3
 mathematical precondition failure.  All outputs are written atomically
 (temp file + rename) and carry the package version and the config's hash in
 their header.  The JSON files hold the bytes
-``json.dumps(..., sort_keys=True, indent=2)`` writes, produced by json's C
-encoder, except a ``Table`` (a row table of numpy columns), which is written
-as its list of rows a column at a time, as its CSV is.  A command makes
-every JSON text before it creates the output directory, so a refused
-command writes no file; it then formats and writes each CSV
-``_CSV_BLOCK_ROWS`` rows at a time, so no CSV's cells are held whole.
+``json.dumps(..., sort_keys=True, indent=2)`` writes: json's C encoder writes
+each scalar, ``_table`` writes each ``Table`` (a row table of numpy columns)
+as its list of rows a column at a time, as its CSV is, and dicts and lists
+are laid out in Python.  A command makes every JSON text before it creates
+the output directory, so a refused command writes no file; it then formats
+and writes each CSV ``_CSV_BLOCK_ROWS`` rows at a time, so no CSV's cells
+are held whole.
 """
 
 from __future__ import annotations
@@ -68,22 +69,8 @@ def _atomic_write(path: str, pieces) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _c_encoder(item_separator: str):
-    """json's C encoder, one per item separator, so one per nesting level."""
-    return json.JSONEncoder(
-        sort_keys=True, allow_nan=False, separators=(item_separator, ": ")
-    ).encode
-
-
-def _flat(values) -> bool:
-    """Whether ``values`` hold no non-empty dict, list or tuple, and no Table."""
-    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
-        return True
-    return not any(v or isinstance(v, Table) for v in values if isinstance(v, _CONTAINERS))
+# json's C encoder, which writes every scalar and every empty container
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def _key(k) -> str:
@@ -91,7 +78,7 @@ def _key(k) -> str:
     if isinstance(k, str):
         return encode_basestring_ascii(k)
     if k is None or isinstance(k, (int, float)):
-        return '"' + _c_encoder(",")(k) + '"'
+        return '"' + _encode(k) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
@@ -109,7 +96,7 @@ def _table(table: Table, level: int) -> str:
         raise TypeError("a Table's columns must be int64 or float64 arrays of one length")
     for a in cols:
         if a.dtype.kind == "f" and not np.isfinite(a).all():
-            _c_encoder(",")(float(a[~np.isfinite(a)][0]))  # raises json's ValueError
+            _encode(float(a[~np.isfinite(a)][0]))  # raises json's ValueError
     if not cols or not cols[0].size:
         return "[]"
     cells = [_cells(a) for a in cols]
@@ -123,23 +110,17 @@ def _table(table: Table, level: int) -> str:
 def _dumps(obj, level: int = 0) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
 
-    With ``indent`` set, json runs its pure-Python encoder, one generator step
-    per element.  Here json's C encoder does the work: a container with no
-    non-empty container inside is one call whose item separator carries the
-    newline and indent of its level, a Table is written a column at a time
-    (``_table``), and only what remains recurses here, a container at a
-    time.
+    json's C encoder writes each scalar and each empty container
+    (``_encode``), ``_table`` writes each row table a column at a time, and
+    each dict, list or tuple is laid out here, as json's own indenting
+    encoder lays it out.
     """
     if isinstance(obj, Table):
         return _table(obj, level)
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return _c_encoder(",")(obj)
-    values = obj.values() if isinstance(obj, dict) else obj
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _encode(obj)
     indent = "\n" + "  " * (level + 1)
     close = "\n" + "  " * level
-    if _flat(values):
-        text = _c_encoder("," + indent)(obj)
-        return text[0] + indent + text[1:-1] + close + text[-1]
     if isinstance(obj, dict):
         parts = [f"{_key(k)}: {_dumps(v, level + 1)}" for k, v in sorted(obj.items())]
         return "{" + indent + ("," + indent).join(parts) + close + "}"

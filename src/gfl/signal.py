@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import numbers
 import operator
-from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +80,7 @@ class PiecewiseConstantSignal(Value):
         """Total range of the truth: max value minus min value."""
         return max(self.values) - min(self.values)
 
-    @cached_property
+    @property
     def change_points(self) -> tuple[int, ...]:
         """Segment start indices n_1..n_K plus the sentinel n_{K+1} = n+1 (1-based)."""
         return tuple(itertools.accumulate(self.lengths, initial=1))

@@ -164,15 +164,16 @@ class TestApplicability:
         assert not near.applicable  # d = 1 at the change point
 
     def test_admissibility_thresholds(self):
-        g = geom([0, 1], [30000, 30000])
+        # d runs from 1 to past 20736, so per_index pins the floor on d_i
+        g = geom([0, 1], [50000, 50000])
         delta = math.exp(-1.0)
+        assert g.d.min() < 3 and g.d.max() > 20736
         # L = 1: per-index distance threshold is 12^4 = 20736
-        _, per_index, details = admissibility(g, delta=delta, lam=100.0, L=1.0)
-        assert details["index_distance_threshold"] == pytest.approx(20736.0)
-        assert not per_index[0] and not per_index[29999]
+        _, per_index = admissibility(g, delta=delta, lam=100.0, L=1.0)
+        assert np.array_equal(per_index, g.d >= 20736)
         # L = 12: all three pieces of the max reduce to 3 (or less)
-        _, _, d12 = admissibility(g, delta=delta, lam=100.0, L=12.0)
-        assert d12["index_distance_threshold"] == pytest.approx(3.0)
+        _, per_index = admissibility(g, delta=delta, lam=100.0, L=12.0)
+        assert np.array_equal(per_index, g.d >= 3)
 
     def test_admissibility_implies_gate(self):
         # sufficient conditions, when they hold, imply B_quantile <= L
@@ -184,7 +185,7 @@ class TestApplicability:
             L = float(rng.uniform(1.0, 12.0))
             delta = float(rng.uniform(0.01, 0.25))
             lam = float(rng.uniform(1.0, 500.0))
-            sig_ok, per_index, _ = admissibility(g, delta, lam, L)
+            sig_ok, per_index = admissibility(g, delta, lam, L)
             if not sig_ok:
                 continue
             for i in np.flatnonzero(per_index)[:5] + 1:

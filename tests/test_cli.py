@@ -433,6 +433,17 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lam", [{"rule": "fixed"}, {"rule": "fixed", "value": -1.0}], ids=["no-value", "negative"]
+    )
+    def test_fixed_lambda_without_nonnegative_value_exit_2(self, tmp_path, capsys, lam):
+        cfg = write_config(tmp_path, small_config(**{"lambda": lam}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: fixed lambda rule requires a nonnegative value\n"
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         path, out = tmp_path / "missing.json", tmp_path / "x"
         assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2

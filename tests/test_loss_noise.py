@@ -125,6 +125,11 @@ class TestNoiseModel:
             with pytest.raises(UnsupportedModelError):
                 NoiseModel(kind=kind, scale=1.0).sigma_for(sq)
 
+    def test_sigma_for_square_refuses_centered_quantile_noise(self):
+        nm = NoiseModel("gaussian", 1.0, center_tau=0.5)
+        with pytest.raises(UnsupportedModelError, match="square loss requires mean-centered noise"):
+            nm.sigma_for(SquareLoss())
+
     def test_growth_constants(self):
         assert NoiseModel(kind="cauchy", scale=1.0, center_tau=0.5).growth_constant() == pytest.approx(
             1.0 / (2.0 * math.pi), rel=1e-12

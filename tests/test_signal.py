@@ -72,6 +72,12 @@ class TestConstruction:
         assert s.change_points == (1, 3, 6, 10)
         assert s.n == 9 and s.K == 3 and s.m_min == 2
 
+    def test_vars_hold_only_the_fields(self):
+        # geometry() reads change_points, which must store nothing on the record
+        s = sig([0, 1, 0], [2, 3, 4])
+        s.geometry()
+        assert list(vars(s)) == ["values", "lengths"]
+
     def test_V(self):
         assert sig([0, 3, -1], [1, 1, 1]).V == 4.0
 
