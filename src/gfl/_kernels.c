@@ -11,11 +11,17 @@
  * compiled with -ffp-contract=off and without -ffast-math, so that no
  * a*b + c is fused into one rounding and no operation is reordered.
  *
- * The number formatter at the end (called from cli.py) writes the CSV and
- * JSON table cells: each float64 or int64 value as the bytes of Python's
- * repr, in integer arithmetic only, except the float64 cells it leaves
- * empty for repr itself to fill.  cli.py passes it a block of n >= 0
- * values and an output of 25 bytes per value.
+ * The row writer and the reader at the end (called from cli.py) turn
+ * table text into numbers and back.  gfl_write_rows writes a block of rows
+ * of a CSV or of a JSON row table, each int64, float64 or bool cell as the
+ * bytes of Python's repr (a bool 0 or 1), in integer arithmetic only, and
+ * refuses a block holding a float64 it leaves to repr.  cli.py passes it
+ * the columns' bytes, a layout of three int64 per column, the k + 1
+ * NUL-ended pieces and an output of 24 bytes per cell plus the pieces'
+ * bytes per row.  gfl_read_values reads gfl solve's input, a value per
+ * line, converting exactly each line it takes and handing every other one
+ * back for float() to read; cli.py passes it the file's bytes, an output
+ * of one double per line and its three-entry state.
  *
  * The caller owns every buffer; nothing here allocates.  Sizes are those
  * the Python wrappers in solver.py and lil.py pass: n >= 1 elements (r >= 1
@@ -424,11 +430,10 @@ void gfl_lil_chunk(const double *x, ptrdiff_t r, ptrdiff_t h, const double *env,
     }
 }
 
-/* Number cells: gfl_repr_double and gfl_repr_int64 write each value as
- * Python's repr writes it, each cell followed by a newline, and return the
- * number of bytes written, at most 25 per value.  A float64 cell is left
- * empty (only its newline written) for a subnormal, an infinity, a NaN or
- * a magnitude outside [2^-32, 2^151); the caller fills it with repr.
+/* Number cells: repr_double writes a double as Python's repr writes it,
+ * and gfl_write_rows an int64 the same way.  repr_double leaves a
+ * subnormal, an infinity, a NaN and a magnitude outside [2^-32, 2^151) to
+ * repr itself.
  *
  * repr writes David Gay's shortest round trip (dtoa mode 0): the fewest
  * digits that read back as x, the closest to x among those, an exact tie
@@ -504,7 +509,10 @@ static inline int count_digits(uint64_t u)
  * place, with no library call: a memcpy or memset of variable length adds
  * a 16-byte entry to the library's PLT, which lies before the code, and so
  * moves gfl_path and the rest; the quantile DP measured 2-3% slower when
- * two such entries moved it by 32 bytes. */
+ * two such entries moved it by 32 bytes.  For the same reason
+ * repr_double has one caller, gfl_write_rows: with a second one GCC
+ * emitted it out of line, ahead of gfl_path, which moved from 0x1110 to
+ * 0x1990. */
 static inline char *put_digits(uint64_t u, int nd, int point, char *p)
 {
     char *end = p + nd + (point > 0 && point < nd), *q = end;
@@ -600,41 +608,201 @@ static inline ptrdiff_t repr_double(uint64_t bits, char *out)
     return p - out;
 }
 
-/* x holds the n values' native bytes, 8 each, at any alignment, so that
- * the caller can pass a bytes object (ndarray.tobytes() costs a twentieth
- * of ndarray.ctypes.data, which dominated a short column's call). */
-ptrdiff_t gfl_repr_double(const void *x, ptrdiff_t n, char *out)
-{
-    const char *v = x;
-    char *p = out;
-    uint64_t bits;
-    ptrdiff_t i;
+/* The column kinds of gfl_write_rows: int64 and float64 values of 8 bytes,
+ * and bools of one byte (0 or 1), each as numpy holds it. */
+enum { GFL_INT64 = 0, GFL_FLOAT64 = 1, GFL_BOOL = 2 };
 
-    for (i = 0; i < n; i++) {
-        memcpy(&bits, v + 8 * i, sizeof bits);
-        p += repr_double(bits, p);
-        *p++ = '\n';
+/* Writes rows 0 to rows - 1 of k columns to out and returns the number of
+ * bytes written, or -1, with out's bytes then of no use, if a float64 cell
+ * is one repr_double leaves to repr.  Row i is piece 0, the cell of column
+ * 0, piece 1, ..., the cell of column k - 1, piece k: pieces holds the
+ * k + 1 pieces back to back, each ended by a NUL.  layout holds three
+ * int64 per column, {kind, byte offset of its values in data, number of
+ * values}; a column of fewer values than rows gives an empty cell in each
+ * row past its end.  A cell is the value as Python's repr writes it, a
+ * bool 0 or 1, and takes at most 24 bytes.  data holds the values' native
+ * bytes at any alignment, so that the caller can pass a bytes object
+ * (ndarray.tobytes() costs a twentieth of ndarray.ctypes.data, which
+ * dominated a short column's call).  Each piece is copied a byte at a
+ * time up to its NUL: a loop of known length could be compiled into a
+ * call of memcpy (see put_digits). */
+ptrdiff_t gfl_write_rows(const void *data, const int64_t *layout, ptrdiff_t k, ptrdiff_t rows,
+                         const char *pieces, char *out)
+{
+    const char *q, *v;
+    char *p = out;
+    uint64_t bits, u;
+    int64_t s;
+    ptrdiff_t i, j, len;
+
+    for (i = 0; i < rows; i++) {
+        q = pieces;
+        for (j = 0;; j++) {
+            while (*q)
+                *p++ = *q++;
+            q++;
+            if (j == k)
+                break;
+            if (i >= layout[3 * j + 2])
+                continue;
+            v = (const char *)data + layout[3 * j + 1];
+            if (layout[3 * j] == GFL_FLOAT64) {
+                memcpy(&bits, v + 8 * i, sizeof bits);
+                len = repr_double(bits, p);
+                if (len == 0)
+                    return -1;
+                p += len;
+            } else if (layout[3 * j] == GFL_INT64) {
+                memcpy(&s, v + 8 * i, sizeof s);
+                u = (uint64_t)s;
+                if (s < 0) {
+                    *p++ = '-';
+                    u = 0 - u;
+                }
+                p = put_digits(u, count_digits(u), 0, p);
+            } else {
+                *p++ = v[i] ? '1' : '0';
+            }
+        }
     }
     return p - out;
 }
 
-ptrdiff_t gfl_repr_int64(const void *x, ptrdiff_t n, char *out)
+/* The bits of the double nearest (q + t) * 2^e, a tie going to the even
+ * one, for q >= 1 and 0 <= t < 1, t nonzero exactly when sticky is; the
+ * callers' values are normal doubles, from 10^-27 to below 10^46. */
+static inline uint64_t round_to_double(gfl_u128 q, int sticky, int e)
 {
-    const char *v = x;
-    char *p = out;
-    int64_t s;
-    uint64_t u;
-    ptrdiff_t i;
+    uint64_t hi = (uint64_t)(q >> 64), mant;
+    int shift = (hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll((uint64_t)q)) - 53;
+    gfl_u128 rest, half;
 
-    for (i = 0; i < n; i++) {
-        memcpy(&s, v + 8 * i, sizeof s);
-        u = (uint64_t)s;
-        if (s < 0) {
-            *p++ = '-';
-            u = 0 - u;
-        }
-        p = put_digits(u, count_digits(u), 0, p);
-        *p++ = '\n';
+    if (shift > 0) {
+        rest = q & (((gfl_u128)1 << shift) - 1);
+        half = (gfl_u128)1 << (shift - 1);
+        mant = (uint64_t)(q >> shift);
+        mant += rest > half || (rest == half && (sticky || (mant & 1)));
+    } else {
+        mant = (uint64_t)q << -shift;
     }
-    return p - out;
+    e += shift;
+    if (mant >> 53) {
+        mant >>= 1;
+        e++;
+    }
+    return (uint64_t)(e + 1075) << 52 | (mant & ((UINT64_C(1) << 52) - 1));
+}
+
+/* Reads s[0..n) as [+-](digits[.[digits]]|.digits)[(e|E)[+-]digits] into
+ * *x and returns 1, or returns 0 for any other text and for a value it
+ * does not convert.  The value m * 10^k, m the digits without their
+ * leading and trailing zeros, is converted when m has at most 19 digits
+ * and |k| <= 27 (or m is 0), exactly (Clinger, PLDI 1990; Lemire, Softw.
+ * Pract. Exp. 51(8), 2021): for k >= 0 it is m * 5^k * 2^k, the product
+ * below 2^126; for k < 0 it is q * 2^(k - sh), q the quotient of m * 2^sh
+ * by 5^-k, sh putting the top bit of m * 2^sh at bit 127, so that q has at
+ * least 65 bits, with the remainder as the sticky bit.  Both are rounded
+ * to nearest, a tie to even, as float() rounds. */
+static inline int read_decimal(const char *s, ptrdiff_t n, double *x)
+{
+    const char *end = s + n;
+    uint64_t m = 0, bits = 0;
+    int64_t k = 0, e = 0;
+    int neg = 0, eneg = 0, point = 0, digits = 0, nd = 0, zeros = 0, sh;
+    gfl_u128 num;
+
+    if (s < end && (*s == '+' || *s == '-'))
+        neg = *s++ == '-';
+    for (; s < end; s++) {
+        if (*s == '.' && !point) {
+            point = 1;
+            continue;
+        }
+        if (*s < '0' || *s > '9')
+            break;
+        digits = 1;
+        k -= point;
+        if (*s == '0') { /* a leading zero is dropped, a later one held */
+            zeros += m > 0;
+            continue;
+        }
+        if (nd + zeros >= 19)
+            return 0;
+        for (; zeros > 0; zeros--, nd++)
+            m *= 10;
+        m = 10 * m + (uint64_t)(*s - '0');
+        nd++;
+    }
+    if (!digits)
+        return 0;
+    if (s < end && (*s == 'e' || *s == 'E')) {
+        if (++s < end && (*s == '+' || *s == '-'))
+            eneg = *s++ == '-';
+        if (s == end)
+            return 0;
+        for (; s < end && *s >= '0' && *s <= '9'; s++)
+            if (e < 1000000)
+                e = 10 * e + (*s - '0');
+        k += eneg ? -e : e;
+    }
+    if (s != end)
+        return 0;
+    k += zeros;
+    if (m > 0) {
+        if (k < -27 || k > 27)
+            return 0;
+        if (k >= 0) {
+            bits = round_to_double((gfl_u128)m * pow5[k], 0, (int)k);
+        } else {
+            sh = __builtin_clzll(m) + 64;
+            num = (gfl_u128)m << sh;
+            bits = round_to_double(num / pow5[-k], num % pow5[-k] != 0, (int)k - sh);
+        }
+    }
+    bits |= (uint64_t)neg << 63;
+    memcpy(x, &bits, sizeof bits);
+    return 1;
+}
+
+/* Whether c is one of the bytes str.strip removes that end no line. */
+static inline int blank(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\f') || (c >= '\x1c' && c <= '\x1f');
+}
+
+/* The lines of text[0..size), each value written to out in turn.  A line
+ * ends at '\n' or '\r' (so "\r\n" ends one line and leaves an empty one),
+ * the bytes str.strip removes that end no line (' ', '\t', '\v', '\f' and
+ * '\x1c' to '\x1f') are trimmed from its ends, and an empty line is
+ * skipped.  state holds {position in text, values written, end}: a call
+ * reads from state[0] with state[1] values written, and returns 0 at the
+ * end of the text, with state[1] the number of values, or 1 at a line
+ * read_decimal does not convert, with state[0] and state[2] the start and
+ * end of its trimmed text and state[1] the index of its value, which the
+ * caller writes before it calls again from the end of that line.  out
+ * holds a value for every line. */
+int gfl_read_values(const char *text, ptrdiff_t size, double *out, ptrdiff_t *state)
+{
+    ptrdiff_t pos = state[0], count = state[1], start, stop, end;
+
+    for (; pos < size; pos = stop + 1) {
+        for (stop = pos; stop < size && text[stop] != '\n' && text[stop] != '\r'; stop++)
+            ;
+        for (start = pos; start < stop && blank(text[start]); start++)
+            ;
+        for (end = stop; end > start && blank(text[end - 1]); end--)
+            ;
+        if (start == end)
+            continue;
+        if (!read_decimal(text + start, end - start, out + count)) {
+            state[0] = start;
+            state[1] = count;
+            state[2] = end;
+            return 1;
+        }
+        count++;
+    }
+    state[0] = size;
+    state[1] = count;
+    return 0;
 }

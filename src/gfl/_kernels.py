@@ -1,6 +1,6 @@
 """Build and load gfl's C kernels (``_kernels.c``): the solver's, the
-iterated-logarithm check's and the number formatter that writes the CSV and
-JSON table cells.
+iterated-logarithm check's, the row writer that writes the CSV and JSON
+table rows, and the reader of ``gfl solve``'s input.
 
 The library is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into this package's ``__pycache__``, once per SHA-256
@@ -20,9 +20,14 @@ float64 array, of arrays they have just made the same way (with
 ``np.empty``, and of C-contiguous rows of such an array, every output a
 writable one, or ``None`` (NULL) for an output a kernel may skip; they size
 every array and hold a reference to each for the length of the call.
-``cli.py`` passes the formatter the bytes (``tobytes``) of a float64 or int64
-array (a CSV column's block of at most 4096 rows, or a whole column of a
-JSON row table) and a ctypes char buffer of 25 bytes per value in it.
+``cli.py`` passes the row writer bytes objects: the ``tobytes`` of a block of
+at most 4096 rows of int64, float64 and bool columns, joined, their int64
+layout and the NUL-ended pieces; and a ctypes char buffer of 24 bytes per
+cell plus the pieces' bytes per row.  It passes the reader the input file's
+bytes, the ``.ctypes.data`` of a float64 array it has just made with
+``np.empty``, holding a value for every line, and a ctypes array of three
+``ssize_t``, holding the reader's state; it holds a reference to each for
+the length of the call.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ lib.gfl_kkt.argtypes = (_P, _P, _N, ctypes.c_int, _F, _F, _P, _P)
 lib.gfl_kkt.restype = ctypes.c_double
 lib.gfl_lil_chunk.argtypes = (_P, _N, _N, _P, _P, _P)
 lib.gfl_lil_chunk.restype = None
-lib.gfl_repr_double.argtypes = (_P, _N, _P)
-lib.gfl_repr_double.restype = _N
-lib.gfl_repr_int64.argtypes = (_P, _N, _P)
-lib.gfl_repr_int64.restype = _N
+lib.gfl_write_rows.argtypes = (_P, _P, _N, _N, _P, _P)
+lib.gfl_write_rows.restype = _N
+lib.gfl_read_values.argtypes = (_P, _N, _P, _P)
+lib.gfl_read_values.restype = ctypes.c_int

@@ -11,18 +11,22 @@ mathematical precondition failure.  All outputs are written atomically
 their header.  The JSON files hold the bytes
 ``json.dumps(..., sort_keys=True, indent=2)`` writes: json's C encoder writes
 each scalar, ``_table`` writes each ``Table`` (a row table of numpy columns)
-as its list of rows a column at a time, as its CSV is, and dicts and lists
-are laid out in Python.  A command makes every JSON text before it creates
-the output directory, so a refused command writes no file; it then formats
-and writes each CSV ``_CSV_BLOCK_ROWS`` rows at a time, so no CSV's cells
-are held whole.
+as its list of rows through the C row writer, a block of rows per call, as
+a CSV's rows are written, and dicts and lists are laid out in Python.  A
+command makes every JSON text before it creates the output directory, so a
+refused command writes no file; it then formats and writes each CSV
+``_CSV_BLOCK_ROWS`` rows at a time, so no CSV's cells are held whole.
+``gfl solve`` reads its input's bytes with one C call, which converts each
+line exactly where it can and leaves every other line to ``float()``.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import ctypes
 import functools
+import io
 import itertools
 import json
 import os
@@ -42,23 +46,23 @@ from .simulate import ExperimentSpec, Table, hash_config, run_experiment
 from .solver import FusedLassoProblem, solve
 
 
-# CSV rows formatted, joined and written at once
+# rows formatted and written at once
 _CSV_BLOCK_ROWS = 4096
-# the C formatter for each dtype it writes; each cell takes at most 25
-# bytes, its newline included
-_REPR_KERNELS = {np.dtype(np.float64): lib.gfl_repr_double, np.dtype(np.int64): lib.gfl_repr_int64}
-_REPR_WIDTH = 25
+# the C row writer's kind of each column dtype it formats
+_ROW_KINDS = {np.dtype(np.int64): 0, np.dtype(np.float64): 1, np.dtype(bool): 2}
+# the most bytes the row writer writes for one cell
+_CELL_WIDTH = 24
 
 
 def _atomic_write(path: str, pieces) -> None:
-    """Write the strings ``pieces`` to ``path``: into a temp file beside it,
+    """Write the bytes ``pieces`` to ``path``: into a temp file beside it,
     which then replaces ``path``."""
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     try:
         # mode 0o666 less the umask, as open(path, "w") creates a file
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
@@ -87,9 +91,10 @@ _TABLE_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 def _table(table: Table, level: int) -> str:
     """``table`` as json writes its rows: a list of objects with sorted keys,
-    ``[]`` for no rows.  json writes each number as ``repr``, so a column is
-    one ``_cells`` call, as a CSV's block of it is, and one ``%`` template
-    lays out every row.  A non-finite float raises json's ``ValueError``."""
+    ``[]`` for no rows.  json writes each number as ``repr``, so the rows
+    are ``_row_blocks``' text, each row one ``{...}`` with a comma after it
+    (the last one dropped).  A non-finite float raises json's
+    ``ValueError``."""
     keys = sorted(table)
     cols = [np.asarray(table[k]) for k in keys]
     if any(a.dtype not in _TABLE_DTYPES for a in cols) or len({a.shape for a in cols}) > 1:
@@ -99,19 +104,18 @@ def _table(table: Table, level: int) -> str:
             _encode(float(a[~np.isfinite(a)][0]))  # raises json's ValueError
     if not cols or not cols[0].size:
         return "[]"
-    cells = [_cells(a) for a in cols]
     row_indent, field_indent = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-    template = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
-    body = ("," + row_indent).join(map(template.__mod__, zip(*cells)))
-    return "[" + row_indent + body + "\n" + "  " * level + "]"
+    fields = [field_indent + encode_basestring_ascii(k) + ": " for k in keys]
+    pieces = [row_indent + "{" + fields[0], *("," + f for f in fields[1:]), row_indent + "},"]
+    rows = b"".join(_row_blocks(cols, pieces)).decode()
+    return "[" + rows[:-1] + "\n" + "  " * level + "]"
 
 
 def _dumps(obj, level: int = 0) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
 
     json's C encoder writes each scalar and each empty container
-    (``_encode``), ``_table`` writes each row table a column at a time, and
+    (``_encode``), ``_table`` writes each row table through the row writer, and
     each dict, list or tuple is laid out here, as json's own indenting
     encoder lays it out.
     """
@@ -137,43 +141,67 @@ def _json_text(path: str, payload: dict, config_hash: str) -> str:
         raise GflError(f"not writing {path}: {exc}") from exc
 
 
-def _cells(values) -> list:
-    """A CSV column's cells: an int or float as ``repr`` writes the Python
-    number, a bool as 0/1, None as an empty cell.  A bool column is written
-    as int64; a float64 or int64 column is one call of the C formatter
-    (``_kernels.c``), whose cells are ``repr``'s byte for byte, and ``repr``
-    fills each cell it leaves empty (a subnormal, an infinity, a NaN, or a
-    float outside [2^-32, 2^151)).  A column holding None, or of any other
-    dtype, is ``repr``'d value by value."""
-    a = np.asarray(values)
-    if a.dtype == bool:
-        a = a.astype(np.int64)
-    kernel = _REPR_KERNELS.get(a.dtype)
-    if kernel is None:  # tolist hands out Python numbers, not numpy scalars
-        return ["" if v is None else repr(v) for v in a.tolist()]
-    buf = ctypes.create_string_buffer(_REPR_WIDTH * a.size)
-    # ctypes passes bytes as a pointer to their data
-    text = str(memoryview(buf)[: kernel(a.tobytes(), a.size, buf)], "ascii")
-    cells = text.split("\n")
-    cells.pop()  # after the last cell's newline
-    if text.startswith("\n") or "\n\n" in text:
-        cells = [c or repr(v) for c, v in zip(cells, a.tolist())]
-    return cells
+def _repr_rows(columns: list, start: int, stop: int, pieces: list) -> str:
+    """Rows ``start`` to ``stop`` of ``columns`` laid out as ``_row_blocks``
+    lays them out, each cell ``repr`` of the Python number (a bool 0 or 1)
+    and None an empty cell."""
+    cells = [
+        ["" if v is None else repr(v)
+         for v in (a[start:stop].astype(np.int64) if a.dtype == bool else a[start:stop]).tolist()]
+        for a in columns
+    ]
+    first, *after = pieces
+    rows = itertools.zip_longest(*cells, fillvalue="")
+    return "".join(first + "".join(map(str.__add__, row, after)) for row in rows)
+
+
+def _row_blocks(columns: list, pieces: list):
+    """The rows of ``columns`` (numpy arrays), ``_CSV_BLOCK_ROWS`` at a
+    time, as bytes: each row is ``pieces[0]``, the cell of column 0,
+    ``pieces[1]``, ..., ``pieces[k]``, and a column shorter than the longest
+    gives empty cells.  A cell is ``repr`` of the Python number, a bool 0
+    or 1.  The C row writer (``_kernels.c``) writes each block of int64,
+    float64 and bool columns in one call, from their bytes joined into one
+    buffer; it refuses a block holding a float it leaves to ``repr`` (a
+    subnormal, an infinity, a NaN, or a float outside [2^-32, 2^151)), and
+    ``_repr_rows`` writes that block, and every block of a table with a
+    column of any other dtype, with the same pieces."""
+    rows = max((a.size for a in columns), default=0)
+    kinds = [_ROW_KINDS.get(a.dtype) for a in columns]
+    # ctypes passes bytes, and a char buffer, as a pointer to their data
+    text = ("\0".join(pieces) + "\0").encode()
+    out = None
+    if rows and None not in kinds:
+        width = len(text) + _CELL_WIDTH * len(columns)
+        out = ctypes.create_string_buffer(width * min(rows, _CSV_BLOCK_ROWS))
+        written = memoryview(out)
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, rows)
+        if out is not None:
+            data, layout, offset = [], array.array("q"), 0
+            for a, kind in zip(columns, kinds):
+                part = a[start:stop]
+                data.append(part.tobytes())
+                layout.extend((kind, offset, part.size))
+                offset += part.nbytes
+            size = lib.gfl_write_rows(
+                b"".join(data), layout.tobytes(), len(columns), stop - start, text, out
+            )
+            if size >= 0:
+                yield bytes(written[:size])
+                continue
+        yield _repr_rows(columns, start, stop, pieces).encode()
 
 
 def _csv_blocks(table: dict, config_hash: str):
-    """``table``, {column name: values}, as CSV text in pieces: the header,
-    then the rows ``_CSV_BLOCK_ROWS`` at a time; a column shorter than the
-    others ends in empty cells.  Each block's cells are formatted as the
-    block is taken, so no column's cells are held whole."""
-    yield f"# version={__version__} config_hash={config_hash}\n" + ",".join(table) + "\n"
+    """``table``, {column name: values}, as CSV bytes in pieces: the header,
+    then ``_row_blocks``' blocks of rows; a column shorter than the others
+    ends in empty cells.  Each block's cells are formatted as the block is
+    taken, so no column's cells are held whole."""
+    header = f"# version={__version__} config_hash={config_hash}\n" + ",".join(table) + "\n"
+    yield header.encode()
     columns = [np.asarray(v) for v in table.values()]
-    rows = max((len(a) for a in columns), default=0)
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        cells = [_cells(a[start : start + _CSV_BLOCK_ROWS]) for a in columns]
-        lines = map(",".join, itertools.zip_longest(*cells, fillvalue=""))
-        # the "" after the block's last row ends that row in a newline
-        yield "\n".join([*lines, ""])
+    yield from _row_blocks(columns, ["", *[","] * (len(columns) - 1), "\n"])
 
 
 def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
@@ -188,7 +216,7 @@ def _write_outputs(out_dir: str, files: dict, config_hash: str) -> None:
     for name, content in files.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".json"):
-            pieces[path] = [_json_text(path, content, config_hash)]
+            pieces[path] = [_json_text(path, content, config_hash).encode()]
         else:
             pieces[path] = _csv_blocks(content, config_hash)
     try:
@@ -216,24 +244,36 @@ _float, _int = _strict(float), _strict(int)
 
 
 def _read_values(path: str) -> np.ndarray:
-    # one decimal value per line, no header.  Lines end only at a newline:
-    # str.splitlines would also split at \x0c, \x1c, \u2028 and others, and
-    # so accept a line such as "1\x0c2" as two values.  The text is searched
-    # once for "_" and non-ASCII characters, which _float refuses.
+    # one decimal value per line, no header.  A line ends at "\n", "\r\n" or
+    # "\r", as text mode's universal newlines end it: str.splitlines would
+    # also split at \x0c, \x1c, \u2028 and others, and so accept a line
+    # such as "1\x0c2" as two values.  A file holding "_" or a non-ASCII
+    # byte, which _float refuses, is decoded as text and refused naming its
+    # line.  Otherwise one C call (gfl_read_values) reads every line that it
+    # converts exactly, and float() reads each other one, in file order,
+    # so the value and any error are float()'s.
     try:
-        with open(path) as fh:
-            text = fh.read()
-        if "_" in text or not text.isascii():
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"_" in data or not data.isascii():
+            text = io.TextIOWrapper(io.BytesIO(data)).read()
             bad = next(line for line in text.split("\n") if "_" in line or not line.isascii())
             _float(bad)  # raises, naming the line
-        vals = list(map(float, filter(None, map(str.strip, text.split("\n")))))
+        # a value for every line, the last one without its line end included
+        values = np.empty(data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1)
+        state = (ctypes.c_ssize_t * 3)()
+        out = values.ctypes.data
+        while lib.gfl_read_values(data, len(data), out, state):
+            start, count, end = state
+            values[count] = float(data[start:end].decode())
+            state[0], state[1] = end, count + 1
     except OSError as exc:
         raise ConfigError(f"cannot read input file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"non-numeric line in {path}: {exc}") from exc
-    if not vals:
+    if not state[1]:
         raise ConfigError(f"input file {path} is empty")
-    return np.asarray(vals)
+    return values[: state[1]]
 
 
 def _cmd_solve(args):

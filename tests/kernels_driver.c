@@ -4,28 +4,37 @@
  * the kernels' source (compile it with -I and the source's directory), so
  * it calls them by their own definitions.
  *
- * Usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS REPR_CASES
- * REPR_RESULTS.  CASES holds
- * one record per solver case: an int64 header {n, quantile, work size in
- * doubles}, then the doubles {lambda, tau} and y[0..n).  For each case the
- * driver runs gfl_path, then gfl_kkt twice, with z NULL and with z, and
- * appends theta (n doubles), the two residuals and z (n - 1 doubles) to
- * RESULTS.  LIL_CASES holds one record per chunk of paths: an int64 header
- * {r, h}, then the doubles x[0..r*h) and env[0..h).  For each the driver
- * runs gfl_lil_chunk and appends path_max (r doubles) and grid (r*g
- * doubles, g the bit length of h) to LIL_RESULTS.  REPR_CASES holds one
- * record per array of numbers: an int64 header {n, whether the values are
- * float64}, then the n float64 or int64 values.  For each the driver runs
- * gfl_repr_double or gfl_repr_int64 on the values at an odd address and
- * appends the bytes it wrote to REPR_RESULTS.  Every buffer is malloc'd at exactly the size the kernels
- * document (25 bytes per value for the formatter's text), so a read or
- * write past its end is reported; a nonzero status from gfl_path, a short
- * read or a failed allocation exits 1.
+ * Usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS ROW_CASES
+ * ROW_RESULTS READ_CASES READ_RESULTS.  CASES holds one record per solver
+ * case: an int64 header {n, quantile, work size in doubles}, then the
+ * doubles {lambda, tau} and y[0..n).  For each case the driver runs
+ * gfl_path, then gfl_kkt twice, with z NULL and with z, and appends theta
+ * (n doubles), the two residuals and z (n - 1 doubles) to RESULTS.
+ * LIL_CASES holds one record per chunk of paths: an int64 header {r, h},
+ * then the doubles x[0..r*h) and env[0..h).  For each the driver runs
+ * gfl_lil_chunk and appends path_max (r doubles) and grid (r*g doubles, g
+ * the bit length of h) to LIL_RESULTS.  ROW_CASES holds one record per
+ * table: an int64 header {k, rows}, then {kind, number of values} for each
+ * of the k columns, then the columns' values back to back (8 bytes each,
+ * 1 for a bool).  For each the driver runs gfl_write_rows on the values
+ * one byte past an aligned address, with the pieces "[", ",", ..., "]\n",
+ * and appends the int64 it returns and, unless it is -1, the bytes it
+ * wrote to ROW_RESULTS.  READ_CASES holds one record per text: an int64
+ * size, then its bytes.  For each the driver calls gfl_read_values until
+ * it returns 0, and appends {1, start, index, end} (int64) for each line
+ * it does not convert, writing 0.0 as that line's value, then {0, number
+ * of values} and the values to READ_RESULTS.  Every buffer is malloc'd at
+ * exactly the size the kernels document (24 bytes per cell and the
+ * pieces' bytes per row for the row writer's output, the text with no
+ * newline or NUL after it and a value per line for the reader), so a read
+ * or write past its end is reported; a nonzero status from gfl_path, a
+ * short read or a failed allocation exits 1.
  */
 
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 #include "_kernels.c"
 
@@ -113,47 +122,106 @@ static void lil_cases(FILE *in, FILE *out)
     }
 }
 
-static void repr_cases(FILE *in, FILE *out)
+static void row_cases(FILE *in, FILE *out)
 {
-    int64_t head[2];
-    char *values, *text;
-    size_t n;
-    ptrdiff_t size;
+    int64_t head[2], *layout, size;
+    char *values, *pieces, *text;
+    size_t k, rows, j, bytes;
 
     while (fread(head, sizeof head, 1, in) == 1) {
-        n = (size_t)head[0];
-        /* the values one byte past an aligned address, as the kernels read
+        k = (size_t)head[0];
+        rows = (size_t)head[1];
+        layout = alloc_bytes(3 * k * sizeof *layout);
+        for (j = 0, bytes = 0; j < k; j++) {
+            if (fread(&layout[3 * j], sizeof *layout, 1, in) != 1
+                || fread(&layout[3 * j + 2], sizeof *layout, 1, in) != 1)
+                short_record();
+            layout[3 * j + 1] = (int64_t)bytes;
+            bytes += (size_t)layout[3 * j + 2] * (layout[3 * j] == 2 ? 1 : 8);
+        }
+        /* the values one byte past an aligned address, as the kernel reads
          * them at any alignment */
-        values = alloc_bytes(8 * n + 1);
-        if (fread(values + 1, 8, n, in) != n)
+        values = alloc_bytes(bytes + 1);
+        if (fread(values + 1, 1, bytes, in) != bytes)
             short_record();
-        text = alloc_bytes(25 * n);
-        if (head[1])
-            size = gfl_repr_double(values + 1, (ptrdiff_t)n, text);
-        else
-            size = gfl_repr_int64(values + 1, (ptrdiff_t)n, text);
-        fwrite(text, 1, (size_t)size, out);
+        /* "[", "," k - 1 times and "]\n", each ended by a NUL */
+        pieces = alloc_bytes(2 * k + 3);
+        pieces[0] = '[';
+        pieces[1] = '\0';
+        for (j = 1; j < k; j++) {
+            pieces[2 * j] = ',';
+            pieces[2 * j + 1] = '\0';
+        }
+        memcpy(pieces + 2 * k, "]\n", 3);
+        text = alloc_bytes(rows * (k + 2 + 24 * k));
+        size = gfl_write_rows(values + 1, layout, (ptrdiff_t)k, (ptrdiff_t)rows, pieces, text);
+        fwrite(&size, sizeof size, 1, out);
+        if (size >= 0)
+            fwrite(text, 1, (size_t)size, out);
+        free(layout);
         free(values);
+        free(pieces);
         free(text);
+    }
+}
+
+static void read_cases(FILE *in, FILE *out)
+{
+    int64_t size, refused[4], done[2];
+    ptrdiff_t state[3];
+    char *text;
+    double *values;
+    size_t n, i, lines;
+
+    while (fread(&size, sizeof size, 1, in) == 1) {
+        n = (size_t)size;
+        text = alloc_bytes(n);
+        if (fread(text, 1, n, in) != n)
+            short_record();
+        /* a value per line, the last one without its line end included */
+        for (i = 0, lines = 1; i < n; i++)
+            lines += text[i] == '\n' || (text[i] == '\r' && !(i + 1 < n && text[i + 1] == '\n'));
+        values = alloc(lines);
+        state[0] = state[1] = state[2] = 0;
+        while (gfl_read_values(text, (ptrdiff_t)n, values, state)) {
+            refused[0] = 1;
+            refused[1] = state[0];
+            refused[2] = state[1];
+            refused[3] = state[2];
+            fwrite(refused, sizeof refused, 1, out);
+            values[state[1]] = 0.0;
+            state[0] = state[2];
+            state[1] += 1;
+        }
+        done[0] = 0;
+        done[1] = state[1];
+        fwrite(done, sizeof done, 1, out);
+        fwrite(values, sizeof *values, (size_t)state[1], out);
+        free(text);
+        free(values);
     }
 }
 
 int main(int argc, char **argv)
 {
-    FILE *in, *out, *lil_in, *lil_out, *repr_in, *repr_out;
+    FILE *in, *out, *lil_in, *lil_out, *row_in, *row_out, *read_in, *read_out;
 
-    if (argc != 7 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))
+    if (argc != 9 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))
         || !(lil_in = fopen(argv[3], "rb")) || !(lil_out = fopen(argv[4], "wb"))
-        || !(repr_in = fopen(argv[5], "rb")) || !(repr_out = fopen(argv[6], "wb"))) {
+        || !(row_in = fopen(argv[5], "rb")) || !(row_out = fopen(argv[6], "wb"))
+        || !(read_in = fopen(argv[7], "rb")) || !(read_out = fopen(argv[8], "wb"))) {
         fprintf(stderr, "usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS "
-                        "REPR_CASES REPR_RESULTS\n");
+                        "ROW_CASES ROW_RESULTS READ_CASES READ_RESULTS\n");
         return 1;
     }
     solver_cases(in, out);
     lil_cases(lil_in, lil_out);
-    repr_cases(repr_in, repr_out);
+    row_cases(row_in, row_out);
+    read_cases(read_in, read_out);
     fclose(in);
     fclose(lil_in);
-    fclose(repr_in);
-    return (fclose(out) != 0) | (fclose(lil_out) != 0) | (fclose(repr_out) != 0);
+    fclose(row_in);
+    fclose(read_in);
+    return (fclose(out) != 0) | (fclose(lil_out) != 0) | (fclose(row_out) != 0)
+           | (fclose(read_out) != 0);
 }

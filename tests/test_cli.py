@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,7 +134,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x1e", "\x0b"])
     def test_line_with_inner_line_break_character_exit_2(self, tmp_path, capsys, sep):
         # str.splitlines would split "1<sep>2" into two values; a line ends
-        # only at a newline, so this line is one malformed value
+        # only at "\n", "\r\n" or "\r", so this line is one malformed value
         inp = tmp_path / "y.csv"
         inp.write_bytes(f"0.5\n1{sep}2\n3.0\n".encode())
         out = tmp_path / "out"
@@ -150,6 +151,90 @@ class TestSolveCommand:
         inp.write_bytes(b" \n\n\t\r\n")
         with pytest.raises(GflError, match="is empty"):
             cli._read_values(str(inp))
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # as text mode's universal newlines read it: "\r", "\n" and "\r\n"
+        # each end a line, and the last line needs no line end
+        inp = tmp_path / "y.csv"
+        inp.write_bytes(b"1\r2\n3\r\n\r4")
+        assert cli._read_values(str(inp)).tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("line", ["1e", "-", ".", "1.2.3", "1 2", "0x10", "1e+", "+-1", "e5",
+                                      "1\x002", "infinity_", "1,5"])
+    def test_refused_line_gives_floats_message(self, tmp_path, capsys, line):
+        inp = tmp_path / "y.csv"
+        inp.write_bytes(f"0.5\n 2 \n{line}\nabc\n".encode())
+        assert main(["solve", "--input", str(inp), "--lambda", "1.0"]) == 2
+        with pytest.raises(ValueError) as exc:
+            float(line) if "_" not in line else cli._float(line)
+        assert capsys.readouterr().err == f"config error: non-numeric line in {inp}: {exc.value}\n"
+
+    def test_read_peak_is_the_file_and_a_value_per_line(self, tmp_path):
+        """Reading 2^16 lines holds the file's bytes and one float64 per
+        line (and one for a last line with no line end), plus a fixed
+        allowance; no list of lines or of Python floats."""
+        n = 2**16
+        y = np.random.default_rng(5).standard_normal(n) * 10.0 ** np.arange(-8, 8).repeat(n // 16)
+        inp = tmp_path / "y.csv"
+        inp.write_text("".join(f"{v!r}\n" for v in y.tolist()))
+        tracemalloc.start()
+        try:
+            got = cli._read_values(str(inp))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == y.tobytes()
+        assert peak <= inp.stat().st_size + 8 * (n + 1) + 64 * 1024
+
+
+# each line as float() reads it: exact decimal halfway cases, 19 and 20
+# significant digits, decimal exponents of +-27 and +-28, and the forms of
+# a sign, a point and an exponent
+_READ_CASES = [
+    "9007199254740993", "9007199254740995", "9007199254740993.0", "4503599627370496.5",
+    "1.00000000000000011102230246251565404236316680908203125", "0.30000000000000004",
+    "1.7976931348623157e308", "2.2250738585072014e-308", "5e-324", "1e23", "8.98846567431158e307",
+    "1234567890123456789", "12345678901234567891", "9999999999999999999", "99999999999999999999",
+    "0.1234567890123456789", "0.12345678901234567891", "1000000000000000000000000",
+    "1e27", "1e28", "1e-27", "1e-28", "9999999999999999999e27", "9999999999999999999e28",
+    "1234567890123456789e-27", "1234567890123456789e-28", "123e25", "0.000001e-21",
+    "-0", "+1", ".5", "5.", "1e0", "1E5", "000.000", "-000.000e5", "0e999999999999",
+    "5.e3", "-.5e-3", "+.5E+3", "00012.500", "1e-0", "nan", "-inf", "Infinity", "1e400",
+]
+
+
+def _read(tmp_path_factory, lines, ending="\n") -> np.ndarray:
+    path = tmp_path_factory.getbasetemp() / "read.csv"
+    path.write_bytes(ending.join(lines).encode())
+    return cli._read_values(str(path))
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+def test_reader_gives_floats_bits_on_fixed_cases(tmp_path_factory, ending):
+    padded = [f" {line}\t" if i % 2 else f"\x0c{line} \x1f" for i, line in enumerate(_READ_CASES)]
+    for lines in (_READ_CASES, padded):
+        got = _read(tmp_path_factory, lines, ending)
+        assert _bits(got) == _bits([float(line.strip()) for line in lines])
+
+
+@st.composite
+def _decimal_strings(draw) -> str:
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    text = digits if point is None else digits[:point] + "." + digits[point:]
+    exponent = draw(st.none() | st.integers(-40, 40))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    return sign + text + ("" if exponent is None else draw(st.sampled_from("eE")) + str(exponent))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats().map(repr) | _decimal_strings(), min_size=1, max_size=40))
+def test_reader_gives_floats_bits(tmp_path_factory, lines):
+    assert _bits(_read(tmp_path_factory, lines)) == _bits([float(line) for line in lines])
 
 
 

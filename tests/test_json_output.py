@@ -215,7 +215,8 @@ def test_row_dicts_in_json_and_csv_are_written_as_each_alone(tmp_path):
     _write_outputs(str(tmp_path), files, "h")
     alone = _json_text("x", {"per_index": rows}, "h")
     _assert_same((tmp_path / "summary.json").read_text(), alone)
-    _assert_same((tmp_path / "per_index.csv").read_text(), "".join(_csv_blocks(table, "h")))
+    csv = b"".join(_csv_blocks(table, "h")).decode()
+    _assert_same((tmp_path / "per_index.csv").read_text(), csv)
 
 
 # -- Table: row tables held as numpy columns -----------------------------------
@@ -559,11 +560,11 @@ def test_csv_cells_follow_the_rule_cell_by_cell():
         "one_int": np.array([i64.max]),
     }
     assert not table["strided"].flags.c_contiguous
-    assert "".join(_csv_blocks(table, "h")) == _reference_csv(table, "h")
+    assert b"".join(_csv_blocks(table, "h")).decode() == _reference_csv(table, "h")
     # the z column of an n = 1 solve is empty beside non-empty columns
     table = {"i": np.arange(1, 2), "y": np.array([-0.0]), "z": np.empty(0)}
-    assert "".join(_csv_blocks(table, "h")) == _reference_csv(table, "h")
-    assert "".join(_csv_blocks(table, "h")).endswith("\n1,-0.0,\n")
+    assert b"".join(_csv_blocks(table, "h")).decode() == _reference_csv(table, "h")
+    assert b"".join(_csv_blocks(table, "h")).decode().endswith("\n1,-0.0,\n")
 
 
 def test_csv_rows_in_blocks_match_the_rule():
@@ -582,8 +583,8 @@ def test_csv_rows_in_blocks_match_the_rule():
         "none": [None if r % 3 else r / 7 for r in range(n)],
     }
     pieces = list(_csv_blocks(table, "h"))
-    _assert_same("".join(pieces), _reference_csv(table, "h"))
-    assert [p.count("\n") for p in pieces] == [2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 1]
+    _assert_same(b"".join(pieces).decode(), _reference_csv(table, "h"))
+    assert [p.count(b"\n") for p in pieces] == [2, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 1]
 
 
 def test_csv_is_written_without_holding_its_cells(tmp_path):

@@ -22,7 +22,8 @@ from gfl import _kernels
 from gfl.lil import LilEnvelope, envelope
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.solver import FusedLassoProblem, _work_size, check_kkt, solve
-from test_repr_cells import boundary_values, left_to_repr
+from gfl.cli import _ROW_KINDS, _repr_rows
+from test_repr_cells import boundary_values, inside, left_to_repr
 
 Y = np.cos(np.arange(200) * 0.37) * 3.0
 LOSSES = (SquareLoss(), QuantileLoss(0.3))
@@ -120,7 +121,7 @@ def test_kernels_compile_clean_with_warnings_as_errors(tmp_path):
 DEFINITION = re.compile(r"^(?!static\b)(\w+) +(\w+)\(([^)]*)\)\s*\{", re.M)
 RESTYPES = {"int": ctypes.c_int, "double": ctypes.c_double, "ptrdiff_t": ctypes.c_ssize_t,
             "void": None}
-EXPORTED = {"gfl_path", "gfl_kkt", "gfl_lil_chunk", "gfl_repr_double", "gfl_repr_int64"}
+EXPORTED = {"gfl_path", "gfl_kkt", "gfl_lil_chunk", "gfl_write_rows", "gfl_read_values"}
 
 
 def test_every_exported_kernel_matches_its_ctypes_prototype():
@@ -226,15 +227,54 @@ SANITIZE = (
 )
 
 
+def row_tables() -> list:
+    """Tables (lists of columns) for the row writer: each edge-value array
+    and its negative, alone and without the values left to repr, and
+    int64, float64 and bool columns side by side, short and empty ones
+    among them, with and without a value left to repr in the last row."""
+    tables = []
+    for a in boundary_values().values():
+        for values in (a, -a):
+            tables += [[values], [inside(values)]]
+    rng = np.random.default_rng(8)
+    mixed = [rng.random(9) < 0.5, rng.standard_normal(9), np.arange(-4, 5) * 10**15,
+             rng.random(3) < 0.5, np.array([0.5, -0.0, 1e16, 2.5]), np.empty(0)]
+    last = mixed[1].copy()
+    last[-1] = 5e-324
+    tables += [mixed, mixed[::-1], [mixed[0], last, mixed[2]], [np.empty(0), np.empty(0, np.int64)]]
+    return tables
+
+
+READ_TEXTS = [
+    b"1\r2\n3\r\n\r4", b"", b"   ", b"\n\r\n", b"-", b"1e", b"5.e3",
+    b"\n  0.5 \r\n\t-2\r\r\n3e0\x0c\n\n \n1",
+    b"nan\n1.5\nabc\n12345678901234567890\n1e28\n1e27\n-0\n.5\n5.\n+1\n000.000\n1E5",
+    "\n".join(map(repr, np.random.default_rng(9).standard_normal(500).tolist())).encode(),
+]
+
+
+def read_trace(data: bytes) -> bytes:
+    """What the driver writes for ``data``, from the library's calls."""
+    values = np.empty(data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1)
+    state = (ctypes.c_ssize_t * 3)()
+    trace = []
+    while _kernels.lib.gfl_read_values(data, len(data), values.ctypes.data, state):
+        trace += [1, state[0], state[1], state[2]]
+        values[state[1]] = 0.0
+        state[0], state[1] = state[2], state[1] + 1
+    return np.array(trace + [0, state[1]], np.int64).tobytes() + values[: state[1]].tobytes()
+
+
 def test_kernels_run_clean_under_sanitizers(tmp_path):
     """gfl_path (both losses) and gfl_kkt, without and with z, on the guard
-    test's inputs, gfl_lil_chunk on the skip test's, and the formatter on
-    the repr tests' edge values and their negatives, built with
-    AddressSanitizer and UBSan into a driver that includes _kernels.c and
-    mallocs every buffer at exactly its documented size, so a read past a
-    buffer is caught as well as a write; the results are the library's, the
-    chunks' those of numpy, and each cell repr's or empty where the
-    formatter leaves it to repr."""
+    test's inputs, gfl_lil_chunk on the skip test's, the row writer on the
+    repr tests' edge values and on mixed tables, and the reader on texts
+    with and without a last line end, built with AddressSanitizer and UBSan
+    into a driver that includes _kernels.c and mallocs every buffer at
+    exactly its documented size, so a read past a buffer is caught as well
+    as a write; the results are the library's, the chunks' those of numpy,
+    and each table's rows ``_repr_rows``' or refused where a value is left
+    to repr."""
     trivial = tmp_path / "trivial.c"
     trivial.write_text("int main(void) { return 0; }\n")
     probe = subprocess.run([*SANITIZE, "-o", str(tmp_path / "trivial"), str(trivial)],
@@ -260,14 +300,19 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     with open(tmp_path / "lil_cases", "wb") as fh:
         for x, lil_env in chunks:
             fh.write(np.array(x.shape, np.int64).tobytes() + x.tobytes() + lil_env.tobytes())
-    numbers = [sign * a for a in boundary_values().values() for sign in (1, -1)]
-    with open(tmp_path / "repr_cases", "wb") as fh:
-        for a in numbers:
-            fh.write(np.array([a.size, a.dtype == np.float64], np.int64).tobytes() + a.tobytes())
+    tables = row_tables()
+    with open(tmp_path / "row_cases", "wb") as fh:
+        for columns in tables:
+            head = [len(columns), max(a.size for a in columns)]
+            head += [v for a in columns for v in (_ROW_KINDS[a.dtype], a.size)]
+            fh.write(np.array(head, np.int64).tobytes() + b"".join(a.tobytes() for a in columns))
+    with open(tmp_path / "read_cases", "wb") as fh:
+        for text in READ_TEXTS:
+            fh.write(np.int64(len(text)).tobytes() + text)
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1:halt_on_error=1",
            "UBSAN_OPTIONS": "print_stacktrace=1:halt_on_error=1"}
     proc = subprocess.run([str(exe), "cases", "results", "lil_cases", "lil_results",
-                           "repr_cases", "repr_results"],
+                           "row_cases", "row_results", "read_cases", "read_results"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
@@ -283,12 +328,16 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     with np.errstate(all="ignore"):
         want = [a.ravel() for x, lil_env in chunks for a in numpy_chunk(x, lil_env)]
     assert (tmp_path / "lil_results").read_bytes() == np.concatenate(want).tobytes()
-    cells = (tmp_path / "repr_results").read_text("ascii").split("\n")[:-1]
-    want = [repr(v) for a in numbers for v in a.tolist()]
-    empty = np.concatenate([
-        left_to_repr(a) if a.dtype == np.float64 else np.zeros(a.size, bool) for a in numbers
-    ])
-    assert cells == ["" if e else c for c, e in zip(want, empty.tolist())]
+    want = b""
+    for columns in tables:
+        if any(a.dtype == np.float64 and left_to_repr(a).any() for a in columns):
+            want += np.int64(-1).tobytes()
+            continue
+        pieces = ["[", *[","] * (len(columns) - 1), "]\n"]
+        rows = _repr_rows(columns, 0, max(a.size for a in columns), pieces).encode()
+        want += np.int64(len(rows)).tobytes() + rows
+    assert (tmp_path / "row_results").read_bytes() == want
+    assert (tmp_path / "read_results").read_bytes() == b"".join(map(read_trace, READ_TEXTS))
 
 
 def lil_chunk(x, env, r, h):

@@ -1,7 +1,8 @@
 """A numeric cell is ``repr`` of the Python number, byte for byte.  The C
-formatter in ``_kernels.c`` writes float64 and int64 cells; it leaves a
-subnormal, an infinity, a NaN and a float outside [2^-32, 2^151) empty, and
-``_cells`` fills those with ``repr``."""
+row writer in ``_kernels.c`` writes blocks of float64, int64 and bool
+cells; it refuses a block holding a subnormal, an infinity, a NaN or a
+float outside [2^-32, 2^151), and ``_repr_rows`` writes that block with
+``repr``."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfl import _kernels
-from gfl.cli import _CSV_BLOCK_ROWS, _REPR_WIDTH, _cells, _csv_blocks
+from gfl.cli import _CELL_WIDTH, _CSV_BLOCK_ROWS, _ROW_KINDS, _csv_blocks, _repr_rows, _row_blocks
 from test_json_output import _reference_csv
 
 # the kernel's range, as biased exponents: [2^-32, 2^151)
@@ -54,31 +55,66 @@ def repr_cells(a) -> list:
     return [repr(v) for v in a.tolist()]
 
 
+def cells(a) -> list:
+    """``a``'s cells as the CSV writer writes them, in one-column rows."""
+    return b"".join(_row_blocks([np.asarray(a)], ["", "\n"])).decode("ascii").split("\n")[:-1]
+
+
+def kernel_rows(columns, pieces):
+    """One call of the row writer on whole ``columns``: the bytes it
+    writes, or None where it refuses the block."""
+    rows = max(a.size for a in columns)
+    layout, offset = [], 0
+    for a in columns:
+        layout += (_ROW_KINDS[a.dtype], offset, a.size)
+        offset += a.nbytes
+    text = b"".join(p.encode() + b"\0" for p in pieces)
+    out = np.empty(rows * (len(text) + _CELL_WIDTH * len(columns)), np.uint8)
+    size = _kernels.lib.gfl_write_rows(
+        b"".join(a.tobytes() for a in columns), np.array(layout, np.int64).tobytes(),
+        len(columns), rows, text, out.ctypes.data,
+    )
+    return None if size < 0 else out[:size].tobytes()
+
+
+def kernel_cells(a) -> list:
+    """``a``'s cells as one row-writer call writes them, which must not
+    refuse them."""
+    text = kernel_rows([a], ["", "\n"])
+    assert text is not None
+    return text.decode("ascii").split("\n")[:-1]
+
+
+def inside(a):
+    """The values of ``a`` that the row writer formats itself."""
+    return a[~left_to_repr(a)] if a.dtype == np.float64 else a
+
+
 @pytest.mark.parametrize("name", list(boundary_values()))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cells_are_repr_at_the_formatters_edges(name, sign):
     a = sign * boundary_values()[name]  # -(-2^63) wraps to itself
-    assert _cells(a) == repr_cells(a)
-    assert _cells(a[::-1].copy()) == repr_cells(a[::-1])  # sorted one way, the other not
+    assert cells(a) == repr_cells(a)
+    assert cells(a[::-1].copy()) == repr_cells(a[::-1])  # sorted one way, the other not
+    assert kernel_cells(inside(a)) == repr_cells(inside(a))
 
 
 def test_cells_are_repr_on_random_bits():
     bits = np.random.default_rng(1).integers(0, 2**64, 30_000, dtype=np.uint64)
     a = floats(bits)
     # the same mantissas and signs with every exponent inside the range
-    inside = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (
+    in_range = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (
         (bits % np.uint64(GREATEST - LEAST + 1) + np.uint64(LEAST)) << np.uint64(52))
-    for values in (a, floats(inside)):
-        assert _cells(values) == repr_cells(values)
+    for values in (a, floats(in_range)):
+        assert cells(values) == repr_cells(values)
+    assert kernel_cells(floats(in_range)) == repr_cells(floats(in_range))
 
 
 def test_kernel_range_is_as_documented():
+    # each value as a one-cell block, refused exactly where it is left to repr
     values = boundary_values()["every_exponent"]
-    buf = np.empty(_REPR_WIDTH * values.size, np.uint8)
-    size = _kernels.lib.gfl_repr_double(values.ctypes.data, values.size, buf.ctypes.data)
-    cells = buf[:size].tobytes().decode("ascii").split("\n")[:-1]
-    assert len(cells) == values.size
-    assert [c == "" for c in cells] == left_to_repr(values).tolist()
+    refused = [kernel_rows([values[i : i + 1]], ["", "\n"]) is None for i in range(values.size)]
+    assert refused == left_to_repr(values).tolist()
 
 
 def test_blocks_keep_order_and_fill_empty_cells_at_their_edges():
@@ -90,23 +126,43 @@ def test_blocks_keep_order_and_fill_empty_cells_at_their_edges():
         a[i] = v
     ints = np.arange(-n, n, 2, dtype=np.int64) * 4_000_000_000_037
     table = {"a": a, "ints": ints, "reversed": a[::-1]}
-    assert "".join(_csv_blocks(table, "h")) == _reference_csv(table, "h")
-    assert _cells(a) == repr_cells(a)
-    assert _cells(a[:1]) == ["nan"] and _cells(a[:0]) == []
+    assert b"".join(_csv_blocks(table, "h")).decode() == _reference_csv(table, "h")
+    assert cells(a) == repr_cells(a)
+    assert cells(a[:1]) == ["nan"] and cells(a[:0]) == []
     edge = np.array([-np.inf, 1e-320, 2.0**200, np.nan])
-    assert _cells(edge) == repr_cells(edge)
-    assert "".join(_csv_blocks({"edge": edge}, "h")) == _reference_csv({"edge": edge}, "h")
+    assert cells(edge) == repr_cells(edge)
+    edge_csv = b"".join(_csv_blocks({"edge": edge}, "h")).decode()
+    assert edge_csv == _reference_csv({"edge": edge}, "h")
+
+
+def test_one_piece_list_lays_out_both_writers():
+    """The row writer and ``_repr_rows`` lay out the same rows from the same
+    pieces: int64, float64 and bool columns at every byte offset (a bool
+    column shifts the ones after it), a short column and an empty one."""
+    rng = np.random.default_rng(4)
+    columns = [
+        rng.random(9) < 0.5, rng.standard_normal(9), np.arange(-4, 5) * 10**15,
+        rng.random(3) < 0.5, np.array([0.5, -0.0, 1e16, 2.5]), np.empty(0),
+    ]
+    pieces = ["\n  {\n    \"a\": ", *(f',\n    "{c}": ' for c in "bcdef"), "\n  },"]
+    want = _repr_rows(columns, 0, 9, pieces)
+    assert kernel_rows(columns, pieces).decode("ascii") == want
+    assert b"".join(_row_blocks(columns, pieces)).decode("ascii") == want
+    assert want.count("},") == 9 and want.count('"d": ,') == 6 and want.count('"f": \n') == 9
+    assert '"a": True' not in want and '"a": 1' in want
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=50))
 def test_cells_are_repr_for_any_float(values):
     a = np.array(values, dtype=np.float64)
-    assert _cells(a) == repr_cells(a)
+    assert cells(a) == repr_cells(a)
+    assert kernel_cells(inside(a)) == repr_cells(inside(a))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
 def test_cells_are_repr_for_any_int64(values):
     a = np.array(values, dtype=np.int64)
-    assert _cells(a) == repr_cells(a)
+    assert cells(a) == repr_cells(a)
+    assert kernel_cells(a) == repr_cells(a)
