@@ -3,8 +3,10 @@
 Experiment j of SUITE runs through the CLI on seed --seed + j, with its
 replication count cut 10x under --quick, and writes summary.json plus CSV
 plot data to its own subdirectory of --out-root; `gfl lil` then runs on seed
---seed + len(SUITE).  The full suite takes 3.2-3.5 s and --quick 0.55-0.65 s,
-as the host's load varies (2 Intel Xeon vCPUs, Python 3.11.7, numpy 2.4.6).
+--seed + len(SUITE).  The full suite takes 2.5-2.6 s and --quick 0.38-0.60 s,
+as the host's load varies (2 Intel Xeon vCPUs, Python 3.11.7, numpy 2.4.6);
+its `gfl lil` alone draws 10^8 Gaussian values (10^7 under --quick), at about
+4.5 ns each.
 
 Usage: python scripts/run_all_experiments.py [--out-root results] [--quick] [--seed S]
 """

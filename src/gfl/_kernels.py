@@ -1,6 +1,7 @@
 """Build and load gfl's C kernels (``_kernels.c``): the solver's, the
 iterated-logarithm check's, the row writer that writes the CSV and JSON
-table rows, and the reader of ``gfl solve``'s input.
+table rows, the reader of ``gfl solve``'s input, and the Gaussian and Cauchy
+noise draws, numpy's PCG64 stream bit for bit.
 
 The library is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into this package's ``__pycache__``, once per SHA-256
@@ -27,7 +28,10 @@ cell plus the pieces' bytes per row.  It passes the reader the input file's
 bytes, the ``.ctypes.data`` of a float64 array it has just made with
 ``np.empty``, holding a value for every line, and a ctypes array of three
 ``ssize_t``, holding the reader's state; it holds a reference to each for
-the length of the call.
+the length of the call.  ``losses.py`` passes the draws a ctypes array of
+four ``uint64``, the generator's state and increment, and the
+``.ctypes.data`` of a float64 array of the draws it has just made with
+``np.empty``, holding a reference to both for the length of the call.
 """
 
 from __future__ import annotations
@@ -109,3 +113,5 @@ lib.gfl_write_rows.argtypes = (_P, _P, _N, _N, _P, _P)
 lib.gfl_write_rows.restype = _N
 lib.gfl_read_values.argtypes = (_P, _N, _P, _P)
 lib.gfl_read_values.restype = ctypes.c_int
+lib.gfl_draws.argtypes = (_P, _N, ctypes.c_int, _P)
+lib.gfl_draws.restype = None

@@ -1,11 +1,12 @@
 """Command-line entry point: solve, bounds, lil, simulate.
 
-Each command returns its config and its files, {file name: content}; ``main``
-hashes the config and writes the files.  The producer each command calls
-(``run_experiment``, ``bound_report``, ``verify_paths``) returns ``(summary,
-tables)``: the fields of its JSON file and the columns of its CSVs, which
-the command passes on as they come.  Exit codes: 0 success, 2
-config/input error (an input too large to allocate included), 3
+Each command returns its config's hash and its files, {file name: content},
+and ``main`` writes the files; ``gfl simulate``'s hash is the one its
+summary's provenance holds, so each config is hashed once.  The producer
+each command calls (``run_experiment``, ``bound_report``, ``verify_paths``)
+returns ``(summary, tables)``: the fields of its JSON file and the columns
+of its CSVs, which the command passes on as they come.  Exit codes: 0
+success, 2 config/input error (an input too large to allocate included), 3
 mathematical precondition failure.  All outputs are written atomically
 (temp file + rename) and carry the package version and the config's hash in
 their header.  The JSON files hold the bytes
@@ -293,7 +294,7 @@ def _cmd_solve(args):
         "tau": args.tau,
         "n": y.size,
     }
-    return cfg, {"solution.csv": table, "solution.json": payload}
+    return hash_config(cfg), {"solution.csv": table, "solution.json": payload}
 
 
 def _parse_signal(args) -> PiecewiseConstantSignal:
@@ -325,7 +326,7 @@ def _cmd_bounds(args):
     table = {"i": np.arange(1, geom.n + 1), "k": geom.k_of, "d": geom.d} | columns
     B_range = {"B_max": float(columns["B"].max()), "B_min": float(columns["B"].min())}
     payload = {"inputs": cfg, "n": geom.n, "K": geom.K} | B_range | summary
-    return cfg, {"bounds.csv": table, "bounds.json": payload}
+    return hash_config(cfg), {"bounds.csv": table, "bounds.json": payload}
 
 
 def _cmd_lil(args):
@@ -340,7 +341,7 @@ def _cmd_lil(args):
         "seed": args.seed,
     }
     summary, table = verify_paths(noise, args.horizon, args.paths, env, seed=args.seed)
-    return cfg, {"lil.csv": table, "lil.json": {"inputs": cfg} | summary}
+    return hash_config(cfg), {"lil.csv": table, "lil.json": {"inputs": cfg} | summary}
 
 
 def _refuse_constant(name: str):
@@ -362,7 +363,8 @@ def _cmd_simulate(args):
         cfg["seed"] = args.seed
     spec = ExperimentSpec.from_config(cfg)
     summary, tables = run_experiment(spec)
-    return spec.to_config(), {"summary.json": summary} | tables
+    # run_experiment hashed the spec's config for the provenance
+    return summary["provenance"]["config_hash"], {"summary.json": summary} | tables
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,8 +416,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg, files = args.func(args)
-        _write_outputs(args.out_dir, files, hash_config(cfg))
+        config_hash, files = args.func(args)
+        _write_outputs(args.out_dir, files, config_hash)
         return 0
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

@@ -8,10 +8,12 @@ F(0) = tau, both equal tau - F(t).
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 
+from . import _kernels
 from ._record import Value
 from .errors import ConfigError, UnsupportedModelError
 
@@ -70,6 +72,30 @@ def make_loss(kind: str, tau: float | None = None):
 
 # Base distributions are symmetric about 0 with a single scale parameter.
 _KINDS = ("gaussian", "uniform", "laplace", "cauchy")
+
+_WORD = (1 << 64) - 1
+# gfl_draws' generator state: PCG64's state and increment, high word first
+_PCG64_WORDS = ctypes.c_uint64 * 4
+
+
+def _unit_draws(n: int, rng: np.random.Generator, cauchy: bool) -> np.ndarray:
+    """``rng.standard_normal(n)``, or ``rng.standard_cauchy(n)`` if ``cauchy``,
+    bit for bit, drawn by ``gfl_draws`` from the generator's PCG64 state,
+    which is then set past the draws as numpy's call sets it.  The
+    generator's lock is held throughout, as numpy's call holds it."""
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        state = bitgen.state
+        if state["bit_generator"] != "PCG64":
+            raise TypeError(f"noise is drawn from a PCG64 generator, not {state['bit_generator']}")
+        pcg = state["state"]
+        s, inc = pcg["state"], pcg["inc"]
+        words = _PCG64_WORDS(s >> 64, s & _WORD, inc >> 64, inc & _WORD)
+        x = np.empty(n)
+        _kernels.lib.gfl_draws(words, n, cauchy, x.ctypes.data)
+        pcg["state"] = words[0] << 64 | words[1]
+        bitgen.state = state
+    return x
 
 
 class NoiseModel(Value):
@@ -153,7 +179,7 @@ class NoiseModel(Value):
         elif self.kind == "laplace":
             x = rng.laplace(0.0, s, size=n)
         else:  # gaussian and cauchy are drawn at unit scale
-            x = rng.standard_normal(n) if self.kind == "gaussian" else rng.standard_cauchy(n)
+            x = _unit_draws(n, rng, self.kind == "cauchy")
             if s != 1.0:
                 x *= s
         if shift != 0.0 or math.copysign(1.0, shift) < 0:

@@ -5,7 +5,7 @@
  * it calls them by their own definitions.
  *
  * Usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS ROW_CASES
- * ROW_RESULTS READ_CASES READ_RESULTS.  CASES holds one record per solver
+ * ROW_RESULTS READ_CASES READ_RESULTS DRAW_CASES DRAW_RESULTS.  CASES holds one record per solver
  * case: an int64 header {n, quantile, work size in doubles}, then the
  * doubles {lambda, tau} and y[0..n).  For each case the driver runs
  * gfl_path, then gfl_kkt twice, with z NULL and with z, and appends theta
@@ -23,12 +23,16 @@
  * size, then its bytes.  For each the driver calls gfl_read_values until
  * it returns 0, and appends {1, start, index, end} (int64) for each line
  * it does not convert, writing 0.0 as that line's value, then {0, number
- * of values} and the values to READ_RESULTS.  Every buffer is malloc'd at
- * exactly the size the kernels document (24 bytes per cell and the
- * pieces' bytes per row for the row writer's output, the text with no
- * newline or NUL after it and a value per line for the reader), so a read
- * or write past its end is reported; a nonzero status from gfl_path, a
- * short read or a failed allocation exits 1.
+ * of values} and the values to READ_RESULTS.  DRAW_CASES holds one record
+ * per call of gfl_draws: an int64 header {n, cauchy}, then the four
+ * uint64 state words.  For each the driver runs gfl_draws and appends the
+ * n draws and the four state words to DRAW_RESULTS.  Every buffer is
+ * malloc'd at exactly the size the kernels document (24 bytes per cell and
+ * the pieces' bytes per row for the row writer's output, the text with no
+ * newline or NUL after it and a value per line for the reader, n draws and
+ * four state words for gfl_draws), so a read or write past its end is
+ * reported; a nonzero status from gfl_path, a short read or a failed
+ * allocation exits 1.
  */
 
 #include <stdint.h>
@@ -202,26 +206,52 @@ static void read_cases(FILE *in, FILE *out)
     }
 }
 
+static void draw_cases(FILE *in, FILE *out)
+{
+    int64_t head[2];
+    uint64_t *state;
+    double *x;
+    size_t n;
+
+    while (fread(head, sizeof head, 1, in) == 1) {
+        n = (size_t)head[0];
+        state = alloc_bytes(4 * sizeof *state);
+        if (fread(state, sizeof *state, 4, in) != 4)
+            short_record();
+        x = alloc(n);
+        gfl_draws(state, (ptrdiff_t)n, (int)head[1], x);
+        fwrite(x, sizeof *x, n, out);
+        fwrite(state, sizeof *state, 4, out);
+        free(state);
+        free(x);
+    }
+}
+
 int main(int argc, char **argv)
 {
     FILE *in, *out, *lil_in, *lil_out, *row_in, *row_out, *read_in, *read_out;
+    FILE *draw_in, *draw_out;
 
-    if (argc != 9 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))
+    if (argc != 11 || !(in = fopen(argv[1], "rb")) || !(out = fopen(argv[2], "wb"))
         || !(lil_in = fopen(argv[3], "rb")) || !(lil_out = fopen(argv[4], "wb"))
         || !(row_in = fopen(argv[5], "rb")) || !(row_out = fopen(argv[6], "wb"))
-        || !(read_in = fopen(argv[7], "rb")) || !(read_out = fopen(argv[8], "wb"))) {
+        || !(read_in = fopen(argv[7], "rb")) || !(read_out = fopen(argv[8], "wb"))
+        || !(draw_in = fopen(argv[9], "rb")) || !(draw_out = fopen(argv[10], "wb"))) {
         fprintf(stderr, "usage: kernels_driver CASES RESULTS LIL_CASES LIL_RESULTS "
-                        "ROW_CASES ROW_RESULTS READ_CASES READ_RESULTS\n");
+                        "ROW_CASES ROW_RESULTS READ_CASES READ_RESULTS DRAW_CASES "
+                        "DRAW_RESULTS\n");
         return 1;
     }
     solver_cases(in, out);
     lil_cases(lil_in, lil_out);
     row_cases(row_in, row_out);
     read_cases(read_in, read_out);
+    draw_cases(draw_in, draw_out);
     fclose(in);
     fclose(lil_in);
     fclose(row_in);
     fclose(read_in);
+    fclose(draw_in);
     return (fclose(out) != 0) | (fclose(lil_out) != 0) | (fclose(row_out) != 0)
-           | (fclose(read_out) != 0);
+           | (fclose(read_out) != 0) | (fclose(draw_out) != 0);
 }

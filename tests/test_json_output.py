@@ -21,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfl import __version__
+from gfl import __version__, cli, simulate
 from gfl.bounds import BoundParams, bound_report
 from gfl.cli import _CSV_BLOCK_ROWS, _csv_blocks, _dumps, _json_text, _write_outputs, main
 from gfl.errors import GflError
 from gfl.losses import make_loss
 from gfl.signal import PiecewiseConstantSignal
-from gfl.simulate import Table
+from gfl.simulate import Table, hash_config
 from gfl.solver import FusedLassoProblem, check_kkt, solve
 
 
@@ -325,8 +325,11 @@ def test_simulate_with_non_finite_table_cell_exit_2(tmp_path, monkeypatch, capsy
     """A NaN in a runner's Table is one stderr line and exit 2, with no
     directory, as for any value JSON cannot hold."""
     def run(spec):
+        # a runner's summary, as run_experiment's, carries the config hash
         table = Table(i=np.arange(1, 3), B=np.array([1.0, math.nan]))
-        return {"experiment": "pointwise", "per_index": table}, {"per_index.csv": table}
+        summary = {"experiment": "pointwise", "per_index": table,
+                   "provenance": {"config_hash": spec.config_hash()}}
+        return summary, {"per_index.csv": table}
 
     monkeypatch.setattr("gfl.cli.run_experiment", run)
     path = tmp_path / "config.json"
@@ -501,15 +504,43 @@ _PINNED_FILES = {
 }
 
 
+def _pinned_files(name) -> dict:
+    """{file name: pinned SHA-256} of every file the run ``name`` writes."""
+    want = dict(_PINNED_FILES[name])
+    if name in _PINNED:
+        want["summary.json"] = _PINNED[name][1]
+    return want
+
+
+def _file_digests(out) -> dict:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED_FILES))
 def test_output_file_bytes_pinned(tmp_path, name):
     out = tmp_path / "out"
     assert main(_cli_argv(tmp_path, name) + ["--out-dir", str(out)]) == 0
-    want = dict(_PINNED_FILES[name])
-    if name in _PINNED:
-        want["summary.json"] = _PINNED[name][1]
-    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-    assert got == want
+    assert _file_digests(out) == _pinned_files(name)
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_simulate_hashes_its_config_once(tmp_path, monkeypatch, name):
+    """gfl simulate hashes its config once, for the summary's provenance,
+    and every file it writes carries that hash: the bytes are the pinned
+    ones.  ``hash_config`` is counted under both its names, the module's
+    and the one ``gfl.cli`` imports."""
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return hash_config(cfg)
+
+    monkeypatch.setattr(simulate, "hash_config", counted)
+    monkeypatch.setattr(cli, "hash_config", counted)
+    out = tmp_path / "out"
+    assert main(_cli_argv(tmp_path, name) + ["--out-dir", str(out)]) == 0
+    assert len(calls) == 1
+    assert _file_digests(out) == _pinned_files(name)
 
 
 # -- the CSV cell rule ---------------------------------------------------------

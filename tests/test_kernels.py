@@ -23,6 +23,7 @@ from gfl.lil import LilEnvelope, envelope
 from gfl.losses import QuantileLoss, SquareLoss
 from gfl.solver import FusedLassoProblem, _work_size, check_kkt, solve
 from gfl.cli import _ROW_KINDS, _repr_rows
+from test_loss_noise import FORCE_HI, force_word
 from test_repr_cells import boundary_values, inside, left_to_repr
 
 Y = np.cos(np.arange(200) * 0.37) * 3.0
@@ -121,7 +122,8 @@ def test_kernels_compile_clean_with_warnings_as_errors(tmp_path):
 DEFINITION = re.compile(r"^(?!static\b)(\w+) +(\w+)\(([^)]*)\)\s*\{", re.M)
 RESTYPES = {"int": ctypes.c_int, "double": ctypes.c_double, "ptrdiff_t": ctypes.c_ssize_t,
             "void": None}
-EXPORTED = {"gfl_path", "gfl_kkt", "gfl_lil_chunk", "gfl_write_rows", "gfl_read_values"}
+EXPORTED = {"gfl_path", "gfl_kkt", "gfl_lil_chunk", "gfl_write_rows", "gfl_read_values",
+            "gfl_draws"}
 
 
 def test_every_exported_kernel_matches_its_ctypes_prototype():
@@ -142,6 +144,38 @@ def test_every_exported_kernel_matches_its_ctypes_prototype():
         f = getattr(lib, name)
         assert len(params.split(",")) == len(f.argtypes), name
         assert f.restype is RESTYPES[restype], name
+
+
+def test_library_layout_keeps_gfl_path_first(tmp_path):
+    """The DP's speed depends on where the linker puts it (see put_digits in
+    _kernels.c): the built library's PLT holds only memmove and
+    __cxa_finalize, libm being called through pointers, and gfl_path is
+    the lowest-addressed function compiled from _kernels.c, out-of-line
+    parts and clones of static functions included.  The library is read
+    with binutils, which the compiler itself needs."""
+    lib = _kernels.lib._name
+    text = subprocess.run(["objdump", "-d", lib], capture_output=True, text=True,
+                          timeout=300, check=True).stdout
+    plt = set(re.findall(r"^[0-9a-f]+ <([^>]+)@plt>:$", text, re.M))
+    assert plt <= {"memmove", "__cxa_finalize"}, plt
+
+    # the functions of _kernels.c are those of its object file alone, which
+    # holds no start-up code and no compiler runtime
+    obj = tmp_path / "k.o"
+    cmd = [*(arg for arg in _kernels.COMMAND if arg != "-shared"), "-c", "-o", str(obj),
+           str(_kernels.SOURCE)]
+    subprocess.run(cmd, capture_output=True, timeout=300, check=True)
+
+    def functions(path):
+        out = subprocess.run(["nm", "--defined-only", str(path)], capture_output=True, text=True,
+                             timeout=300, check=True).stdout
+        return {name: int(addr, 16) for addr, kind, name in map(str.split, out.splitlines())
+                if kind in "tT"}
+
+    own = functions(obj)
+    placed = {name: addr for name, addr in functions(lib).items() if name in own}
+    assert placed.keys() == own.keys() and "gfl_path" in placed
+    assert min(placed, key=placed.get) == "gfl_path", sorted(placed.items(), key=lambda kv: kv[1])
 
 
 # A NaN with a payload no kernel computes, so a stray write shows in its bits.
@@ -268,13 +302,14 @@ def read_trace(data: bytes) -> bytes:
 def test_kernels_run_clean_under_sanitizers(tmp_path):
     """gfl_path (both losses) and gfl_kkt, without and with z, on the guard
     test's inputs, gfl_lil_chunk on the skip test's, the row writer on the
-    repr tests' edge values and on mixed tables, and the reader on texts
-    with and without a last line end, built with AddressSanitizer and UBSan
-    into a driver that includes _kernels.c and mallocs every buffer at
-    exactly its documented size, so a read past a buffer is caught as well
-    as a write; the results are the library's, the chunks' those of numpy,
-    and each table's rows ``_repr_rows``' or refused where a value is left
-    to repr."""
+    repr tests' edge values and on mixed tables, the reader on texts with
+    and without a last line end, and gfl_draws on the draw cases, built
+    with AddressSanitizer and UBSan into a driver that includes _kernels.c
+    and mallocs every buffer at exactly its documented size, so a read past
+    a buffer is caught as well as a write; the results are the library's,
+    the chunks' those of numpy,
+    each table's rows ``_repr_rows``' or refused where a value is left to
+    repr, and the draws and the generator state numpy's."""
     trivial = tmp_path / "trivial.c"
     trivial.write_text("int main(void) { return 0; }\n")
     probe = subprocess.run([*SANITIZE, "-o", str(tmp_path / "trivial"), str(trivial)],
@@ -309,10 +344,15 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     with open(tmp_path / "read_cases", "wb") as fh:
         for text in READ_TEXTS:
             fh.write(np.int64(len(text)).tobytes() + text)
+    draws = draw_cases()
+    with open(tmp_path / "draw_cases", "wb") as fh:
+        for n, cauchy, words in draws:
+            fh.write(np.array([n, cauchy], np.int64).tobytes() + words.tobytes())
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1:halt_on_error=1",
            "UBSAN_OPTIONS": "print_stacktrace=1:halt_on_error=1"}
     proc = subprocess.run([str(exe), "cases", "results", "lil_cases", "lil_results",
-                           "row_cases", "row_results", "read_cases", "read_results"],
+                           "row_cases", "row_results", "read_cases", "read_results",
+                           "draw_cases", "draw_results"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
@@ -338,6 +378,66 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
         want += np.int64(len(rows)).tobytes() + rows
     assert (tmp_path / "row_results").read_bytes() == want
     assert (tmp_path / "read_results").read_bytes() == b"".join(map(read_trace, READ_TEXTS))
+    want = [a.tobytes() for n, cauchy, words in draws for a in numpy_draws(words, n, cauchy)]
+    assert (tmp_path / "draw_results").read_bytes() == b"".join(want)
+
+
+_WORD = (1 << 64) - 1
+
+
+def pcg_words(rng) -> np.ndarray:
+    """gfl_draws' state for ``rng``: its PCG64 state and increment, high
+    word first."""
+    pcg = rng.bit_generator.state["state"]
+    s, inc = pcg["state"], pcg["inc"]
+    return np.array([s >> 64, s & _WORD, inc >> 64, inc & _WORD], np.uint64)
+
+
+def numpy_draws(words, n, cauchy):
+    """numpy's standard_normal(n) (standard_cauchy(n) if cauchy) from the
+    PCG64 state ``words``, and the state words after them."""
+    bitgen = np.random.PCG64()
+    state = bitgen.state
+    state["state"] = {"state": int(words[0]) << 64 | int(words[1]),
+                      "inc": int(words[2]) << 64 | int(words[3])}
+    bitgen.state = state
+    rng = np.random.Generator(bitgen)
+    x = rng.standard_cauchy(n) if cauchy else rng.standard_normal(n)
+    return x, pcg_words(rng)
+
+
+def draw_cases() -> list:
+    """(n, cauchy, state words) for gfl_draws: normal and Cauchy draws from
+    a state whose next word falls in strip 0's tail, from one whose next
+    word goes to a wedge test, and from seeded states, once with n = 0."""
+    tail = (2**52 - 1) << 9  # strip 0, the largest 52-bit part
+    wedge = (2**52 - 1) << 9 | 1 << 8 | 7  # strip 7, sign bit set
+    cases = []
+    for cauchy in (0, 1):
+        for n, seed, word in ((1, 0, tail), (5, 1, tail), (3, 2, wedge), (1000, 3, None),
+                              (0, 4, None)):
+            rng = np.random.default_rng(seed)
+            if word is not None:
+                force_word(rng, word, FORCE_HI[2])
+            cases.append((n, cauchy, pcg_words(rng)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(draw_cases())))
+def test_draws_write_only_their_outputs(case):
+    """gfl_draws writes its n draws and the two state words, and nothing
+    else: the increment and the guard bands around both buffers are
+    unchanged, and the draws and state are numpy's."""
+    n, cauchy, words = draw_cases()[case]
+    out, out_whole = guarded(n)
+    state_whole = np.full(4 + 2 * GUARD, SENTINEL)
+    state = state_whole[GUARD:GUARD + 4].view(np.uint64)
+    state[:] = words
+    _kernels.lib.gfl_draws(state.ctypes.data, n, cauchy, out.ctypes.data)
+    assert bands_intact(out_whole) and bands_intact(state_whole)
+    want_x, want_words = numpy_draws(words, n, cauchy)
+    assert state[2:].tobytes() == words[2:].tobytes()
+    assert out.tobytes() == want_x.tobytes() and state.tobytes() == want_words.tobytes()
 
 
 def lil_chunk(x, env, r, h):

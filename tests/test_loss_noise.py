@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from gfl import _kernels
 from gfl.errors import ConfigError, GflError, UnsupportedModelError
 from gfl.losses import (
     L_minus,
@@ -16,6 +19,53 @@ from gfl.losses import (
     SquareLoss,
     make_loss,
 )
+
+
+# numpy's PCG64: the state s steps to s * PCG_MULT + inc, and the word is
+# hi ^ lo of the new state, rotated right by its top six bits
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+PCG_MULT_INV = pow(PCG_MULT, -1, 1 << 128)
+# stepped states' high words below 2^58: top six bits 0, so no rotation
+FORCE_HI = (0, 1, 0x2545F4914F6CDD1D >> 6, 2**58 - 1)
+
+
+def _zig_ki():
+    """The ziggurat's 256 strip thresholds, as _kernels.c holds them."""
+    body = re.search(r"zig_ki\[256\] = \{([^}]*)\}", _kernels.SOURCE.read_text()).group(1)
+    return [int(v, 16) for v in body.replace(",", " ").split()]
+
+
+ZIG_KI = _zig_ki()
+
+
+def force_word(rng, word: int, hi: int) -> dict:
+    """Sets ``rng``'s PCG64 state so that its next 64-bit word is ``word``:
+    the stepped state is hi << 64 | (word ^ hi), so its output is
+    hi ^ lo = word.  Returns the PCG64 state dict after that word."""
+    state = rng.bit_generator.state
+    after = {"state": hi << 64 | (word ^ hi), "inc": state["state"]["inc"]}
+    state["state"]["state"] = (after["state"] - after["inc"]) * PCG_MULT_INV % (1 << 128)
+    rng.bit_generator.state = state
+    return after
+
+
+def pcg_steps(start: dict, end: dict) -> int:
+    """The number of PCG64 steps, fewer than 64, from state ``start`` on to
+    ``end``, plus 1."""
+    s = start["state"]
+    for k in range(1, 65):
+        if s == end["state"]:
+            return k
+        s = (s * PCG_MULT + start["inc"]) % (1 << 128)
+    raise AssertionError("end is not within reach of start")
+
+
+def test_forced_word_is_the_next_word():
+    rng = np.random.default_rng(1)
+    for word in (0, 1, 2**63 + 12345, 2**64 - 1):
+        after = force_word(rng, word, FORCE_HI[2])
+        assert int(rng.bit_generator.random_raw()) == word
+        assert rng.bit_generator.state["state"] == after
 
 
 class TestLosses:
@@ -83,6 +133,48 @@ class TestNoiseModel:
         ref = draw - nm.shift
         assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("scale, tau", [(1.0, None), (2.5, None), (1.0, 0.5)])
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_every_strip_and_branch_is_numpys_draw(self, kind, scale, tau):
+        """The first word of each draw is forced to every strip, both signs
+        and a 52-bit part just below, at and above the strip's threshold
+        ki, each after several generator states: a draw below ki is taken
+        at once, any other one goes to the wedge test (or, in strip 0, to
+        the tail), whose outcome depends on the words that follow.  Each
+        draw's bits and the generator's state after it are numpy's."""
+        nm = NoiseModel(kind=kind, scale=scale, center_tau=tau)
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        draw = ref_rng.standard_normal if kind == "gaussian" else ref_rng.standard_cauchy
+        # the words each forced draw took, by (strip, below ki): 1 when it
+        # was taken at once, 2 when the wedge took it, more after a
+        # rejection or in the tail
+        words = {}
+        for idx, ki in enumerate(ZIG_KI):
+            for rabs in ([ki - 1] if ki > 0 else []) + [ki, 2**52 - 257, 2**52 - 1]:
+                for sign, hi in itertools.product((0, 1), FORCE_HI):
+                    word = rabs << 9 | sign << 8 | idx
+                    after = force_word(rng, word, hi)
+                    force_word(ref_rng, word, hi)
+                    x = nm.sample_rng(1, rng)
+                    ref = draw(1) * scale - nm.shift
+                    case = (idx, rabs, sign, hi)
+                    assert x.tobytes() == ref.tobytes(), case
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state, case
+                    k = pcg_steps(after, rng.bit_generator.state["state"])
+                    words.setdefault(min(k, 3), set()).add((idx, rabs < ki))
+        if kind == "gaussian":  # a Cauchy draw takes a second normal draw's words
+            assert words[1] == {(idx, True) for idx, ki in enumerate(ZIG_KI) if ki > 0}
+            assert {idx for idx, _ in words[2]} == set(range(1, 256))  # the wedge took one
+            assert {idx for idx, _ in words[3]} >= {0, 1, 255}  # rejections, and the tail
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox])
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_generator_other_than_pcg64_is_refused(self, kind, bitgen):
+        rng = np.random.Generator(bitgen(1))
+        with pytest.raises(TypeError, match="noise is drawn from a PCG64 generator, not "):
+            NoiseModel(kind=kind, scale=1.0).sample_rng(3, rng)
+        assert rng.random() == np.random.Generator(bitgen(1)).random()  # no word taken
 
     def test_negative_zero_shift_is_still_subtracted(self):
         """Laplace noise centred at its median has shift -0.0, and
